@@ -9,7 +9,6 @@ from .connectivity import (
     contains_property_subgraph,
     is_property_connected,
     property_components,
-    strict_edge_deletion_connected,
     subobject_poset,
 )
 from .graphs import (

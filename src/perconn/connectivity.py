@@ -167,31 +167,6 @@ def _vertex_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
     return [g.induced(s) for s in sorted(keep, key=lambda s: tuple(sorted(s)))]
 
 
-def _has_vertex_block(g: SimpleGraph, k: int) -> bool:
-    """Early-exit: does g contain any k-vertex-connected subgraph?"""
-    seen: set[frozenset[str]] = set()
-    stack: list[frozenset[str]] = [frozenset(g.vertices)]
-    while stack:
-        vs = stack.pop()
-        if vs in seen:
-            continue
-        seen.add(vs)
-        h = g.induced(vs)
-        for comp_set in connected_vertex_sets(h.adjacency()):
-            if len(comp_set) < k:
-                continue
-            comp = g.induced(comp_set)
-            if is_complete(comp):
-                return True
-            cut = vertex_cut_below(comp.adjacency(), k)
-            if cut is None:
-                return True
-            rest = g.induced(comp_set - cut)
-            for piece in connected_vertex_sets(rest.adjacency()):
-                stack.append(frozenset(piece | cut))
-    return False
-
-
 def _edge_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
     out: list[frozenset[str]] = []
     stack = [frozenset(c) for c in connected_vertex_sets(g.adjacency())]
@@ -244,7 +219,7 @@ def contains_property_subgraph(g: SimpleGraph, spec: PropertySpec) -> bool:
         return has_clique(g.adjacency(), spec.k)
     if spec.k == 1:
         return not g.is_empty
-    return _has_vertex_block(g, spec.k)
+    return bool(_vertex_block_components(g, spec.k))
 
 
 def _clique_state_graphs(g: SimpleGraph, k: int) -> list[SimpleGraph]:
@@ -310,29 +285,3 @@ def subobject_poset(g: SimpleGraph, spec: PropertySpec, size_cap: int = 7) -> Po
         below.append(mask)
     return Poset._from_masks(elements, below)
 
-
-def strict_edge_deletion_connected(g: SimpleGraph, k: int) -> bool:
-    """Alternative edge-block reading where a deletion may drop vertices too,
-    as long as fewer than k edges are lost.  Under it an isolated vertex is
-    never k-edge-connected.  Kept for comparison; the providers use the
-    spanning-subgraph reading."""
-    if g.is_empty:
-        return False
-    vs = g.sorted_vertices()
-    for r in range(0, len(vs) + 1):
-        for dropped in combinations(vs, r):
-            remaining = set(vs) - set(dropped)
-            kept_edges = [e for e in g.edges if e[0] in remaining and e[1] in remaining]
-            lost_by_vertices = len(g.edges) - len(kept_edges)
-            if lost_by_vertices >= k:
-                continue
-            budget = k - 1 - lost_by_vertices
-            for extra in range(0, budget + 1):
-                for extra_gone in combinations(sorted(kept_edges), extra):
-                    h = SimpleGraph(
-                        frozenset(remaining),
-                        frozenset(set(kept_edges) - set(extra_gone)),
-                    )
-                    if not is_connected(h):
-                        return False
-    return True

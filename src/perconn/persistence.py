@@ -1,11 +1,14 @@
 """Persistence functions on the critical grid and their diagrams.
 
-The engine counts, for every grid cell (u, v) with u <= v, the maximal
-components of the level at v that contain some maximal component of the
-level at u.  That count is tabulated only on critical values: between
-consecutive criticals the filtration is constant, so the grid determines
-the function everywhere.  The value at (u, infinity) equals the value at
-(u, last critical) because filtrations stabilize.
+The value p(c_i, c_j) is the number of maximal components of the level at
+c_j that contain some maximal component of the level at c_i.  By the union
+property each maximal component of one level lies in exactly one maximal
+component of the next, so p(c_i, c_j) is the size of the image of the
+level-i components under the composed successor maps from level i to j.
+Values are tabulated only on critical values: between consecutive
+criticals the filtration is constant, so the grid determines the function
+everywhere.  The value at (u, infinity) equals the value at (u, last
+critical) because filtrations stabilize.
 
 Diagram extraction is inclusion-exclusion over the grid: the multiplicity
 of a proper cornerpoint (c_i, c_j) is
@@ -20,19 +23,15 @@ function is reconstructed exactly from its diagram at off-critical points.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .graphs import Filtration, FormatError, SimpleGraph, format_weight
 
-WORKERS_ENV = "PERCONN_WORKERS"
-
 
 class PersistenceAxiomError(ValueError):
-    """A tabulated function violates the persistence axioms (provider bug)."""
+    """Component lists or a tabulated function violate the persistence axioms (provider bug)."""
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,6 @@ class PersistenceFunction:
         return self.value(i, j)
 
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def tabulate_persistence(
     criticals: Sequence[float],
     level_components,
@@ -139,44 +131,49 @@ def tabulate_persistence(
 
     ``level_components[j]`` lists the maximal components of the level at
     ``criticals[j]``; ``contains(d, c)`` decides whether component ``d`` of
-    an earlier level is included in component ``c`` of a later one.
+    level j - 1 is included in component ``c`` of level j.  A component
+    that lies in no or in several components of the next level breaks the
+    union property and raises PersistenceAxiomError.
     """
     m = len(criticals)
     if m == 0:
         raise ValueError("a filtration needs at least one critical value")
-    rows = [[0] * (m - i) for i in range(m)]
-    for j in range(m):
-        comps_j = level_components[j]
-        for i in range(j + 1):
-            comps_i = level_components[i]
-            count = 0
-            for c in comps_j:
-                if any(contains(d, c) for d in comps_i):
-                    count += 1
-            rows[i][j - i] = count
-    inf_column = tuple(rows[i][m - 1 - i] for i in range(m))
-    return PersistenceFunction(tuple(criticals), tuple(tuple(r) for r in rows), inf_column)
+    # succ[j][a]: index of the level-j component containing level-(j-1) component a
+    succ: list[list[int]] = [[]]
+    for j in range(1, m):
+        later = level_components[j]
+        row = []
+        for a, d in enumerate(level_components[j - 1]):
+            hits = [b for b, c in enumerate(later) if contains(d, c)]
+            if len(hits) != 1:
+                raise PersistenceAxiomError(
+                    f"component {a} of the level at {criticals[j - 1]!r} lies in "
+                    f"{len(hits)} components of the level at {criticals[j]!r}; "
+                    "the union property fails"
+                )
+            row.append(hits[0])
+        succ.append(row)
+    rows = []
+    for i in range(m):
+        image = set(range(len(level_components[i])))
+        row = [len(image)]
+        for j in range(i + 1, m):
+            image = {succ[j][a] for a in image}
+            row.append(len(image))
+        rows.append(tuple(row))
+    inf_column = tuple(r[-1] for r in rows)
+    return PersistenceFunction(tuple(criticals), tuple(rows), inf_column)
 
 
-def persistence_function(filt: Filtration, spec, provider=None, workers: int | None = None) -> PersistenceFunction:
+def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
     """Tabulate the persistence function of a graph filtration under a property.
 
-    ``provider`` maps a SimpleGraph to its list of maximal components; it
-    defaults to the connectivity provider for ``spec``.  Levels are
-    independent, so they may be computed by a small thread pool
-    (``PERCONN_WORKERS``); the result does not depend on scheduling.
+    Each level's maximal components come from the connectivity provider
+    for ``spec``; component inclusion is subgraph inclusion.
     """
-    if provider is None:
-        from .connectivity import property_components
+    from .connectivity import property_components
 
-        provider = lambda g: property_components(g, spec)
-    levels = [filt.sublevel_at(i) for i in range(len(filt.criticals))]
-    n = workers if workers is not None else worker_count()
-    if n > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            comps = list(pool.map(provider, levels))
-    else:
-        comps = [provider(g) for g in levels]
+    comps = [property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
     return tabulate_persistence(filt.criticals, comps, lambda d, c: c.includes(d))
 
 
@@ -186,44 +183,51 @@ def check_axioms(pf: PersistenceFunction) -> str | None:
     Checks nonnegativity, monotonicity in each argument, and the jump
     superadditivity p(u2,v1) - p(u1,v1) >= p(u2,v2) - p(u1,v2) over the
     grid including the infinity column.  The superadditivity direction is
-    the one that makes every cornerpoint multiplicity nonnegative.
+    the one that makes every cornerpoint multiplicity nonnegative.  Each
+    axiom is checked on adjacent cells only; the checks on all quadruples
+    follow by telescoping sums of adjacent ones.
     """
     m = pf.grid_size
+    # cols[i][j - i] = p(c_i, c_j) for i <= j <= m; column m is infinity
+    cols = [pf.rows[i] + (pf.inf_column[i],) for i in range(m)]
 
     def val(i: int, j: int) -> int:
-        return pf.value_at_infinity(i) if j == m else pf.value(i, j)
+        return cols[i][j - i]
 
     def label(j: int) -> str:
         return "inf" if j == m else format_weight(pf.criticals[j])
 
+    def at(i: int, j: int) -> str:
+        return f"p({format_weight(pf.criticals[i])}, {label(j)})"
+
     for i in range(m):
         for j in range(i, m + 1):
             if val(i, j) < 0:
-                return f"negative value p({format_weight(pf.criticals[i])}, {label(j)})"
-    for i1 in range(m):
-        for i2 in range(i1, m):
-            for j1 in range(i2, m + 1):
-                a, b = val(i1, j1), val(i2, j1)
-                if a > b:
+                return f"negative value {at(i, j)}"
+    for i in range(m):
+        for j in range(i, m + 1):
+            a = val(i, j)
+            if j < m and val(i, j + 1) > a:
+                return (
+                    "non-increasing in the second argument violated: "
+                    f"{at(i, j + 1)} = {val(i, j + 1)} > {at(i, j)} = {a}"
+                )
+            if j == i or i + 1 == m:
+                continue
+            b = val(i + 1, j)
+            if a > b:
+                return (
+                    "non-decreasing in the first argument violated: "
+                    f"{at(i, j)} = {a} > {at(i + 1, j)} = {b}"
+                )
+            if j < m:
+                c, d = val(i, j + 1), val(i + 1, j + 1)
+                if b - a < d - c:
                     return (
-                        "non-decreasing in the first argument violated: "
-                        f"p({format_weight(pf.criticals[i1])}, {label(j1)}) = {a} > "
-                        f"p({format_weight(pf.criticals[i2])}, {label(j1)}) = {b}"
+                        "jump superadditivity violated at "
+                        f"u1={format_weight(pf.criticals[i])}, u2={format_weight(pf.criticals[i + 1])}, "
+                        f"v1={label(j)}, v2={label(j + 1)}: {b}-{a} < {d}-{c}"
                     )
-                for j2 in range(j1, m + 1):
-                    c, d = val(i1, j2), val(i2, j2)
-                    if d > b:
-                        return (
-                            "non-increasing in the second argument violated: "
-                            f"p({format_weight(pf.criticals[i2])}, {label(j2)}) = {d} > "
-                            f"p({format_weight(pf.criticals[i2])}, {label(j1)}) = {b}"
-                        )
-                    if b - a > d - c:
-                        return (
-                            "jump superadditivity violated at "
-                            f"u1={format_weight(pf.criticals[i1])}, u2={format_weight(pf.criticals[i2])}, "
-                            f"v1={label(j1)}, v2={label(j2)}: {b}-{a} > {d}-{c}"
-                        )
     return None
 
 

@@ -19,7 +19,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .graphs import SimpleGraph, WeightedGraph, simple_graph, weighted_graph
 from .metrics import optimal_matching
-from .persistence import Cornerpoint, Diagram, PersistenceFunction
+from .persistence import Cornerpoint, Diagram, PersistenceFunction, tabulate_persistence
 
 
 class PosetError(ValueError):
@@ -338,30 +338,29 @@ class PosetFiltration:
 def poset_persistence(pf: PosetFiltration) -> PersistenceFunction:
     """Count images of maximal elements between levels.
 
-    Every maximal element of an earlier level must lie below exactly one
-    maximal element of each later level; a failure means the level is not
-    weakly directed and raises PosetError.
+    The components of a level are its maximal elements, and containment
+    at level j is level j's order.  Every element that is maximal at some
+    level must lie below exactly one maximal element of each later level;
+    a failure means the level is not weakly directed and raises PosetError.
     """
     m = len(pf.criticals)
     if m == 0:
         raise PosetError("empty poset filtration")
     maximals = [lvl.maximal_elements() for lvl in pf.levels]
-    rows = [[0] * (m - i) for i in range(m)]
-    for j in range(m):
-        level = pf.levels[j]
-        for i in range(j + 1):
-            image = set()
-            for d in maximals[i]:
-                ups = [c for c in maximals[j] if level.leq(d, c)]
-                if len(ups) != 1:
-                    raise PosetError(
-                        f"maximal element {d!r} has {len(ups)} maximal successors at "
-                        f"level {pf.criticals[j]!r}; the level is not weakly directed"
-                    )
-                image.add(ups[0])
-            rows[i][j - i] = len(image)
-    inf_column = tuple(rows[i][m - 1 - i] for i in range(m))
-    return PersistenceFunction(pf.criticals, tuple(tuple(r) for r in rows), inf_column)
+    once_maximal: dict = {}
+    for j, level in enumerate(pf.levels):
+        once_maximal.update(dict.fromkeys(maximals[j]))
+        for d in once_maximal:
+            ups = [c for c in maximals[j] if level.leq(d, c)]
+            if len(ups) != 1:
+                raise PosetError(
+                    f"maximal element {d!r} has {len(ups)} maximal successors at "
+                    f"level {pf.criticals[j]!r}; the level is not weakly directed"
+                )
+    comps = [[(j, e) for e in maximals[j]] for j in range(m)]
+    return tabulate_persistence(
+        pf.criticals, comps, lambda d, c: pf.levels[c[0]].leq(d[1], c[1])
+    )
 
 
 def _single_infinite_birth(d: Diagram) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .cuts import UnionFind
+from .cuts import UnionFind, connected_vertex_sets
 from .graphs import CapExceeded, FormatError, GraphError, SimpleGraph, simple_graph, weighted_graph
 from .persistence import Diagram, PersistenceFunction, diagram, tabulate_persistence
 
@@ -220,43 +220,21 @@ def orbit_filtration(gq: GQuiver) -> QuiverFiltration:
     return QuiverFiltration(tuple(float(c) for c in values), tuple(levels))
 
 
-def _weak_components(q: Quiver) -> list[frozenset[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in q.vertices}
-    for _, src, tgt in q.arrows:
-        adj[src].add(tgt)
-        adj[tgt].add(src)
-    seen: set[str] = set()
-    comps = []
-    for v in sorted(q.vertices):
-        if v in seen:
-            continue
-        comp = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+def _invariant_vertex_sets(gq: GQuiver) -> list[set[str]]:
+    """Orbits of the weak components under the group, in order of smallest
+    vertex: the components of the arrows joined with the generator moves."""
+    adj: dict[str, set[str]] = {v: set() for v in gq.quiver.vertices}
+    links = [(src, tgt) for _, src, tgt in gq.quiver.arrows]
+    links += [move for vmap, _ in gq.generator_maps() for move in vmap.items()]
+    for u, v in links:
+        adj[u].add(v)
+        adj[v].add(u)
+    return connected_vertex_sets(adj)
 
 
 def is_gq_connected(gq: GQuiver) -> bool:
     """Nonempty, and the group permutes the weak components transitively."""
-    comps = _weak_components(gq.quiver)
-    if not comps:
-        return False
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    uf = UnionFind(len(comps))
-    for vmap, _ in gq.generator_maps():
-        for v in gq.quiver.vertices:
-            uf.union(comp_of[v], comp_of[vmap.get(v, v)])
-    return uf.count == 1
+    return len(_invariant_vertex_sets(gq)) == 1
 
 
 @dataclass(frozen=True)
@@ -311,20 +289,7 @@ def gq_components(gq: GQuiver, cls: EquivariantClass, orbit_cap: int = 16) -> li
     if gq.quiver.vertices == frozenset():
         return []
     if cls.kind == "isomorphisms" or cls.k == 1:
-        comps = _weak_components(gq.quiver)
-        comp_of = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        uf = UnionFind(len(comps))
-        for vmap, _ in gq.generator_maps():
-            for v in gq.quiver.vertices:
-                uf.union(comp_of[v], comp_of[vmap.get(v, v)])
-        classes: dict[int, set[str]] = {}
-        for i, comp in enumerate(comps):
-            classes.setdefault(uf.find(i), set()).update(comp)
-        keep = sorted(classes.values(), key=lambda s: min(s))
-        return [restrict_gquiver(gq, s) for s in keep]
+        return [restrict_gquiver(gq, s) for s in _invariant_vertex_sets(gq)]
     vorbs, _ = orbits(gq)
     if len(vorbs) > orbit_cap:
         raise CapExceeded(f"component search limited to {orbit_cap} vertex orbits")

@@ -269,3 +269,70 @@ def invariant_subquivers(gq: pc.GQuiver):
                     ar = frozenset().union(*asub) if asub else frozenset()
                     out.append((vs, ar))
     return out
+
+
+def strict_edge_deletion_connected(g: pc.SimpleGraph, k: int) -> bool:
+    """Alternative edge-block reading where a deletion may drop vertices too,
+    as long as fewer than k edges are lost.  Under it an isolated vertex is
+    never k-edge-connected; the providers use the spanning-subgraph reading."""
+    if g.is_empty:
+        return False
+    vs = g.sorted_vertices()
+    for r in range(0, len(vs) + 1):
+        for dropped in combinations(vs, r):
+            remaining = set(vs) - set(dropped)
+            kept_edges = [e for e in g.edges if e[0] in remaining and e[1] in remaining]
+            lost_by_vertices = len(g.edges) - len(kept_edges)
+            if lost_by_vertices >= k:
+                continue
+            budget = k - 1 - lost_by_vertices
+            for extra in range(0, budget + 1):
+                for extra_gone in combinations(sorted(kept_edges), extra):
+                    if not dfs_connected(frozenset(remaining), set(kept_edges) - set(extra_gone)):
+                        return False
+    return True
+
+
+def oracle_table(criticals, level_components, contains) -> pc.PersistenceFunction:
+    """The persistence grid by direct counting: p(c_i, c_j) is the number of
+    level-j components that contain some level-i component, where
+    ``contains(d, c)`` decides inclusion of a level-i component d in a
+    level-j component c for any i <= j."""
+    m = len(criticals)
+    rows = [[0] * (m - i) for i in range(m)]
+    for j in range(m):
+        comps_j = level_components[j]
+        for i in range(j + 1):
+            comps_i = level_components[i]
+            rows[i][j - i] = sum(1 for c in comps_j if any(contains(d, c) for d in comps_i))
+    inf_column = tuple(rows[i][m - 1 - i] for i in range(m))
+    return pc.PersistenceFunction(tuple(criticals), tuple(tuple(r) for r in rows), inf_column)
+
+
+def oracle_check_axioms(pf: pc.PersistenceFunction) -> str | None:
+    """Every axiom on every admissible cell pair and quadruple of the grid,
+    including the infinity column: nonnegativity, p non-decreasing in the
+    first and non-increasing in the second argument, and jump
+    superadditivity p(u2,v1) - p(u1,v1) >= p(u2,v2) - p(u1,v2)."""
+    m = pf.grid_size
+
+    def val(i: int, j: int) -> int:
+        return pf.value_at_infinity(i) if j == m else pf.value(i, j)
+
+    for i in range(m):
+        for j in range(i, m + 1):
+            if val(i, j) < 0:
+                return f"negative value at ({i}, {j})"
+    for i1 in range(m):
+        for i2 in range(i1, m):
+            for j1 in range(i2, m + 1):
+                a, b = val(i1, j1), val(i2, j1)
+                if a > b:
+                    return f"first argument at ({i1}, {i2}, {j1})"
+                for j2 in range(j1, m + 1):
+                    c, d = val(i1, j2), val(i2, j2)
+                    if d > b:
+                        return f"second argument at ({i2}, {j1}, {j2})"
+                    if b - a < d - c:
+                        return f"jump superadditivity at ({i1}, {i2}, {j1}, {j2})"
+    return None

@@ -190,10 +190,10 @@ def test_oracle_equivalence_small(seed=37):
 def test_strict_edge_deletion_reading_differs_on_isolated_vertices():
     single = pc.simple_graph(vertices=["s"])
     assert pc.is_property_connected(single, pc.PropertySpec("edge_block", 2))
-    assert not pc.strict_edge_deletion_connected(single, 2)
+    assert not oracles.strict_edge_deletion_connected(single, 2)
     # on graphs whose minimum degree reaches k the two readings agree
     g = complete("abcd")
     for k in (1, 2, 3):
-        assert pc.strict_edge_deletion_connected(g, k) == pc.is_property_connected(
+        assert oracles.strict_edge_deletion_connected(g, k) == pc.is_property_connected(
             g, pc.PropertySpec("edge_block", k)
         )

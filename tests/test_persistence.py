@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+import oracles
 import perconn as pc
-from corpus import random_weighted_graph
+from corpus import random_gquiver, random_weighted_graph
 
 ALL_SPECS = [
     pc.PropertySpec("components"),
@@ -104,6 +105,98 @@ def test_axiom_checker_catches_corruption():
     assert message is not None and "second argument" in message
 
 
+def table(criticals, rows):
+    """PersistenceFunction from upper-triangular rows; infinity = last column."""
+    return pc.PersistenceFunction(
+        tuple(criticals), tuple(tuple(r) for r in rows), tuple(r[-1] for r in rows)
+    )
+
+
+def test_axiom_checker_flags_superadditivity_only():
+    # monotone in both arguments, but p(2,2) - p(1,2) = 1 < p(2,3) - p(1,3) = 2
+    bad = table((1.0, 2.0, 3.0), [(1, 1, 0), (2, 2), (2,)])
+    assert oracles.oracle_check_axioms(bad).startswith("jump superadditivity")
+    message = pc.check_axioms(bad)
+    assert message is not None and "jump superadditivity" in message
+    assert "u1=1, u2=2, v1=2, v2=3: 2-1 < 2-0" in message
+
+
+def test_axiom_checker_accepts_strict_superadditivity():
+    # a component born at 2 that dies at 3: p(2,2) - p(1,2) = 1 > p(2,3) - p(1,3) = 0
+    wg = pc.parse_weighted_graph("e a b 1\ne c d 2\ne b c 3\n")
+    pf = pc.persistence_function(pc.build_filtration(wg), pc.PropertySpec("components"))
+    assert pf.rows == ((1, 1, 1), (2, 1), (1,))
+    assert pc.check_axioms(pf) is None
+    assert oracles.oracle_check_axioms(pf) is None
+
+
+def test_axiom_checker_matches_oracle_on_corruptions(seed=59):
+    rng = random.Random(seed)
+    flagged = 0
+    for _ in range(60):
+        wg = random_weighted_graph(rng, max_vertices=8, max_criticals=5)
+        pf = pc.persistence_function(pc.build_filtration(wg), rng.choice(ALL_SPECS))
+        assert pc.check_axioms(pf) is None
+        for _ in range(5):
+            rows = [list(r) for r in pf.rows]
+            inf_column = list(pf.inf_column)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(pf.grid_size)
+                j = rng.randrange(i, pf.grid_size + 1)
+                delta = rng.choice((-2, -1, 1, 2))
+                if j == pf.grid_size:
+                    inf_column[i] += delta
+                else:
+                    rows[i][j - i] += delta
+            bad = pc.PersistenceFunction(pf.criticals, tuple(map(tuple, rows)), tuple(inf_column))
+            verdict = pc.check_axioms(bad)
+            assert (verdict is None) == (oracles.oracle_check_axioms(bad) is None), verdict
+            flagged += verdict is not None
+    assert flagged > 100
+
+
+def test_engine_matches_grid_oracle_on_gquivers(seed=61):
+    classes = [
+        pc.EquivariantClass("isomorphisms"),
+        pc.EquivariantClass("orbit_deletion", 2),
+        pc.EquivariantClass("fixed_vertex_deletion", 2),
+    ]
+
+    def contains(d, c):
+        return (
+            d.quiver.vertices <= c.quiver.vertices
+            and d.quiver.arrow_names() <= c.quiver.arrow_names()
+        )
+
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(40):
+        gq = random_gquiver(rng, max_vertices=6, max_arrows=6)
+        if not gq.quiver.vertices:
+            continue
+        filt = pc.orbit_filtration(gq)
+        for cls in classes:
+            comps = [pc.gq_components(level, cls) for level in filt.levels]
+            expected = oracles.oracle_table(filt.criticals, comps, contains)
+            assert pc.gq_persistence_function(gq, cls) == expected
+            checked += 1
+    assert checked > 60
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        [[frozenset("a")], [frozenset("b")]],
+        [[frozenset("a")], [frozenset("ab"), frozenset("ac")]],
+    ],
+    ids=["no successor", "two successors"],
+)
+def test_engine_rejects_broken_union_property(levels):
+    criticals = [float(i) for i in range(len(levels))]
+    with pytest.raises(pc.PersistenceAxiomError, match="union property"):
+        pc.tabulate_persistence(criticals, levels, lambda d, c: d <= c)
+
+
 def test_extract_rejects_negative_multiplicity():
     rows = ((0, 1), (0,))
     bad = pc.PersistenceFunction((1.0, 2.0), rows, (1, 0))
@@ -152,13 +245,3 @@ def test_parse_diagram_errors():
         pc.parse_diagram("2 1 1\n")  # birth >= death
     with pytest.raises(pc.FormatError):
         pc.parse_diagram("1 2 0\n")
-
-
-def test_worker_pool_matches_serial(seed=53, monkeypatch=None):
-    rng = random.Random(seed)
-    wg = random_weighted_graph(rng, max_vertices=8)
-    filt = pc.build_filtration(wg)
-    spec = pc.PropertySpec("components")
-    serial = pc.persistence_function(filt, spec, workers=1)
-    threaded = pc.persistence_function(filt, spec, workers=4)
-    assert serial == threaded

@@ -127,6 +127,12 @@ def test_poset_persistence_rejects_non_weakly_directed():
     lam = pc.Poset(["a", "b", "c"], [("c", "a"), ("c", "b")])
     with pytest.raises(pc.PosetError, match="weakly directed"):
         pc.poset_persistence(pc.PosetFiltration((0.0, 1.0), (bottom, lam)))
+    # a's two maximal successors appear only two levels up, at (L0, L2)
+    l0 = pc.Poset(["a"], [])
+    l1 = pc.Poset(["a", "s"], [("a", "s")])
+    l2 = pc.Poset(["a", "s", "t"], [("a", "s"), ("a", "t")])
+    with pytest.raises(pc.PosetError, match="weakly directed"):
+        pc.poset_persistence(pc.PosetFiltration((0.0, 1.0, 2.0), (l0, l1, l2)))
 
 
 def test_universal_pair_trivial():
