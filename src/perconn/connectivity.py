@@ -28,7 +28,6 @@ from itertools import combinations
 from .cuts import (
     UnionFind,
     connected_vertex_sets,
-    has_clique,
     k_cliques,
     stoer_wagner,
     vertex_cut_below,
@@ -58,13 +57,6 @@ class PropertySpec:
         if self.kind == "components":
             return "components"
         return f"{self.kind}:{self.k}"
-
-
-def is_connected(g: SimpleGraph) -> bool:
-    """Standard connectedness; the empty graph is not connected."""
-    if g.is_empty:
-        return False
-    return len(connected_vertex_sets(g.adjacency())) == 1
 
 
 def is_complete(g: SimpleGraph) -> bool:
@@ -111,28 +103,9 @@ def _clique_union(cliques: list[frozenset[str]], idxs) -> SimpleGraph:
 
 
 def is_property_connected(g: SimpleGraph, spec: PropertySpec) -> bool:
-    """Membership of the whole graph in the property class."""
-    if spec.kind == "components":
-        return is_connected(g)
-    if spec.kind == "clique":
-        cliques, classes = _clique_classes(g, spec.k)
-        if len(classes) != 1:
-            return False
-        union = _clique_union(cliques, range(len(cliques)))
-        return union.vertices == g.vertices and union.edges == g.edges
-    if spec.kind == "vertex_block":
-        if not is_connected(g):
-            return False
-        if is_complete(g):
-            return len(g.vertices) >= spec.k
-        return vertex_cut_below(g.adjacency(), spec.k) is None
-    # edge_block
-    if not is_connected(g):
-        return False
-    if len(g.vertices) == 1:
-        return True
-    size, _ = stoer_wagner(g.adjacency())
-    return size >= spec.k
+    """Membership of the whole graph in the property class: g is its own
+    only maximal component."""
+    return property_components(g, spec) == [g]
 
 
 def _vertex_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
@@ -213,13 +186,7 @@ def contains_property_subgraph(g: SimpleGraph, spec: PropertySpec) -> bool:
     For components and edge blocks a single vertex qualifies; for cliques a
     k-clique must exist; for vertex blocks a k-vertex-connected subgraph.
     """
-    if spec.kind in ("components", "edge_block"):
-        return not g.is_empty
-    if spec.kind == "clique":
-        return has_clique(g.adjacency(), spec.k)
-    if spec.k == 1:
-        return not g.is_empty
-    return bool(_vertex_block_components(g, spec.k))
+    return bool(property_components(g, spec))
 
 
 def _clique_state_graphs(g: SimpleGraph, k: int) -> list[SimpleGraph]:
@@ -271,10 +238,7 @@ def subobject_poset(g: SimpleGraph, spec: PropertySpec, size_cap: int = 7) -> Po
         for r in range(1, len(vs) + 1):
             for subset in combinations(vs, r):
                 h = g.induced(subset)
-                if spec.kind == "components":
-                    if is_connected(h):
-                        elements.append(h)
-                elif is_property_connected(h, spec):
+                if is_property_connected(h, spec):
                     elements.append(h)
     below = []
     for a in elements:

@@ -91,27 +91,6 @@ def k_cliques(adj: dict[str, set[str]], k: int) -> list[frozenset[str]]:
     return sorted(found, key=sorted)
 
 
-def has_clique(adj: dict[str, set[str]], k: int) -> bool:
-    """Early-exit test for a clique of size k."""
-    if k <= 0:
-        return True
-    if k == 1:
-        return bool(adj)
-    names = sorted(adj)
-
-    def grow(found: int, cand: list[str]) -> bool:
-        if found == k:
-            return True
-        if found + len(cand) < k:
-            return False
-        for i, v in enumerate(cand):
-            if grow(found + 1, [u for u in cand[i + 1 :] if u in adj[v]]):
-                return True
-        return False
-
-    return grow(0, names)
-
-
 def stoer_wagner(adj: dict[str, set[str]]) -> tuple[int, set[str]]:
     """Global minimum edge cut with unit weights; needs >= 2 vertices.
 

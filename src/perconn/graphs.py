@@ -20,7 +20,6 @@ shortest representation that round-trips exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -210,10 +209,6 @@ class Filtration:
     def limit(self) -> SimpleGraph:
         """The stable final graph: every vertex and edge present."""
         return self.source.graph
-
-    def index_of(self, x: float) -> int:
-        """Index of the rightmost critical value <= x, or -1 below the first."""
-        return bisect_right(self.criticals, x) - 1
 
 
 def build_filtration(wg: WeightedGraph) -> Filtration:

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Filtration, FormatError, SimpleGraph, format_weight
+from .graphs import Filtration, FormatError, format_weight
 
 
 class PersistenceAxiomError(ValueError):

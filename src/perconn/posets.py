@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .graphs import SimpleGraph, WeightedGraph, simple_graph, weighted_graph
+from .graphs import SimpleGraph, WeightedGraph, weighted_graph
 from .metrics import optimal_matching
-from .persistence import Cornerpoint, Diagram, PersistenceFunction, tabulate_persistence
+from .persistence import Diagram, PersistenceFunction, tabulate_persistence
 
 
 class PosetError(ValueError):
@@ -267,25 +267,7 @@ def poset_isomorphic(p: Poset, q: Poset) -> bool:
 def t_n(p: Poset, n: int) -> SimpleGraph:
     """Comparability blow-up: vertices are element copies 'e@i' for i < n,
     with an edge whenever the underlying elements are comparable (or equal)."""
-    if n < 1:
-        raise PosetError("t_n needs n >= 1")
-    labels = [str(e) for e in p.elements]
-    if len(set(labels)) != len(labels):
-        raise PosetError("element labels must stringify uniquely")
-    vertices = [f"{lab}@{i}" for lab in labels for i in range(n)]
-    edges = []
-    for ai, a in enumerate(p.elements):
-        for bi in range(ai, len(p.elements)):
-            b = p.elements[bi]
-            comparable = a == b or p.leq(a, b) or p.leq(b, a)
-            if not comparable:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    if ai == bi and j <= i:
-                        continue
-                    edges.append((f"{labels[ai]}@{i}", f"{labels[bi]}@{j}"))
-    return simple_graph(vertices, edges)
+    return t_n_filtration(PosetFiltration((0.0,), (p,)), n).graph
 
 
 def parse_poset(text: str) -> Poset:

@@ -8,7 +8,11 @@ under the generators.
 
 A G-quiver is connected when the group acts transitively on the weakly
 connected components of the underlying quiver (equivalently: it has no
-splitting into two disjoint nonempty invariant subquivers).  Three
+splitting into two disjoint nonempty invariant subquivers).  An invariant
+vertex set is therefore connected exactly when its vertex orbits, joined
+wherever an arrow runs between two of them, form a connected graph: each
+orbit is already joined by generator moves, and the orbits of an invariant
+subquiver are the parent's orbits inside it.  Three
 equivariant deletion classes refine this: ``isomorphisms`` (no deletions),
 ``orbit_deletion`` (drop fewer than k whole vertex orbits with their
 incident arrows), and ``fixed_vertex_deletion`` (drop fewer than k
@@ -22,10 +26,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cuts import UnionFind, connected_vertex_sets
-from .graphs import CapExceeded, FormatError, GraphError, SimpleGraph, simple_graph, weighted_graph
+from .graphs import CapExceeded, FormatError, GraphError, weighted_graph
 from .persistence import Diagram, PersistenceFunction, diagram, tabulate_persistence
 
 EQUIVARIANT_KINDS = ("isomorphisms", "orbit_deletion", "fixed_vertex_deletion")
+ORBIT_CAP = 16  # the deletion-class search visits every subset of vertex orbits
 
 
 class QuiverError(GraphError):
@@ -220,21 +225,29 @@ def orbit_filtration(gq: GQuiver) -> QuiverFiltration:
     return QuiverFiltration(tuple(float(c) for c in values), tuple(levels))
 
 
-def _invariant_vertex_sets(gq: GQuiver) -> list[set[str]]:
-    """Orbits of the weak components under the group, in order of smallest
-    vertex: the components of the arrows joined with the generator moves."""
-    adj: dict[str, set[str]] = {v: set() for v in gq.quiver.vertices}
-    links = [(src, tgt) for _, src, tgt in gq.quiver.arrows]
-    links += [move for vmap, _ in gq.generator_maps() for move in vmap.items()]
-    for u, v in links:
-        adj[u].add(v)
-        adj[v].add(u)
-    return connected_vertex_sets(adj)
+def _orbit_graph(gq: GQuiver) -> tuple[list[frozenset[str]], dict[int, set[int]]]:
+    """Vertex orbits and the graph on their indices: two distinct orbits are
+    adjacent when an arrow joins them."""
+    vorbs, _ = orbits(gq)
+    where = {v: i for i, orb in enumerate(vorbs) for v in orb}
+    adj: dict[int, set[int]] = {i: set() for i in range(len(vorbs))}
+    for _, src, tgt in gq.quiver.arrows:
+        a, b = where[src], where[tgt]
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return vorbs, adj
+
+
+def _connected(adj: dict[int, set[int]], keep: frozenset[int]) -> bool:
+    """Is the orbit set nonempty and connected in the orbit graph?"""
+    return len(connected_vertex_sets({i: adj[i] & keep for i in keep})) == 1
 
 
 def is_gq_connected(gq: GQuiver) -> bool:
     """Nonempty, and the group permutes the weak components transitively."""
-    return len(_invariant_vertex_sets(gq)) == 1
+    _, adj = _orbit_graph(gq)
+    return _connected(adj, frozenset(adj))
 
 
 @dataclass(frozen=True)
@@ -256,56 +269,58 @@ class EquivariantClass:
         return f"{self.kind}:{self.k}"
 
 
-def _deletion_units(gq: GQuiver, cls: EquivariantClass) -> list[frozenset[str]]:
-    vorbs, _ = orbits(gq)
-    if cls.kind == "orbit_deletion":
-        return vorbs
-    return [orb for orb in vorbs if len(orb) == 1]
-
-
-def is_equivariantly_connected(gq: GQuiver, cls: EquivariantClass) -> bool:
-    """Every deletion of fewer than k units leaves a connected G-quiver."""
-    if not is_gq_connected(gq):
+def _survives_deletions(
+    vorbs: list[frozenset[str]],
+    adj: dict[int, set[int]],
+    keep: frozenset[int],
+    cls: EquivariantClass,
+) -> bool:
+    """Does the orbit set stay connected after deleting any fewer than k of
+    its units (orbits, or for fixed_vertex_deletion its singleton orbits)?"""
+    if not _connected(adj, keep):
         return False
     if cls.kind == "isomorphisms" or cls.k == 1:
         return True
-    units = _deletion_units(gq, cls)
+    units = [i for i in sorted(keep) if cls.kind == "orbit_deletion" or len(vorbs[i]) == 1]
     for r in range(1, cls.k):
         for combo in combinations(units, r):
-            dropped = set().union(*combo)
-            rest = restrict_gquiver(gq, gq.quiver.vertices - dropped)
-            if not is_gq_connected(rest):
+            if not _connected(adj, keep.difference(combo)):
                 return False
     return True
 
 
-def gq_components(gq: GQuiver, cls: EquivariantClass, orbit_cap: int = 16) -> list[GQuiver]:
+def is_equivariantly_connected(gq: GQuiver, cls: EquivariantClass) -> bool:
+    """Every deletion of fewer than k units leaves a connected G-quiver."""
+    vorbs, adj = _orbit_graph(gq)
+    return _survives_deletions(vorbs, adj, frozenset(adj), cls)
+
+
+def gq_components(gq: GQuiver, cls: EquivariantClass) -> list[GQuiver]:
     """Maximal invariant subquivers that are connected for the deletion class.
 
     Maximal components are induced on invariant vertex sets, so candidates
-    are unions of vertex orbits; for the isomorphisms class the orbits of
-    the weak components are computed directly.
+    are sets of vertex orbits, each decided on the orbit graph; for the
+    isomorphisms class the components of the orbit graph are taken directly.
     """
-    if gq.quiver.vertices == frozenset():
-        return []
+    vorbs, adj = _orbit_graph(gq)
     if cls.kind == "isomorphisms" or cls.k == 1:
-        return [restrict_gquiver(gq, s) for s in _invariant_vertex_sets(gq)]
-    vorbs, _ = orbits(gq)
-    if len(vorbs) > orbit_cap:
-        raise CapExceeded(f"component search limited to {orbit_cap} vertex orbits")
-    candidates: list[frozenset[str]] = []
-    for r in range(1, len(vorbs) + 1):
-        for combo in combinations(vorbs, r):
-            vs = frozenset().union(*combo)
-            sub = restrict_gquiver(gq, vs)
-            if is_equivariantly_connected(sub, cls):
-                candidates.append(vs)
+        found = connected_vertex_sets(adj)
+    else:
+        if len(vorbs) > ORBIT_CAP:
+            raise CapExceeded(f"component search limited to {ORBIT_CAP} vertex orbits")
+        found = [
+            keep
+            for r in range(1, len(vorbs) + 1)
+            for keep in map(frozenset, combinations(range(len(vorbs)), r))
+            if _survives_deletions(vorbs, adj, keep, cls)
+        ]
+    candidates = [frozenset().union(*(vorbs[i] for i in keep)) for keep in found]
     ordered = sorted(candidates, key=lambda s: (-len(s), tuple(sorted(s))))
-    keep: list[frozenset[str]] = []
+    maximal: list[frozenset[str]] = []
     for s in ordered:
-        if not any(s <= t for t in keep):
-            keep.append(s)
-    return [restrict_gquiver(gq, s) for s in sorted(keep, key=lambda s: tuple(sorted(s)))]
+        if not any(s <= t for t in maximal):
+            maximal.append(s)
+    return [restrict_gquiver(gq, s) for s in sorted(maximal, key=lambda s: tuple(sorted(s)))]
 
 
 def gq_persistence_function(gq: GQuiver, cls: EquivariantClass) -> PersistenceFunction | None:

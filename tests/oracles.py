@@ -212,7 +212,7 @@ def oracle_gq_is_connected(gq: pc.GQuiver) -> bool:
     q = gq.quiver
     if not q.vertices:
         return False
-    comps = _weak_comps(q)
+    comps = _weak_comps(q.vertices, [(s, t) for _, s, t in q.arrows])
     if len(comps) == 1:
         return True
     # any invariant union of weak components other than all/none gives a split
@@ -224,14 +224,14 @@ def oracle_gq_is_connected(gq: pc.GQuiver) -> bool:
     return True
 
 
-def _weak_comps(q: pc.Quiver):
-    adj = {v: set() for v in q.vertices}
-    for _, s, t in q.arrows:
+def _weak_comps(vertices, links):
+    adj = {v: set() for v in vertices}
+    for s, t in links:
         adj[s].add(t)
         adj[t].add(s)
     comps = []
     seen = set()
-    for v in sorted(q.vertices):
+    for v in sorted(vertices):
         if v in seen:
             continue
         comp = {v}
@@ -269,6 +269,62 @@ def invariant_subquivers(gq: pc.GQuiver):
                     ar = frozenset().union(*asub) if asub else frozenset()
                     out.append((vs, ar))
     return out
+
+
+def _invariant_vertex_sets(gq: pc.GQuiver) -> list[set[str]]:
+    """Orbits of the weak components under the group, in order of smallest
+    vertex: the components of the arrows joined with the generator moves."""
+    links = [(src, tgt) for _, src, tgt in gq.quiver.arrows]
+    links += [move for vmap, _ in gq.generator_maps() for move in vmap.items()]
+    return _weak_comps(gq.quiver.vertices, links)
+
+
+def _deletion_units(gq: pc.GQuiver, cls: pc.EquivariantClass) -> list[frozenset[str]]:
+    vorbs, _ = pc.orbits(gq)
+    if cls.kind == "orbit_deletion":
+        return vorbs
+    return [orb for orb in vorbs if len(orb) == 1]
+
+
+def oracle_equivariantly_connected(gq: pc.GQuiver, cls: pc.EquivariantClass) -> bool:
+    """Every deletion of fewer than k units leaves a connected G-quiver,
+    each deletion built as a validated sub-G-quiver and tested against the
+    literal splitting definition."""
+    if not oracle_gq_is_connected(gq):
+        return False
+    if cls.kind == "isomorphisms" or cls.k == 1:
+        return True
+    units = _deletion_units(gq, cls)
+    for r in range(1, cls.k):
+        for combo in combinations(units, r):
+            dropped = set().union(*combo)
+            rest = pc.restrict_gquiver(gq, gq.quiver.vertices - dropped)
+            if not oracle_gq_is_connected(rest):
+                return False
+    return True
+
+
+def oracle_gq_components(gq: pc.GQuiver, cls: pc.EquivariantClass) -> list[pc.GQuiver]:
+    """Maximal invariant subquivers connected for the deletion class: every
+    union of vertex orbits is restricted to a sub-G-quiver and tested."""
+    if gq.quiver.vertices == frozenset():
+        return []
+    if cls.kind == "isomorphisms" or cls.k == 1:
+        return [pc.restrict_gquiver(gq, s) for s in _invariant_vertex_sets(gq)]
+    vorbs, _ = pc.orbits(gq)
+    candidates: list[frozenset[str]] = []
+    for r in range(1, len(vorbs) + 1):
+        for combo in combinations(vorbs, r):
+            vs = frozenset().union(*combo)
+            sub = pc.restrict_gquiver(gq, vs)
+            if oracle_equivariantly_connected(sub, cls):
+                candidates.append(vs)
+    ordered = sorted(candidates, key=lambda s: (-len(s), tuple(sorted(s))))
+    keep: list[frozenset[str]] = []
+    for s in ordered:
+        if not any(s <= t for t in keep):
+            keep.append(s)
+    return [pc.restrict_gquiver(gq, s) for s in sorted(keep, key=lambda s: tuple(sorted(s)))]
 
 
 def strict_edge_deletion_connected(g: pc.SimpleGraph, k: int) -> bool:

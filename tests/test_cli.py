@@ -134,6 +134,17 @@ def test_quiver_diagram(tmp_path):
     assert res.stdout == "1 inf 1\n2 inf 1\n"
 
 
+def test_quiver_orbit_cap(tmp_path):
+    src = tmp_path / "q.txt"
+    src.write_text("".join(f"v x{i:02d}\n" for i in range(17)))
+    res = run_cli("quiver-diagram", "--class", "orbit-deletion", "--k", "2", str(src))
+    assert res.returncode == 2
+    assert res.stderr == "error: component search limited to 16 vertex orbits\n"
+    res = run_cli("quiver-diagram", "--class", "isomorphisms", str(src))
+    assert res.returncode == 0
+    assert res.stdout == "1 inf 17\n"
+
+
 def test_plot_svg(tmp_path):
     d = tmp_path / "d.txt"
     d.write_text("1 2 1\n0 inf 1\n1 2.5 3\n")

@@ -180,6 +180,33 @@ def test_equivariant_union_property(seed=127):
                     assert pc.is_equivariantly_connected(union, cls)
 
 
+DELETION_CLASSES = [ISO] + [
+    pc.EquivariantClass(kind, k)
+    for kind in ("orbit_deletion", "fixed_vertex_deletion")
+    for k in (1, 2, 3)
+]
+
+
+def test_gq_components_match_subquiver_oracle(seed=131):
+    rng = random.Random(seed)
+    for _ in range(150):
+        gq = random_gquiver(rng, max_vertices=7, max_arrows=7)
+        for cls in DELETION_CLASSES:
+            assert pc.gq_components(gq, cls) == oracles.oracle_gq_components(gq, cls)
+
+
+def test_equivariant_connectivity_matches_oracle_on_subquivers(seed=137):
+    # non-induced invariant subquivers included: arrows may be left out
+    rng = random.Random(seed)
+    for _ in range(40):
+        gq = random_gquiver(rng, max_vertices=5, max_arrows=4)
+        for vs, ar in oracles.invariant_subquivers(gq):
+            sub = pc.restrict_gquiver(gq, vs, ar)
+            for cls in DELETION_CLASSES:
+                expected = oracles.oracle_equivariantly_connected(sub, cls)
+                assert pc.is_equivariantly_connected(sub, cls) == expected
+
+
 def test_quiver_text_round_trip():
     text = pc.serialize_gquiver(swap_cycle())
     again = pc.parse_gquiver(text)
