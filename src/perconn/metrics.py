@@ -1,22 +1,29 @@
 """Bottleneck distance, natural pseudodistance, and perturbation.
 
-The bottleneck distance is exact: candidate values are the finitely many
-pairwise L-infinity costs and diagonal costs, and a binary search over them
-uses a bipartite-matching feasibility test.  Cornerpoints at infinity may
-only match each other (at the difference of births, optimally in sorted
-order); the distance is infinite when the counts of infinite points differ.
+The bottleneck distance is exact: candidate values are 0 and the finitely
+many pairwise L-infinity costs and diagonal costs, and a binary search over
+them decides each threshold by a perfect-matching test.  The threshold's
+bipartite graph is built once as adjacency lists and matched by an iterative
+Hopcroft-Karp, seeded with the maximum matching of the last infeasible
+threshold (Efrat-Itai-Katz 2001; Kerber-Morozov-Nigmetov 2017).  Cornerpoints
+at infinity may only match each other (at the difference of births,
+optimally in sorted order); the distance is infinite when the counts of
+infinite points differ.
 
 The natural pseudodistance between two weighted graphs is the minimum over
 isomorphisms of their underlying final graphs of the largest weight
 difference across matched vertices and edges.  It is computed by binary
 search over candidate thresholds with a backtracking isomorphism search
-constrained to that threshold, so the result is the exact minimum.
+constrained to that threshold, so the result is the exact minimum.  The
+search runs on an explicit stack and requires the images of twin vertices to
+increase along its visit order, which loses no isomorphism's cost.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from typing import Optional
 
 from .graphs import CapExceeded, WeightedGraph, weighted_graph
@@ -46,68 +53,128 @@ def _diag_cost(p: Point) -> float:
     return (p[1] - p[0]) / 2.0
 
 
-def _feasible_matching(f1: list[Point], f2: list[Point], h: float) -> list[MatchPair] | None:
-    """Perfect matching where points pair up at L-inf cost <= h or retire to
-    the diagonal at half persistence <= h; None when infeasible."""
-    n1, n2 = len(f1), len(f2)
-    size = n1 + n2
-    # left nodes: f1 points then diagonal slots for f2; right nodes symmetric
+def _hopcroft_karp(adj: list[list[int]], match_right: list[int]) -> bool:
+    """Grow ``match_right`` (right node -> left node, -1 when free) into a
+    maximum matching of the bipartite graph with left adjacency lists
+    ``adj``; True when it is perfect.
 
-    def allowed(a: int, b: int) -> bool:
-        if a < n1 and b < n2:
-            return _pair_cost(f1[a], f2[b]) <= h
-        if a < n1:
-            return b - n2 == a and _diag_cost(f1[a]) <= h
-        if b < n2:
-            return a - n1 == b and _diag_cost(f2[b]) <= h
-        return True
-
-    match_right: list[int | None] = [None] * size
-
-    def augment(a: int, seen: list[bool]) -> bool:
-        for b in range(size):
-            if seen[b] or not allowed(a, b):
-                continue
-            seen[b] = True
-            if match_right[b] is None or augment(match_right[b], seen):
-                match_right[b] = a
-                return True
-        return False
-
-    for a in range(size):
-        if not augment(a, [False] * size):
-            return None
-    pairs: list[MatchPair] = []
+    Free left nodes first take a free neighbour greedily.  Each phase then
+    layers the left nodes by BFS from the free ones and finds
+    vertex-disjoint shortest augmenting paths by DFS with an explicit stack.
+    """
+    n_left = len(adj)
+    match_left = [-1] * n_left
     for b, a in enumerate(match_right):
-        assert a is not None
-        left = f1[a] if a < n1 else None
-        right = f2[b] if b < n2 else None
-        if left is None and right is None:
-            continue
-        pairs.append((left, right))
-    return pairs
+        if a >= 0:
+            match_left[a] = b
+    for a, edges in enumerate(adj):
+        if match_left[a] < 0:
+            for b in edges:
+                if match_right[b] < 0:
+                    match_left[a] = b
+                    match_right[b] = a
+                    break
+    free = [a for a in range(n_left) if match_left[a] < 0]
+    while free:
+        layer = [-1] * n_left
+        for a in free:
+            layer[a] = 0
+        queue = list(free)
+        limit = n_left
+        for a in queue:
+            if layer[a] >= limit:
+                break
+            for b in adj[a]:
+                a2 = match_right[b]
+                if a2 < 0:
+                    limit = layer[a]
+                elif layer[a2] < 0:
+                    layer[a2] = layer[a] + 1
+                    queue.append(a2)
+        if limit == n_left:
+            return False
+        nxt = [0] * n_left
+        for root in free:
+            stack = [root]
+            while stack:
+                a = stack[-1]
+                edges = adj[a]
+                if nxt[a] == len(edges):
+                    layer[a] = -1  # dead end for the rest of the phase
+                    stack.pop()
+                    continue
+                b = edges[nxt[a]]
+                nxt[a] += 1
+                a2 = match_right[b]
+                if a2 < 0:
+                    if layer[a] == limit:
+                        for x in stack:
+                            y = adj[x][nxt[x] - 1]
+                            match_left[x] = y
+                            match_right[y] = x
+                        break
+                elif layer[a] < limit and layer[a2] == layer[a] + 1:
+                    stack.append(a2)
+        free = [a for a in free if match_left[a] < 0]
+    return True
 
 
 def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[MatchPair]]:
+    """Smallest candidate threshold h admitting a perfect matching where
+    points pair up at L-inf cost <= h or retire to the diagonal at half
+    persistence <= h, with such a matching.
+
+    Left nodes are the points of f1, then one diagonal slot per point of f2;
+    right nodes are symmetric, and diagonal slots pair up freely.  The edges
+    only grow with h, so the maximum matching of the last infeasible
+    threshold seeds the next one.
+    """
     if not f1 and not f2:
         return 0.0, []
+    n1, n2 = len(f1), len(f2)
+    rows = [[_pair_cost(p, q) for q in f2] for p in f1]
     cands = {0.0}
     cands.update(_diag_cost(p) for p in f1)
     cands.update(_diag_cost(q) for q in f2)
-    cands.update(_pair_cost(p, q) for p in f1 for q in f2)
+    for row in rows:
+        cands.update(row)
     ordered = sorted(cands)
+    # the point edges of f1[i] at threshold h are a prefix of by_cost[i]
+    by_cost = [sorted(range(n2), key=row.__getitem__) for row in rows]
+    sorted_costs = [[row[j] for j in cols] for row, cols in zip(rows, by_cost)]
+    slots = list(range(n2, n2 + n1))
+
+    def matched(h: float, seed: list[int]) -> tuple[bool, list[int]]:
+        adj = [
+            cols[: bisect_right(costs, h)] + ([n2 + i] if _diag_cost(f1[i]) <= h else [])
+            for i, (cols, costs) in enumerate(zip(by_cost, sorted_costs))
+        ]
+        adj += [([j] if _diag_cost(q) <= h else []) + slots for j, q in enumerate(f2)]
+        match_right = list(seed)
+        return _hopcroft_karp(adj, match_right), match_right
+
     lo, hi = 0, len(ordered) - 1
-    best = _feasible_matching(f1, f2, ordered[hi])
-    assert best is not None  # the largest candidate always admits a matching
+    seed = [-1] * (n1 + n2)
+    best = None
     while lo < hi:
         mid = (lo + hi) // 2
-        trial = _feasible_matching(f1, f2, ordered[mid])
-        if trial is None:
-            lo = mid + 1
-        else:
-            best = trial
+        perfect, match_right = matched(ordered[mid], seed)
+        if perfect:
+            best = match_right
             hi = mid
-    return ordered[lo], best
+        else:
+            seed = match_right
+            lo = mid + 1
+    if best is None:
+        perfect, best = matched(ordered[lo], seed)
+        assert perfect  # the largest candidate always admits a matching
+    pairs: list[MatchPair] = []
+    for b, a in enumerate(best):
+        left = f1[a] if a < n1 else None
+        right = f2[b] if b < n2 else None
+        if left is not None or right is not None:
+            pairs.append((left, right))
+    return ordered[lo], pairs
 
 
 def bottleneck_distance(d1: Diagram, d2: Diagram) -> float:
@@ -121,8 +188,9 @@ def optimal_matching(d1: Diagram, d2: Diagram) -> tuple[float, list[MatchPair]]:
     """Distance together with a witnessing matching.
 
     Pairs are ((birth, death) or None, (birth, death) or None); None marks
-    the diagonal.  Infinite points appear with death == inf.  Raises
-    GraphError-compatible ValueError when no admissible matching exists.
+    the diagonal.  Infinite points appear with death == inf.  Each finite
+    point appears once per unit of multiplicity.  Raises ValueError when no
+    admissible matching exists.
     """
     dist, pairs = _bottleneck(d1, d2)
     if pairs is None:
@@ -197,39 +265,74 @@ def _iso_feasible(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
     }
     if any(not c for c in candidates.values()):
         return False
+    twin_before = _previous_twins(wg1, adj1, order)
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def edge_w(ew, a, b):
-        return ew[(a, b) if a < b else (b, a)]
+    def fits(u: str, v: str) -> bool:
+        for u2, v2 in mapping.items():
+            e1 = u2 in adj1[u]
+            if e1 != (v2 in adj2[v]):
+                return False
+            if e1 and abs(_edge_w(ew1, u, u2) - _edge_w(ew2, v, v2)) > h:
+                return False
+        return True
 
-    def extend(pos: int) -> bool:
+    # depth-first over positions of ``order``; resume[pos] is the index of the
+    # next candidate to try for order[pos]
+    resume = [0] * len(order)
+    pos = 0
+    while True:
+        u = order[pos]
+        cands = candidates[u]
+        i = resume[pos]
+        while i < len(cands) and (cands[i] in used or not fits(u, cands[i])):
+            i += 1
+        if i == len(cands):
+            if pos == 0:
+                return False
+            pos -= 1
+            used.remove(mapping.pop(order[pos]))
+            continue
+        resume[pos] = i + 1
+        mapping[u] = cands[i]
+        used.add(cands[i])
+        pos += 1
         if pos == len(order):
             return True
-        u = order[pos]
-        for v in candidates[u]:
-            if v in used:
-                continue
-            ok = True
-            for u2, v2 in mapping.items():
-                e1 = u2 in adj1[u]
-                if e1 != (v2 in adj2[v]):
-                    ok = False
-                    break
-                if e1 and abs(edge_w(ew1, u, u2) - edge_w(ew2, v, v2)) > h:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = v
-            used.add(v)
-            if extend(pos + 1):
-                return True
-            del mapping[u]
-            used.remove(v)
-        return False
+        twin = twin_before.get(order[pos])
+        resume[pos] = 0 if twin is None else bisect_right(candidates[order[pos]], mapping[twin])
 
-    return extend(0)
+
+def _edge_w(ew: dict[tuple[str, str], float], a: str, b: str) -> float:
+    return ew[(a, b) if a < b else (b, a)]
+
+
+def _previous_twins(wg: WeightedGraph, adj: dict[str, set[str]], order: list[str]) -> dict[str, str]:
+    """Map each vertex to the vertex before it in ``order`` of its twin class.
+
+    Twins have equal weight, equal neighbourhoods apart from each other and
+    equal edge weights to every shared neighbour.  Swapping the images of two
+    twins keeps an isomorphism admissible at the same cost, so the search may
+    require the images of a class to increase along ``order``.  Twins share
+    either their open neighbourhood (not adjacent) or their closed one
+    (adjacent); the relation is transitive, so one member stands for a class.
+    """
+    vw, ew = wg.vertex_weights, wg.edge_weights
+    tails: dict[tuple[float, frozenset[str]], list[str]] = {}
+    previous: dict[str, str] = {}
+    for u in order:
+        nbrs = frozenset(adj[u])
+        for key in ((vw[u], nbrs), (vw[u], nbrs | {u})):
+            members = tails.setdefault(key, [])
+            for k, t in enumerate(members):
+                if all(_edge_w(ew, u, x) == _edge_w(ew, t, x) for x in nbrs if x != t):
+                    previous[u] = t
+                    members[k] = u
+                    break
+            else:
+                members.append(u)
+    return previous
 
 
 def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: int = 12) -> float:

@@ -1,4 +1,5 @@
-"""Every name a perconn module imports is used in that module."""
+"""Source hygiene of the perconn modules: every imported name is used, and
+no function recurses on input size."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,47 @@ def test_no_unused_imports():
             if name not in used:
                 unused.append(f"{path.name}:{line}: {name}")
     assert unused == []
+
+
+# Self-recursive functions whose depth is bounded independently of the input
+# size, as "module.outer.inner" names.
+RECURSION_ALLOWED = {
+    # Bron-Kerbosch: one frame per vertex of the clique being grown, so the
+    # depth is at most the size of the largest clique.
+    "cuts.maximal_cliques.expand",
+    # one frame per poset element; only posets built from two diagrams reach
+    # it, and no CLI command does.
+    "posets.poset_isomorphic.extend",
+}
+
+
+def _self_recursive(tree: ast.Module, module: str) -> list[str]:
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                calls = {
+                    sub.func.id
+                    for sub in ast.walk(child)
+                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                }
+                if child.name in calls:
+                    found.append(name)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return found
+
+
+def test_no_unbounded_self_recursion():
+    recursive = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        recursive += _self_recursive(tree, path.stem)
+    assert sorted(set(recursive) - RECURSION_ALLOWED) == []

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +70,130 @@ def test_optimal_matching_structure():
     assert diagonal == [(1.0, 2.0)]
 
 
+def _reference_bottleneck(d1, d2, nx) -> float:
+    """Threshold search over the same candidates with networkx's
+    Hopcroft-Karp as the feasibility test."""
+    fin1 = [(p.birth, p.death) for p in d1.points for _ in range(p.multiplicity)]
+    fin2 = [(p.birth, p.death) for p in d2.points for _ in range(p.multiplicity)]
+
+    def cost(p, q):
+        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+    def half(p):
+        return (p[1] - p[0]) / 2.0
+
+    def feasible(h):
+        g = nx.Graph()
+        left = [("p1", i) for i in range(len(fin1))] + [("d2", j) for j in range(len(fin2))]
+        g.add_nodes_from(left)
+        g.add_nodes_from([("p2", j) for j in range(len(fin2))] + [("d1", i) for i in range(len(fin1))])
+        for i, p in enumerate(fin1):
+            g.add_edges_from((("p1", i), ("p2", j)) for j, q in enumerate(fin2) if cost(p, q) <= h)
+            if half(p) <= h:
+                g.add_edge(("p1", i), ("d1", i))
+        for j, q in enumerate(fin2):
+            if half(q) <= h:
+                g.add_edge(("d2", j), ("p2", j))
+            g.add_edges_from((("d2", j), ("d1", i)) for i in range(len(fin1)))
+        matching = nx.bipartite.hopcroft_karp_matching(g, top_nodes=left)
+        return len(matching) == 2 * len(left)
+
+    cands = sorted(
+        {0.0}
+        | {half(p) for p in fin1 + fin2}
+        | {cost(p, q) for p in fin1 for q in fin2}
+    )
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo]
+
+
+def _spread_diagram(rng, n, max_multiplicity=1):
+    points = []
+    while len(points) < n:
+        birth = round(rng.uniform(0.0, 10.0), rng.choice([1, 3]))
+        death = birth + round(rng.uniform(0.1, 4.0), rng.choice([1, 3]))
+        points.append(pc.Cornerpoint(birth, death, rng.randint(1, max_multiplicity)))
+    return pc.diagram(points)
+
+
+def test_bottleneck_matches_networkx_threshold_search(seed=83):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    for trial in range(9):
+        kind = ("perturbed", "independent", "multiplicities")[trial % 3]
+        if kind == "perturbed":
+            d1 = _spread_diagram(rng, rng.randint(20, 80))
+            d2 = pc.diagram(
+                [
+                    pc.Cornerpoint(p.birth + rng.uniform(-0.3, 0.3), p.death + rng.uniform(0.3, 0.6))
+                    for p in d1.points
+                ]
+            )
+        elif kind == "independent":
+            d1 = _spread_diagram(rng, rng.randint(20, 80))
+            d2 = _spread_diagram(rng, rng.randint(20, 80))
+        else:
+            d1 = _spread_diagram(rng, rng.randint(10, 25), max_multiplicity=3)
+            d2 = _spread_diagram(rng, rng.randint(10, 25), max_multiplicity=3)
+        assert pc.bottleneck_distance(d1, d2) == _reference_bottleneck(d1, d2, nx), (trial, kind)
+
+
+def _staircase(offset):
+    return pc.diagram([pc.Cornerpoint(float(i + offset), float(i + offset + 2)) for i in range(600)])
+
+
+def test_bottleneck_staircase_beyond_recursion_limit(tmp_path):
+    d1, d2 = _staircase(0), _staircase(1)
+    assert pc.bottleneck_distance(d1, d2) == 1.0
+    first, second = tmp_path / "d1.txt", tmp_path / "d2.txt"
+    first.write_text(pc.serialize_diagram(d1))
+    second.write_text(pc.serialize_diagram(d2))
+    res = subprocess.run(
+        [sys.executable, "-m", "perconn", "distance", str(first), str(second)],
+        capture_output=True,
+        text=True,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (0, "1\n", "")
+
+
+def _check_witness(d1, d2, dist, pairs):
+    for side, d in ((0, d1), (1, d2)):
+        for p in d.points:
+            if not p.is_infinite:
+                point = (p.birth, p.death)
+                assert sum(pair[side] == point for pair in pairs) == p.multiplicity
+    for left, right in pairs:
+        assert left is not None or right is not None
+        if left is None or right is None:
+            point = left if right is None else right
+            assert (point[1] - point[0]) / 2.0 <= dist
+        elif math.isinf(left[1]):
+            assert math.isinf(right[1]) and abs(left[0] - right[0]) <= dist
+        else:
+            assert max(abs(left[0] - right[0]), abs(left[1] - right[1])) <= dist
+
+
+def test_optimal_matching_witness(seed=89):
+    rng = random.Random(seed)
+    for trial in range(30):
+        if trial % 3 == 2:
+            d1 = _spread_diagram(rng, rng.randint(5, 30), max_multiplicity=3)
+            d2 = _spread_diagram(rng, rng.randint(5, 30), max_multiplicity=3)
+        else:
+            d1 = random_diagram(rng, max_proper=6, one_infinite=True)
+            d2 = random_diagram(rng, max_proper=6, one_infinite=True)
+        dist, pairs = pc.optimal_matching(d1, d2)
+        assert dist == pc.bottleneck_distance(d1, d2)
+        _check_witness(d1, d2, dist, pairs)
+        assert pc.optimal_matching(d1, d2) == (dist, pairs)
+
+
 def test_pseudodistance_identity_and_non_isomorphic():
     w = pc.parse_weighted_graph("e a b 1\ne b c 2\n")
     assert pc.natural_pseudodistance(w, w) == 0.0
@@ -114,6 +240,59 @@ def test_pseudodistance_is_a_pseudometric(seed=73):
         d12 = pc.natural_pseudodistance(triple[1], triple[2])
         d02 = pc.natural_pseudodistance(triple[0], triple[2])
         assert d02 <= d01 + d12 + 1e-12
+
+
+def _with_twins(rng, wg):
+    """Copies of random vertices with the same weight and the same weighted
+    neighbourhood, joined to the original (true twin) or not (false twin)."""
+    edges = dict(wg.edge_weights)
+    for k, u in enumerate(rng.sample(sorted(wg.graph.vertices), min(2, len(wg.graph.vertices)))):
+        copy = f"{u}t{k}"
+        for (a, b), w in list(edges.items()):
+            if u in (a, b):
+                other = b if a == u else a
+                edges[tuple(sorted((copy, other)))] = w
+        if rng.random() < 0.5:
+            edges[tuple(sorted((u, copy)))] = wg.vertex_weights[u] + rng.choice([0.0, 1.0])
+    return pc.weighted_graph(edges)
+
+
+def test_pseudodistance_with_equal_weight_twins(seed=97):
+    rng = random.Random(seed)
+    star = pc.parse_weighted_graph("e c a 1\ne c b 1\ne c d 1\n")
+    spread = pc.parse_weighted_graph("e z x 1\ne z y 2\ne z w 3\n")
+    assert pc.natural_pseudodistance(star, spread) == oracles.oracle_pseudodistance(star, spread) == 2.0
+    clique = pc.parse_weighted_graph("e a b 2\ne a c 2\ne b c 2\ne c d 5\n")
+    other = pc.parse_weighted_graph("e p q 2\ne p r 3\ne q r 2.5\ne r s 5\n")
+    assert pc.natural_pseudodistance(clique, other) == oracles.oracle_pseudodistance(clique, other)
+    # same weighted neighbourhood but different vertex weights: not twins
+    fork = pc.parse_weighted_graph("v a 0.5\nv b 1\ne c a 1\ne c b 1\n")
+    swapped = pc.parse_weighted_graph("v x 1\nv y 0.5\ne z x 1\ne z y 1\n")
+    assert pc.natural_pseudodistance(fork, swapped) == 0.0
+    for _ in range(25):
+        base = random_weighted_graph(rng, max_vertices=5, min_vertices=2, allow_isolated=False)
+        if not base.edge_weights:
+            continue
+        w1 = _with_twins(rng, base)
+        if rng.random() < 0.6:
+            w2 = pc.perturb(relabeled_copy(rng, w1), 0.5, rng.randint(0, 10**6))
+        else:
+            w2 = _with_twins(rng, random_weighted_graph(rng, max_vertices=5, min_vertices=2))
+        if len(w2.graph.vertices) > 7 or len(w1.graph.vertices) > 7:
+            continue
+        assert pc.natural_pseudodistance(w1, w2) == oracles.oracle_pseudodistance(w1, w2)
+        assert pc.natural_pseudodistance(w2, w1) == oracles.oracle_pseudodistance(w2, w1)
+
+
+def test_pseudodistance_path_beyond_recursion_limit(tmp_path):
+    path = tmp_path / "path.txt"
+    path.write_text("".join(f"e v{i:04d} v{i + 1:04d} 1\n" for i in range(1500)))
+    res = subprocess.run(
+        [sys.executable, "-m", "perconn", "pseudodistance", "--cap", "5000", str(path), str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (0, "0\n", "")
 
 
 def test_perturb_zero_is_identity():
