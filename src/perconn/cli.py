@@ -49,14 +49,19 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise GraphError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _property_spec(args) -> PropertySpec:
@@ -194,6 +199,8 @@ def _corrupted(pf: PersistenceFunction, spec_text: str) -> PersistenceFunction:
         i, j, delta = int(i_s), int(j_s), int(delta_s)
     except ValueError:
         raise GraphError(f"--corrupt wants 'i,j,delta', got {spec_text!r}") from None
+    if not 0 <= i <= j < pf.grid_size:
+        raise GraphError(f"--corrupt wants 0 <= i <= j < {pf.grid_size}, got {spec_text!r}")
     rows = [list(r) for r in pf.rows]
     rows[i][j - i] += delta
     inf_column = list(pf.inf_column)

@@ -9,15 +9,21 @@ Four property kinds are supported:
   percolation communities; they may overlap and are unions of their member
   cliques rather than induced subgraphs.
 * ``vertex_block`` — deleting any fewer than k vertices (induced) leaves a
-  nonempty connected graph.  Complete graphs on at least k vertices pass;
-  otherwise the test is a minimum vertex cut (Menger, by max-flow on the
-  split network).  Maximal components may overlap in fewer than k vertices,
-  so they are found by recursive separation along small cuts followed by a
-  maximality filter.
+  nonempty connected graph.  Complete graphs on at least k vertices pass.
+  Maximal components may overlap in fewer than k vertices.  For k = 2 they
+  are the biconnected components, bridges included as K2, from one
+  iterative Hopcroft-Tarjan search.  For k >= 3 the search starts from the
+  biconnected components, peels off vertices of degree below k (such a
+  vertex lies in one block at most, its closed neighbourhood when that is a
+  k-clique), and splits the rest along vertex cuts smaller than k (Menger,
+  by max-flow on the split network), followed by a maximality filter.
 * ``edge_block`` — deleting any fewer than k edges (spanning) leaves a
   connected graph.  A single vertex passes for every k, so maximal
-  components partition the vertex set; they are found by recursively
-  splitting along global minimum cuts (Stoer-Wagner) smaller than k.
+  components partition the vertex set.  For k = 2 they are the connected
+  components left when the bridges are deleted.  For k >= 3, vertices of
+  degree below k are peeled off as singletons and the rest is split along
+  any cut of fewer than k edges, found by Nagamochi-Ibaraki contraction,
+  until no such cut is left.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from itertools import combinations
 
 from .cuts import (
     UnionFind,
+    biconnected_components,
     connected_vertex_sets,
+    edge_cut_below,
     k_cliques,
-    stoer_wagner,
     vertex_cut_below,
 )
 from .graphs import CapExceeded, GraphError, SimpleGraph, simple_graph
@@ -57,11 +64,6 @@ class PropertySpec:
         if self.kind == "components":
             return "components"
         return f"{self.kind}:{self.k}"
-
-
-def is_complete(g: SimpleGraph) -> bool:
-    n = len(g.vertices)
-    return len(g.edges) == n * (n - 1) // 2
 
 
 def _component_sort_key(g: SimpleGraph):
@@ -108,55 +110,83 @@ def is_property_connected(g: SimpleGraph, spec: PropertySpec) -> bool:
     return property_components(g, spec) == [g]
 
 
+def _restrict(adj: dict[str, set[str]], vs) -> dict[str, set[str]]:
+    return {v: adj[v] & vs for v in vs}
+
+
+def _peel(sub: dict[str, set[str]], k: int) -> list[tuple[str, set[str]]]:
+    """Delete from sub, one at a time, every vertex whose degree is or falls
+    below k; return each with its neighbours at the time it went."""
+    gone = []
+    low = [v for v, nbrs in sub.items() if len(nbrs) < k]
+    while low:
+        v = low.pop()
+        if v in sub:
+            gone.append((v, sub.pop(v)))
+            for u in gone[-1][1]:
+                sub[u].discard(v)
+                if len(sub[u]) < k:
+                    low.append(u)
+    return gone
+
+
 def _vertex_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
-    found: dict[frozenset[str], SimpleGraph] = {}
+    adj = g.adjacency()
+    found: set[frozenset[str]] = set()
     seen: set[frozenset[str]] = set()
-    stack: list[frozenset[str]] = [frozenset(g.vertices)]
+    # a k-vertex-connected subgraph with k >= 2 lies inside one biconnected block
+    stack = [frozenset(b) for b in biconnected_components(adj) if len(b) >= k]
     while stack:
         vs = stack.pop()
         if vs in seen:
             continue
         seen.add(vs)
-        h = g.induced(vs)
-        for comp_set in connected_vertex_sets(h.adjacency()):
-            if len(comp_set) < k:
-                continue
-            comp = g.induced(comp_set)
-            if is_complete(comp):
-                found[frozenset(comp_set)] = comp
-                continue
-            cut = vertex_cut_below(comp.adjacency(), k)
+        sub = _restrict(adj, vs)
+        # a vertex of degree below k lies in one block at most: its closed
+        # neighbourhood, when that is a k-clique
+        for v, nbrs in _peel(sub, k):
+            if len(nbrs) == k - 1 and all(len(adj[u] & nbrs) == k - 2 for u in nbrs):
+                found.add(frozenset(nbrs | {v}))
+        for comp_set in connected_vertex_sets(sub):
+            comp = {v: sub[v] for v in comp_set}
+            complete = all(len(nbrs) == len(comp) - 1 for nbrs in comp.values())
+            cut = None if complete else vertex_cut_below(comp, k)
             if cut is None:
-                found[frozenset(comp_set)] = comp
+                found.add(frozenset(comp_set))
                 continue
-            rest = g.induced(comp_set - cut)
-            for piece in connected_vertex_sets(rest.adjacency()):
+            for piece in connected_vertex_sets(_restrict(adj, comp_set - cut)):
                 stack.append(frozenset(piece | cut))
     ordered = sorted(found, key=lambda s: (-len(s), tuple(sorted(s))))
     keep: list[frozenset[str]] = []
     for s in ordered:
         if not any(s <= t for t in keep):
             keep.append(s)
-    return [g.induced(s) for s in sorted(keep, key=lambda s: tuple(sorted(s)))]
+    return _induced_sorted(adj, keep)
 
 
 def _edge_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
-    out: list[frozenset[str]] = []
-    stack = [frozenset(c) for c in connected_vertex_sets(g.adjacency())]
+    adj = g.adjacency()
+    out: list[set[str]] = []
+    stack = [set(adj)]
     while stack:
-        vs = stack.pop()
-        if len(vs) == 1:
-            out.append(vs)
-            continue
-        sub = g.induced(vs)
-        size, side = stoer_wagner(sub.adjacency())
-        if size >= k:
-            out.append(vs)
-            continue
-        for part in (side, vs - side):
-            piece = g.induced(part)
-            stack.extend(frozenset(c) for c in connected_vertex_sets(piece.adjacency()))
-    return [g.induced(s) for s in sorted(out, key=lambda s: tuple(sorted(s)))]
+        sub = _restrict(adj, stack.pop())
+        # a vertex of degree below k is a block of its own
+        out += ({v} for v, _ in _peel(sub, k))
+        for comp in connected_vertex_sets(sub):
+            side = edge_cut_below({v: sub[v] for v in comp}, k)
+            if side is None:
+                out.append(comp)
+            else:
+                stack += (side, comp - side)
+    return _induced_sorted(adj, out)
+
+
+def _induced_sorted(adj: dict[str, set[str]], vertex_sets) -> list[SimpleGraph]:
+    """Induced subgraphs on the given vertex sets, sorted by vertex set."""
+    return [
+        SimpleGraph(frozenset(vs), frozenset((u, v) for u in vs for v in adj[u] & vs if u < v))
+        for vs in sorted(vertex_sets, key=lambda s: tuple(sorted(s)))
+    ]
 
 
 def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]:
@@ -174,9 +204,21 @@ def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]
     if spec.kind == "vertex_block":
         if spec.k == 1:
             return _plain_components(g)
+        if spec.k == 2:
+            adj = g.adjacency()
+            return _induced_sorted(adj, biconnected_components(adj))
         return _vertex_block_components(g, spec.k)
     if spec.k == 1:
         return _plain_components(g)
+    if spec.k == 2:
+        # the 2-edge-connected components are what is left connected when the
+        # bridges, the blocks on two vertices, are deleted; no bridge joins
+        # two vertices of one component, so no induced edge is lost
+        adj = g.adjacency()
+        for u, v in (b for b in biconnected_components(adj) if len(b) == 2):
+            adj[u].discard(v)
+            adj[v].discard(u)
+        return _induced_sorted(adj, connected_vertex_sets(adj))
     return _edge_block_components(g, spec.k)
 
 

@@ -1,12 +1,15 @@
 """Low-level graph algorithm primitives used by the connectivity providers.
 
 All functions take an adjacency dict ``{vertex: set(neighbors)}`` over string
-vertex ids and iterate in sorted order, so results are deterministic.
+vertex ids.  Where several answers are valid they break ties by vertex id, so
+results are deterministic; ``biconnected_components`` returns its blocks in no
+fixed order.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 
@@ -91,50 +94,89 @@ def k_cliques(adj: dict[str, set[str]], k: int) -> list[frozenset[str]]:
     return sorted(found, key=sorted)
 
 
-def stoer_wagner(adj: dict[str, set[str]]) -> tuple[int, set[str]]:
-    """Global minimum edge cut with unit weights; needs >= 2 vertices.
+def edge_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:
+    """One side of an edge cut with fewer than k edges, or None if none exists.
 
-    Returns (cut size, the vertices on one side of a minimum cut).  On a
-    disconnected graph the cut size is 0.
+    Nagamochi-Ibaraki contraction on unit weights.  Each phase returns a
+    super-vertex whose weighted degree is below k, if there is one.  Otherwise
+    it runs one maximum-adjacency ordering v1, v2, ... and contracts every
+    consecutive pair whose attachment weight w(vi, {v1..vi-1}) is at least k.
+    That is exact: in an MA ordering lambda(vi-1, vi) >= w(vi, {v1..vi-1})
+    (Nagamochi-Ibaraki 1992), so no cut below k separates a contracted pair.
+    The last vertex's attachment is its whole degree, so every phase
+    contracts at least one pair.
     """
-    names = sorted(adj)
-    if len(names) < 2:
-        raise ValueError("minimum cut needs at least two vertices")
-    w: dict[str, dict[str, int]] = {a: {b: 1 for b in adj[a]} for a in names}
-    group: dict[str, set[str]] = {a: {a} for a in names}
-    best_size: int | None = None
-    best_side: set[str] = set()
+    w = {v: dict.fromkeys(adj[v], 1) for v in sorted(adj)}
+    group = {v: {v} for v in w}
     while len(w) > 1:
-        nodes = sorted(w)
-        start = nodes[0]
-        in_a = {start}
-        conn = {v: w[start].get(v, 0) for v in nodes if v != start}
-        order = [start]
-        last_weight = 0
-        while conn:
-            nxt = max(sorted(conn), key=lambda v: conn[v])
-            last_weight = conn.pop(nxt)
-            order.append(nxt)
-            in_a.add(nxt)
-            for u, wt in w[nxt].items():
-                if u not in in_a:
-                    conn[u] = conn.get(u, 0) + wt
-        t = order[-1]
-        s = order[-2]
-        if best_size is None or last_weight < best_size:
-            best_size = last_weight
-            best_side = set(group[t])
-        for u, wt in list(w[t].items()):
-            if u == s:
-                continue
-            w[s][u] = w[s].get(u, 0) + wt
-            w[u][s] = w[u].get(s, 0) + wt
-        for u in list(w[t]):
-            del w[u][t]
-        del w[t]
-        group[s] |= group[t]
-    assert best_size is not None
-    return best_size, best_side
+        for v, nbrs in w.items():
+            if sum(nbrs.values()) < k:
+                return group[v]
+        attach = dict.fromkeys(w, 0)
+        heap = [(0, v) for v in w]
+        heapify(heap)
+        order: list[tuple[str, int]] = []
+        while heap:
+            neg, v = heappop(heap)
+            if v not in attach or -neg != attach[v]:
+                continue  # already ordered, or a stale entry
+            order.append((v, attach.pop(v)))
+            for u, wt in w[v].items():
+                if u in attach:
+                    attach[u] += wt
+                    heappush(heap, (-attach[u], u))
+        rep: dict[str, str] = {}
+        for v, a in order:
+            if a < k:
+                lead = v
+            else:
+                group[lead] |= group.pop(v)
+            rep[v] = lead
+        merged: dict[str, dict[str, int]] = {h: {} for h in group}
+        for v, nbrs in w.items():
+            row = merged[rep[v]]
+            for u, wt in nbrs.items():
+                if rep[u] != rep[v]:
+                    row[rep[u]] = row.get(rep[u], 0) + wt
+        w = merged
+    return None
+
+
+def biconnected_components(adj: dict[str, set[str]]) -> list[set[str]]:
+    """Vertex sets of the blocks with at least two vertices, in no fixed order.
+
+    Iterative Hopcroft-Tarjan depth-first search.  A bridge is its own block,
+    a K2; isolated vertices lie in no block.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    blocks: list[set[str]] = []
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        path = [root]  # visited vertices not yet assigned to a closed block
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, nbrs = work[-1]
+            for u in nbrs:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    path.append(u)
+                    work.append((u, iter(adj[u])))
+                    break
+                low[v] = min(low[v], index[u])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= index[parent]:
+                        block = {parent}
+                        while v not in block:
+                            block.add(path.pop())
+                        blocks.append(block)
+    return blocks
 
 
 def vertex_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:
@@ -142,74 +184,56 @@ def vertex_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:
 
     Flow-based (Menger).  It suffices to probe pairs (v0, t) for t outside
     the closed neighborhood of a minimum-degree vertex v0, plus non-adjacent
-    pairs of v0's neighbors: every minimum cut separates one such pair.
+    pairs of v0's neighbors: every minimum cut separates one such pair.  The
+    split network is built once, as residual arc lists, and every probe
+    starts from a fresh copy of its capacities.
     """
     names = sorted(adj)
+    idx = {v: i for i, v in enumerate(names)}
+    # split network: node 2i enters vertex i and node 2i+1 leaves it.  Arc 2i
+    # runs from 2i to 2i+1 with capacity 1, arc 2e from 2i+1 to 2j with
+    # capacity k for the e-th directed edge (i, j), and arc a ^ 1 reverses
+    # arc a.  A probe runs from 2s+1 to 2t, so the arcs of s and t never bind.
+    dedges = [(i, idx[v]) for i, u in enumerate(names) for v in adj[u]]
+    head = [a ^ 1 for a in range(2 * len(names))]
+    head += [x for i, j in dedges for x in (2 * j, 2 * i + 1)]
+    cap = [1, 0] * len(names) + [k, 0] * len(dedges)
+    arcs = [[a] for a in range(2 * len(names))]
+    for e, (i, j) in enumerate(dedges, len(names)):
+        arcs[2 * i + 1].append(2 * e)
+        arcs[2 * j].append(2 * e + 1)
     v0 = min(names, key=lambda v: (len(adj[v]), v))
     pairs = [(v0, t) for t in names if t != v0 and t not in adj[v0]]
     for x, y in combinations(sorted(adj[v0]), 2):
         if y not in adj[x]:
             pairs.append((x, y))
     for s, t in pairs:
-        cut = _st_vertex_cut_below(adj, s, t, k)
-        if cut is not None:
-            return cut
+        reach = _reach_below(head, arcs, cap[:], 2 * idx[s] + 1, 2 * idx[t], k)
+        if reach is not None:
+            return {v for v in names if 2 * idx[v] in reach and 2 * idx[v] + 1 not in reach}
     return None
 
 
-def _st_vertex_cut_below(adj: dict[str, set[str]], s: str, t: str, k: int) -> set[str] | None:
-    """Minimum s-t vertex cut if smaller than k, else None; s,t non-adjacent."""
-    names = sorted(adj)
-    idx = {v: i for i, v in enumerate(names)}
-    big = len(names) + 1
-    # split network: node 2i enters vertex i, node 2i+1 leaves it
-    cap: dict[tuple[int, int], int] = {}
-    nbrs: list[set[int]] = [set() for _ in range(2 * len(names))]
-
-    def arc(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-
-    for v in names:
-        i = idx[v]
-        arc(2 * i, 2 * i + 1, big if v in (s, t) else 1)
-    for u in names:
-        for v in adj[u]:
-            arc(2 * idx[u] + 1, 2 * idx[v], big)
-    src, snk = 2 * idx[s] + 1, 2 * idx[t]
-    flow: dict[tuple[int, int], int] = {}
-
-    def residual(a: int, b: int) -> int:
-        return cap.get((a, b), 0) - flow.get((a, b), 0)
-
-    value = 0
-    while value < k:
-        parent = {src: src}
+def _reach_below(
+    head: list[int], arcs: list[list[int]], cap: list[int], src: int, snk: int, k: int
+) -> dict[int, int] | None:
+    """Nodes reachable from src in the residual network of a maximum flow
+    below k, or None if k units reach snk.  Augments along BFS paths."""
+    for _ in range(k):
+        prev = {src: -1}  # node -> arc it was reached by
         queue = deque([src])
-        while queue and snk not in parent:
+        while queue and snk not in prev:
             a = queue.popleft()
-            for b in nbrs[a]:
-                if b not in parent and residual(a, b) > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if snk not in parent:
-            break
+            for e in arcs[a]:
+                if cap[e] and head[e] not in prev:
+                    prev[head[e]] = e
+                    queue.append(head[e])
+        if snk not in prev:
+            return prev
         b = snk
         while b != src:
-            a = parent[b]
-            flow[(a, b)] = flow.get((a, b), 0) + 1
-            flow[(b, a)] = flow.get((b, a), 0) - 1
-            b = a
-        value += 1
-    if value >= k:
-        return None
-    reach = {src}
-    queue = deque([src])
-    while queue:
-        a = queue.popleft()
-        for b in nbrs[a]:
-            if b not in reach and residual(a, b) > 0:
-                reach.add(b)
-                queue.append(b)
-    return {v for v in names if 2 * idx[v] in reach and 2 * idx[v] + 1 not in reach}
+            e = prev[b]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            b = head[e ^ 1]
+    return None

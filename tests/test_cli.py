@@ -160,3 +160,74 @@ def test_plot_svg(tmp_path):
     assert any(l.get("class") == "diagonal" for l in lines)
     texts = root.findall(f"{ns}text")
     assert any(t.text == "3" for t in texts)
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path):
+    src = tmp_path / "bad.txt"
+    src.write_bytes(b"\xff\xfe e a b 1")
+    res = run_cli("components", "--property", "components", str(src))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: cannot read {src}: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+def test_unwritable_output_is_a_config_error(tmp_path):
+    src = tmp_path / "g.txt"
+    src.write_text(GRAPH)
+    out = tmp_path / "missing" / "out.txt"
+    for cmd in (("components", "--property", "components"), ("diagram", "--property", "components")):
+        res = run_cli(*cmd, "--output", str(out), str(src))
+        assert res.returncode == 2
+        assert res.stderr == f"error: cannot write {out}: No such file or directory\n"
+        assert res.stdout == ""
+
+
+def test_verify_corrupt_outside_the_grid(tmp_path):
+    src = tmp_path / "g.txt"
+    src.write_text(GRAPH)  # two critical values
+    for spec in ("99,99,1", "1,0,1", "-1,0,1", "0,2,1", "2,2,1"):
+        res = run_cli("verify", "--property", "components", f"--corrupt={spec}", str(src))
+        assert res.returncode == 2, spec
+        assert res.stderr == f"error: --corrupt wants 0 <= i <= j < 2, got '{spec}'\n"
+        assert res.stdout == ""
+    # the last cell of the grid is inside it
+    res = run_cli("verify", "--property", "components", "--corrupt=1,1,1", str(src))
+    assert (res.returncode, res.stderr) == (0, "")
+
+
+def _triangle_chain(n, bridged):
+    """n triangles in a row; consecutive ones share a vertex, or are joined
+    by a bridge.  Returns the graph text and the sorted triangles."""
+    lines, triangles = [], []
+    for i in range(n):
+        a, b = f"a{i:04d}", f"b{i:04d}"
+        c = f"c{i:04d}" if bridged else f"a{i + 1:04d}"
+        lines += [f"e {a} {b} 1\n", f"e {b} {c} 1\n", f"e {a} {c} 1\n"]
+        if bridged and i + 1 < n:
+            lines.append(f"e {c} a{i + 1:04d} 1\n")
+        triangles.append(" ".join(sorted((a, b, c))))
+    return "".join(lines), sorted(triangles)
+
+
+def test_blocks_of_long_triangle_chains(tmp_path):
+    n = 2000
+    shared, triangles = _triangle_chain(n, bridged=False)
+    src = tmp_path / "shared.txt"
+    src.write_text(shared)
+    res = run_cli("components", "--property", "vertex-block", "--k", "2", str(src))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == triangles
+    res = run_cli("components", "--property", "edge-block", "--k", "2", str(src))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == [" ".join(sorted({v for t in triangles for v in t.split()}))]
+
+    bridged, triangles = _triangle_chain(n, bridged=True)
+    src = tmp_path / "bridged.txt"
+    src.write_text(bridged)
+    res = run_cli("components", "--property", "edge-block", "--k", "2", str(src))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == triangles
+    bridges = [f"a{i + 1:04d} c{i:04d}" for i in range(n - 1)]
+    res = run_cli("components", "--property", "vertex-block", "--k", "2", str(src))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == sorted(triangles + bridges)

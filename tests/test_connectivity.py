@@ -5,6 +5,7 @@ import pytest
 
 import perconn as pc
 import oracles
+from perconn.cuts import edge_cut_below
 from corpus import random_weighted_graph
 
 
@@ -197,3 +198,107 @@ def test_strict_edge_deletion_reading_differs_on_isolated_vertices():
         assert oracles.strict_edge_deletion_connected(g, k) == pc.is_property_connected(
             g, pc.PropertySpec("edge_block", k)
         )
+
+
+def _block_corpus(seed, count):
+    """Seeded simple graphs with 15-45 vertices and edge densities 0.05-0.35."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vs = [f"v{i:02d}" for i in range(rng.randint(15, 45))]
+        p = rng.uniform(0.05, 0.35)
+        yield pc.simple_graph(vs, [e for e in combinations(vs, 2) if rng.random() < p])
+
+
+def _clustered_corpus(seed, count):
+    """Seeded graphs of 3-5 dense clusters with 0-3 random edges between
+    each pair of clusters, so that cuts just below and at k are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        clusters = [[f"c{c}v{i}" for i in range(rng.randint(4, 8))] for c in range(rng.randint(3, 5))]
+        edges = [e for vs in clusters for e in combinations(vs, 2) if rng.random() < 0.8]
+        for a, b in combinations(clusters, 2):
+            edges += [(rng.choice(a), rng.choice(b)) for _ in range(rng.randint(0, 6) // 2)]
+        yield pc.simple_graph([v for vs in clusters for v in vs], edges)
+
+
+def _to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _vertex_sets(comps):
+    return [sorted(c.vertices) for c in comps]
+
+
+def test_edge_blocks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in [*_block_corpus(41, 30), *_clustered_corpus(53, 30)]:
+        h = _to_networkx(nx, g)
+        for k in (2, 3, 4, 5):
+            comps = pc.property_components(g, pc.PropertySpec("edge_block", k))
+            assert all(c == g.induced(c.vertices) for c in comps)
+            expected = sorted(sorted(s) for s in nx.k_edge_subgraphs(h, k))
+            assert _vertex_sets(comps) == expected, (k, sorted(g.edges))
+
+
+def test_edge_block_contraction_stops_below_k():
+    # an MA ordering from a1 runs a1 a2 a3 a4 b1, and b1 attaches to the
+    # first four by exactly two edges: contracting a4 with b1 at k = 3
+    # would merge the two K4s across their 2-edge cut
+    a, b = ["a1", "a2", "a3", "a4"], ["b1", "b2", "b3", "b4"]
+    g = complete(a).union(complete(b)).union(pc.simple_graph(edges=[("a1", "b1"), ("a2", "b1")]))
+    blocks = pc.property_components(g, pc.PropertySpec("edge_block", 3))
+    assert _vertex_sets(blocks) == [a, b]
+    assert edge_cut_below(g.adjacency(), 3) in (set(a), set(b))
+    assert edge_cut_below(g.adjacency(), 2) is None
+
+
+def test_vertex_blocks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _block_corpus(43, 30):
+        h = _to_networkx(nx, g)
+        blocks = pc.property_components(g, pc.PropertySpec("vertex_block", 2))
+        assert all(c == g.induced(c.vertices) for c in blocks)
+        assert _vertex_sets(blocks) == sorted(sorted(s) for s in nx.biconnected_components(h))
+        blocks3 = pc.property_components(g, pc.PropertySpec("vertex_block", 3))
+        sets3 = [c.vertices for c in blocks3]
+        assert _vertex_sets(blocks3) == sorted(_vertex_sets(blocks3))
+        for c in blocks3:
+            assert c == g.induced(c.vertices)
+            sub = h.subgraph(c.vertices)
+            is_k3 = len(c.vertices) == 3 and len(c.edges) == 3
+            assert is_k3 or nx.node_connectivity(sub) >= 3, sorted(c.vertices)
+            # each 3-block lies in one 2-block
+            assert any(c.vertices <= b.vertices for b in blocks)
+            # a vertex with three neighbours in a 3-block would extend it
+            assert all(len(set(h[v]) & c.vertices) < 3 for v in g.vertices - c.vertices)
+        assert not any(a < b for a in sets3 for b in sets3)
+
+
+def _networkx_level_sets(nx, wg, crit, kind, k):
+    level = nx.Graph()
+    level.add_edges_from(e for e, w in wg.edge_weights.items() if w <= crit)
+    if kind == "edge_block":
+        return [frozenset(s) for s in nx.k_edge_subgraphs(level, k)]
+    return [frozenset(s) for s in nx.biconnected_components(level)]
+
+
+@pytest.mark.parametrize("kind,k", [("edge_block", 3), ("vertex_block", 2)])
+def test_block_diagrams_match_networkx_levels(kind, k):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(47)
+    vs = [f"v{i:02d}" for i in range(30)]
+    lines = [
+        f"e {a} {b} {rng.randint(1, 12)}\n" for a, b in combinations(vs, 2) if rng.random() < 0.2
+    ]
+    wg = pc.parse_weighted_graph("".join(lines))
+    filt = pc.build_filtration(wg)
+    spec = pc.PropertySpec(kind, k)
+    levels = [_networkx_level_sets(nx, wg, c, kind, k) for c in filt.criticals]
+    expected = oracles.oracle_table(filt.criticals, levels, lambda d, c: d <= c)
+    pf = pc.persistence_function(filt, spec)
+    assert pf == expected
+    assert pc.extract_diagram(pf) == pc.extract_diagram(expected)
+    assert len(pc.extract_diagram(pf).points) > 1
