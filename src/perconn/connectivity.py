@@ -19,11 +19,10 @@ Four property kinds are supported:
   by max-flow on the split network), followed by a maximality filter.
 * ``edge_block`` — deleting any fewer than k edges (spanning) leaves a
   connected graph.  A single vertex passes for every k, so maximal
-  components partition the vertex set.  For k = 2 they are the connected
-  components left when the bridges are deleted.  For k >= 3, vertices of
-  degree below k are peeled off as singletons and the rest is split along
-  any cut of fewer than k edges, found by Nagamochi-Ibaraki contraction,
-  until no such cut is left.
+  components partition the vertex set.  Vertices of degree below k are
+  peeled off as singletons and the rest is split along any cut of fewer
+  than k edges, found by Nagamochi-Ibaraki contraction, until no such cut
+  is left.
 """
 
 from __future__ import annotations
@@ -210,15 +209,6 @@ def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]
         return _vertex_block_components(g, spec.k)
     if spec.k == 1:
         return _plain_components(g)
-    if spec.k == 2:
-        # the 2-edge-connected components are what is left connected when the
-        # bridges, the blocks on two vertices, are deleted; no bridge joins
-        # two vertices of one component, so no induced edge is lost
-        adj = g.adjacency()
-        for u, v in (b for b in biconnected_components(adj) if len(b) == 2):
-            adj[u].discard(v)
-            adj[v].discard(u)
-        return _induced_sorted(adj, connected_vertex_sets(adj))
     return _edge_block_components(g, spec.k)
 
 
