@@ -33,11 +33,14 @@ from .persistence import (
     PersistenceFunction,
     check_axioms,
     diagram,
+    elder_rule,
     evaluate_diagram,
     extract_diagram,
+    graph_diagram,
     parse_diagram,
     persistence_function,
     serialize_diagram,
+    successor_diagram,
     tabulate_persistence,
 )
 from .posets import (

@@ -27,9 +27,9 @@ from .persistence import (
     Diagram,
     PersistenceFunction,
     check_axioms,
-    diagram,
     evaluate_diagram,
     extract_diagram,
+    graph_diagram,
     parse_diagram,
     persistence_function,
     serialize_diagram,
@@ -154,12 +154,7 @@ def render_diagram_svg(d: Diagram, size: int = 420) -> str:
 def _cmd_diagram(args) -> int:
     spec = _property_spec(args)
     text = _read(args.input)
-    wg = parse_weighted_graph(text)
-    filt = build_filtration(wg)
-    if not filt.criticals:
-        d = diagram([])
-    else:
-        d = extract_diagram(persistence_function(filt, spec))
+    d = graph_diagram(build_filtration(parse_weighted_graph(text)), spec)
     if args.format == "json":
         out = _diagram_json(d, spec.label(), _digest(text))
     else:

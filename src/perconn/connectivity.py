@@ -7,7 +7,12 @@ Four property kinds are supported:
   k-cliques are linked by a chain of adjacent k-cliques (adjacent means
   sharing k-1 vertices).  Maximal components are the classical clique
   percolation communities; they may overlap and are unions of their member
-  cliques rather than induced subgraphs.
+  cliques rather than induced subgraphs.  A level's communities come from
+  one enumeration of its k-cliques by ordered extension and a union-find
+  over their shared (k-1)-cliques.  Diagrams do not rebuild them level by
+  level: ``persistence.graph_diagram`` adds the edges in weight order and
+  joins only the k-cliques each new edge closes (sequential clique
+  percolation).
 * ``vertex_block`` — deleting any fewer than k vertices (induced) leaves a
   nonempty connected graph.  Complete graphs on at least k vertices pass.
   Maximal components may overlap in fewer than k vertices.  For k = 2 they
@@ -70,7 +75,8 @@ def _component_sort_key(g: SimpleGraph):
 
 
 def _plain_components(g: SimpleGraph) -> list[SimpleGraph]:
-    return [g.induced(c) for c in connected_vertex_sets(g.adjacency())]
+    adj = g.adjacency()
+    return _induced_sorted(adj, connected_vertex_sets(adj))
 
 
 def _clique_classes(g: SimpleGraph, k: int) -> tuple[list[frozenset[str]], list[list[int]]]:

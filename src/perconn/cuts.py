@@ -29,16 +29,21 @@ class UnionFind:
             self.parent[a], a = root, self.parent[a]
         return root
 
-    def union(self, a: int, b: int) -> bool:
+    def union(self, a: int, b: int) -> int:
+        """Join the classes of a and b; return the root of the joined class."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
+            return ra
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         self.count -= 1
-        return True
+        return ra
+
+    def roots(self) -> list[int]:
+        """One member per class: its root."""
+        return [a for a, p in enumerate(self.parent) if a == p]
 
 
 def connected_vertex_sets(adj: dict[str, set[str]]) -> list[set[str]]:
@@ -61,36 +66,34 @@ def connected_vertex_sets(adj: dict[str, set[str]]) -> list[set[str]]:
     return comps
 
 
-def maximal_cliques(adj: dict[str, set[str]]) -> list[frozenset[str]]:
-    """All maximal cliques via Bron-Kerbosch with pivoting."""
-    out: list[frozenset[str]] = []
+def cliques_within(adj: dict[str, set[str]], cand, r: int) -> list[tuple[str, ...]]:
+    """All r-cliques inside the vertex set cand, as sorted tuples.
 
-    def expand(r: frozenset[str], p: set[str], x: set[str]) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    if adj:
-        expand(frozenset(), set(adj), set())
-    return sorted(out, key=sorted)
+    Ordered extension on an explicit stack: a partial clique grows only by
+    later candidates adjacent to all of its members, so each clique is
+    built once.
+    """
+    out: list[tuple[str, ...]] = []
+    stack: list[tuple[tuple[str, ...], list[str]]] = [((), sorted(cand))]
+    while stack:
+        base, rest = stack.pop()
+        if len(base) == r:
+            out.append(base)
+            continue
+        for i, v in enumerate(rest):
+            later = [u for u in rest[i + 1 :] if u in adj[v]]
+            if len(base) + 1 + len(later) >= r:
+                stack.append((base + (v,), later))
+    return out
 
 
 def k_cliques(adj: dict[str, set[str]], k: int) -> list[frozenset[str]]:
-    """All cliques of exactly k vertices."""
-    if k == 1:
-        return [frozenset((v,)) for v in sorted(adj)]
-    if k == 2:
-        seen = {frozenset((u, v)) for u in adj for v in adj[u]}
-        return sorted(seen, key=sorted)
-    found: set[frozenset[str]] = set()
-    for m in maximal_cliques(adj):
-        if len(m) >= k:
-            found.update(frozenset(c) for c in combinations(sorted(m), k))
+    """All cliques of exactly k vertices, each grown from its least vertex."""
+    found = [
+        frozenset((v, *rest))
+        for v in adj
+        for rest in cliques_within(adj, {u for u in adj[v] if u > v}, k - 1)
+    ]
     return sorted(found, key=sorted)
 
 

@@ -138,7 +138,7 @@ def weighted_graph(
     items = edge_weights.items() if isinstance(edge_weights, Mapping) else edge_weights
     for (u, v), w in items:
         e = edge_key(u, v)
-        w = float(w)
+        w = float(w) + 0.0  # -0.0 becomes 0.0, so equal graphs print alike
         if not math.isfinite(w):
             raise GraphError(f"edge {e} has non-finite weight {w!r}")
         if e in ew:
@@ -147,7 +147,7 @@ def weighted_graph(
     explicit_items = vertex_weights.items() if isinstance(vertex_weights, Mapping) else vertex_weights
     explicit: dict[str, float] = {}
     for v, w in explicit_items:
-        w = float(w)
+        w = float(w) + 0.0
         if not math.isfinite(w):
             raise GraphError(f"vertex {v!r} has non-finite weight {w!r}")
         if v in explicit:

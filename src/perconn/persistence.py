@@ -1,17 +1,28 @@
-"""Persistence functions on the critical grid and their diagrams.
+"""Persistence functions of component filtrations and their diagrams.
 
 The value p(c_i, c_j) is the number of maximal components of the level at
 c_j that contain some maximal component of the level at c_i.  By the union
 property each maximal component of one level lies in exactly one maximal
-component of the next, so p(c_i, c_j) is the size of the image of the
+component of the next, so the components of all levels form a forest under
+the successor maps, and p(c_i, c_j) is the size of the image of the
 level-i components under the composed successor maps from level i to j.
-Values are tabulated only on critical values: between consecutive
-criticals the filtration is constant, so the grid determines the function
-everywhere.  The value at (u, infinity) equals the value at (u, last
-critical) because filtrations stabilize.
 
-Diagram extraction is inclusion-exclusion over the grid: the multiplicity
-of a proper cornerpoint (c_i, c_j) is
+Diagrams come from one elder-rule sweep over such a forest: a union-find
+whose roots carry the earliest birth of their class, where a union at value
+w ends the younger class's bar (birth, w) and every class left at the end
+gives (birth, inf).  ``graph_diagram`` feeds it the cheapest forest for
+each property: the edges in weight order over the vertices for plain
+components, the k-cliques each new edge closes (sequential clique
+percolation, Kumpula et al. 2008) for clique communities, and the
+successor maps of the per-level components for everything else.  Births
+and deaths are always critical values of the filtration.
+
+The tabulated grid serves ``verify`` and the test oracles: values are
+tabulated on critical values only, because between consecutive criticals
+the filtration is constant, and the value at (u, infinity) equals the
+value at (u, last critical) because filtrations stabilize.
+``extract_diagram`` reads the cornerpoints back by inclusion-exclusion: the
+multiplicity of a proper cornerpoint (c_i, c_j) is
 
     p(c_i, c_{j-1}) - p(c_{i-1}, c_{j-1}) - p(c_i, c_j) + p(c_{i-1}, c_j)
 
@@ -24,9 +35,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
+from .cuts import UnionFind, cliques_within
 from .graphs import Filtration, FormatError, format_weight
 
 
@@ -122,25 +136,19 @@ class PersistenceFunction:
         return self.value(i, j)
 
 
-def tabulate_persistence(
-    criticals: Sequence[float],
-    level_components,
-    contains: Callable,
-) -> PersistenceFunction:
-    """Tabulate p over the grid given per-level component lists.
+def _successor_maps(
+    criticals: Sequence[float], level_components, contains: Callable
+) -> list[list[int]]:
+    """succ[j][a]: index of the level-j component that contains level-(j-1)
+    component a; succ[0] is empty.
 
-    ``level_components[j]`` lists the maximal components of the level at
-    ``criticals[j]``; ``contains(d, c)`` decides whether component ``d`` of
-    level j - 1 is included in component ``c`` of level j.  A component
-    that lies in no or in several components of the next level breaks the
-    union property and raises PersistenceAxiomError.
+    ``contains(d, c)`` decides whether component ``d`` of level j - 1 is
+    included in component ``c`` of level j.  A component that lies in no or
+    in several components of the next level breaks the union property and
+    raises PersistenceAxiomError.
     """
-    m = len(criticals)
-    if m == 0:
-        raise ValueError("a filtration needs at least one critical value")
-    # succ[j][a]: index of the level-j component containing level-(j-1) component a
     succ: list[list[int]] = [[]]
-    for j in range(1, m):
+    for j in range(1, len(criticals)):
         later = level_components[j]
         row = []
         for a, d in enumerate(level_components[j - 1]):
@@ -153,6 +161,23 @@ def tabulate_persistence(
                 )
             row.append(hits[0])
         succ.append(row)
+    return succ
+
+
+def tabulate_persistence(
+    criticals: Sequence[float],
+    level_components,
+    contains: Callable,
+) -> PersistenceFunction:
+    """Tabulate p over the grid given per-level component lists.
+
+    ``level_components[j]`` lists the maximal components of the level at
+    ``criticals[j]``; ``contains`` is as in ``successor_diagram``.
+    """
+    m = len(criticals)
+    if m == 0:
+        raise ValueError("a filtration needs at least one critical value")
+    succ = _successor_maps(criticals, level_components, contains)
     rows = []
     for i in range(m):
         image = set(range(len(level_components[i])))
@@ -165,16 +190,118 @@ def tabulate_persistence(
     return PersistenceFunction(tuple(criticals), tuple(rows), inf_column)
 
 
+def _graph_contains(d, c) -> bool:
+    return c.includes(d)
+
+
 def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
     """Tabulate the persistence function of a graph filtration under a property.
 
     Each level's maximal components come from the connectivity provider
     for ``spec``; component inclusion is subgraph inclusion.
     """
+    return tabulate_persistence(filt.criticals, _level_components(filt, spec), _graph_contains)
+
+
+def _level_components(filt: Filtration, spec) -> list:
     from .connectivity import property_components
 
-    comps = [property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
-    return tabulate_persistence(filt.criticals, comps, lambda d, c: c.includes(d))
+    return [property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+
+
+def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]) -> Diagram:
+    """Diagram of a merge forest by the elder rule.
+
+    Node i is born at ``births[i]``.  Each merge (a, b, w) joins the classes
+    of a and b at value w; merges come in nondecreasing order of w, each at
+    or after the births of its two nodes.  When two classes meet, the one
+    with the later earliest birth ends: its bar (birth, w) is kept when
+    birth < w.  Every class left at the end gives (birth, inf).
+    """
+    uf = UnionFind(len(births))
+    eldest = list(births)  # earliest birth of each root's class
+    bars: Counter = Counter()
+    for a, b, w in merges:
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb:
+            continue
+        if eldest[ra] > eldest[rb]:
+            ra, rb = rb, ra
+        if eldest[rb] < w:
+            bars[(eldest[rb], w)] += 1
+        eldest[uf.union(ra, rb)] = eldest[ra]
+    for root in uf.roots():
+        bars[(eldest[root], math.inf)] += 1
+    return Diagram(tuple(Cornerpoint(b, d, n) for (b, d), n in sorted(bars.items())))
+
+
+def successor_diagram(criticals: Sequence[float], level_components, contains: Callable) -> Diagram:
+    """Diagram of per-level component lists by the elder rule on their
+    successor forest.
+
+    ``level_components[j]`` lists the maximal components of the level at
+    ``criticals[j]``; ``contains(d, c)`` decides whether component ``d`` of
+    level j - 1 is included in component ``c`` of level j.  Each level-j
+    component is born at c_j and joins, at c_j, the level-(j-1) components
+    that map into it.  No levels give the empty diagram.
+    """
+    succ = _successor_maps(criticals, level_components, contains)
+    births: list[float] = []
+    merges: list[tuple[int, int, float]] = []
+    prev = 0
+    for j, comps in enumerate(level_components):
+        start = len(births)
+        births += [criticals[j]] * len(comps)
+        merges += ((prev + a, start + b, criticals[j]) for a, b in enumerate(succ[j]))
+        prev = start
+    return elder_rule(births, merges)
+
+
+def _clique_percolation(edges, k: int) -> tuple[list[float], list[tuple[int, int, float]]]:
+    """Sequential clique percolation over edges in weight order.
+
+    The k-cliques an edge closes are its endpoints plus a (k-2)-clique of
+    their common neighbourhood so far; each is a node born at the edge's
+    weight that merges, at that weight, with the earlier owner of each of
+    its (k-1)-clique facets.
+    """
+    adj: dict[str, set[str]] = defaultdict(set)
+    births: list[float] = []
+    merges: list[tuple[int, int, float]] = []
+    owner: dict[tuple[str, ...], int] = {}
+    for (u, v), w in edges:
+        for rest in cliques_within(adj, adj[u] & adj[v], k - 2):
+            q = len(births)
+            births.append(w)
+            for facet in combinations(sorted((u, v, *rest)), k - 1):
+                first = owner.setdefault(facet, q)
+                if first != q:
+                    merges.append((q, first, w))
+        adj[u].add(v)
+        adj[v].add(u)
+    return births, merges
+
+
+def graph_diagram(filt: Filtration, spec) -> Diagram:
+    """Persistence diagram of a graph filtration under a property, by one
+    elder-rule sweep.
+
+    Plain components (and vertex and edge blocks at k = 1) sweep the edges
+    in weight order over vertices born at their weights; clique communities
+    sweep the k-cliques each edge closes; other properties sweep the
+    successor forest of their per-level components.
+    """
+    if spec.kind not in ("components", "clique") and spec.k > 1:
+        return successor_diagram(filt.criticals, _level_components(filt, spec), _graph_contains)
+    wg = filt.source
+    edges = sorted(wg.edge_weights.items(), key=lambda item: item[1])
+    if spec.kind == "clique":
+        births, merges = _clique_percolation(edges, spec.k)
+    else:
+        index = {v: i for i, v in enumerate(wg.vertex_weights)}
+        births = list(wg.vertex_weights.values())
+        merges = [(index[u], index[v], w) for (u, v), w in edges]
+    return elder_rule(births, merges)
 
 
 def check_axioms(pf: PersistenceFunction) -> str | None:

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .cuts import UnionFind, connected_vertex_sets
 from .graphs import CapExceeded, FormatError, GraphError, weighted_graph
-from .persistence import Diagram, PersistenceFunction, diagram, tabulate_persistence
+from .persistence import Diagram, PersistenceFunction, successor_diagram, tabulate_persistence
 
 EQUIVARIANT_KINDS = ("isomorphisms", "orbit_deletion", "fixed_vertex_deletion")
 ORBIT_CAP = 16  # the deletion-class search visits every subset of vertex orbits
@@ -323,29 +323,28 @@ def gq_components(gq: GQuiver, cls: EquivariantClass) -> list[GQuiver]:
     return [restrict_gquiver(gq, s) for s in sorted(maximal, key=lambda s: tuple(sorted(s)))]
 
 
+def _contains(d: GQuiver, c: GQuiver) -> bool:
+    return (
+        d.quiver.vertices <= c.quiver.vertices
+        and d.quiver.arrow_names() <= c.quiver.arrow_names()
+    )
+
+
+def _orbit_levels(gq: GQuiver, cls: EquivariantClass) -> tuple[tuple[float, ...], list[list[GQuiver]]]:
+    filt = orbit_filtration(gq)
+    return filt.criticals, [gq_components(level, cls) for level in filt.levels]
+
+
 def gq_persistence_function(gq: GQuiver, cls: EquivariantClass) -> PersistenceFunction | None:
     """Persistence of the orbit filtration; None for the empty quiver."""
     if not gq.quiver.vertices:
         return None
-    filt = orbit_filtration(gq)
-    comps = [gq_components(level, cls) for level in filt.levels]
-
-    def contains(d: GQuiver, c: GQuiver) -> bool:
-        return (
-            d.quiver.vertices <= c.quiver.vertices
-            and d.quiver.arrow_names() <= c.quiver.arrow_names()
-        )
-
-    return tabulate_persistence(filt.criticals, comps, contains)
+    return tabulate_persistence(*_orbit_levels(gq, cls), _contains)
 
 
 def gq_persistence(gq: GQuiver, cls: EquivariantClass) -> Diagram:
-    from .persistence import extract_diagram
-
-    pf = gq_persistence_function(gq, cls)
-    if pf is None:
-        return diagram([])
-    return extract_diagram(pf)
+    """Diagram of the orbit filtration by the elder rule on its successor forest."""
+    return successor_diagram(*_orbit_levels(gq, cls), _contains)
 
 
 def underlying_weighted_graph(q: Quiver, weight: float = 1.0):

@@ -39,6 +39,17 @@ def test_diagram_vertex_block_bowtie(tmp_path):
     assert res.stdout == "1 inf 2\n"
 
 
+def test_diagram_ignores_line_order_and_signed_zero(tmp_path):
+    outputs = []
+    for i, text in enumerate(["e c d -0\ne a b 0\ne b c 1\n", "e a b 0\ne b c 1\ne c d -0\n"]):
+        src = tmp_path / f"g{i}.txt"
+        src.write_text(text)
+        res = run_cli("diagram", "--property", "components", str(src))
+        assert res.returncode == 0
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1] == "0 1 1\n0 inf 1\n"
+
+
 def test_outputs_are_byte_identical(tmp_path):
     src = tmp_path / "g.txt"
     src.write_text(GRAPH)

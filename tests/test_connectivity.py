@@ -73,6 +73,14 @@ def test_clique_communities_of_disjoint_k4_k3():
     assert [sorted(c.vertices) for c in comms] == [["p", "q", "r"], ["w", "x", "y", "z"]]
 
 
+def test_components_of_many_disjoint_triangles():
+    triangles = [[f"t{i:04d}{x}" for x in "abc"] for i in range(3000)]
+    lone = [f"z{i:02d}" for i in range(40)]
+    g = pc.simple_graph(lone, [e for t in triangles for e in combinations(t, 2)])
+    comps = pc.property_components(g, pc.PropertySpec("components"))
+    assert comps == [complete(t) for t in triangles] + [pc.simple_graph([v]) for v in lone]
+
+
 def test_path_components():
     g = pc.simple_graph(edges=[("a", "b"), ("b", "c")])
     comps = pc.property_components(g, pc.PropertySpec("components"))
@@ -302,3 +310,22 @@ def test_block_diagrams_match_networkx_levels(kind, k):
     assert pf == expected
     assert pc.extract_diagram(pf) == pc.extract_diagram(expected)
     assert len(pc.extract_diagram(pf).points) > 1
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_clique_communities_match_networkx_levels(k):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(60 + k)
+    found = 0
+    for _ in range(10):
+        vs = [f"v{i:02d}" for i in range(rng.randint(15, 40))]
+        p = rng.uniform(0.2, 0.45)
+        lines = [f"e {a} {b} {rng.randint(1, 5)}\n" for a, b in combinations(vs, 2) if rng.random() < p]
+        filt = pc.build_filtration(pc.parse_weighted_graph("".join(lines)))
+        for i in range(len(filt.criticals)):
+            level = filt.sublevel_at(i)
+            comms = pc.property_components(level, pc.PropertySpec("clique", k))
+            expected = nx.community.k_clique_communities(_to_networkx(nx, level), k)
+            assert _vertex_sets(comms) == sorted(sorted(c) for c in expected)
+            found += len(comms)
+    assert found > 40

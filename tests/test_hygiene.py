@@ -35,9 +35,6 @@ def test_no_unused_imports():
 # Self-recursive functions whose depth is bounded independently of the input
 # size, as "module.outer.inner" names.
 RECURSION_ALLOWED = {
-    # Bron-Kerbosch: one frame per vertex of the clique being grown, so the
-    # depth is at most the size of the largest clique.
-    "cuts.maximal_cliques.expand",
     # one frame per poset element; only posets built from two diagrams reach
     # it, and no CLI command does.
     "posets.poset_isomorphic.extend",

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,10 +18,59 @@ ALL_SPECS = [
     pc.PropertySpec("edge_block", 3),
 ]
 
+SWEEP_SPECS = [
+    pc.PropertySpec("components"),
+    *(pc.PropertySpec("clique", k) for k in (2, 3, 4)),
+    *(pc.PropertySpec(kind, k) for kind in ("vertex_block", "edge_block") for k in (1, 2, 3)),
+]
+
 
 def two_then_one():
     wg = pc.parse_weighted_graph("e a b 1\ne c d 1\ne b c 2\n")
     return pc.build_filtration(wg)
+
+
+def test_elder_rule_ends_the_younger_class():
+    # nodes 1 and 2 meet at their birth (no bar); node 0 outlives them
+    d = pc.elder_rule([0.0, 1.0, 1.0, 2.0], [(1, 2, 1.0), (2, 0, 3.0)])
+    assert d == pc.diagram(
+        [pc.Cornerpoint(1.0, 3.0), pc.Cornerpoint(0.0, math.inf), pc.Cornerpoint(2.0, math.inf)]
+    )
+
+
+def _sweep_corpus(seed):
+    """Tied weights, explicit vertex weights, isolated vertices, and every
+    fifth filtration single-critical; then 15-40-vertex graphs with up to 40
+    critical values for the specs that the sweep feeds without providers."""
+    rng = random.Random(seed)
+    for i in range(50):
+        yield random_weighted_graph(
+            rng, max_vertices=10, max_criticals=1 if i % 5 == 0 else 5, edge_prob=(0.3, 0.8)
+        ), SWEEP_SPECS
+    for _ in range(10):
+        vs = [f"v{i:02d}" for i in range(rng.randint(15, 40))]
+        p = rng.uniform(0.2, 0.45)
+        lines = [f"e {a} {b} {rng.randint(1, 40) / 2}\n" for a, b in combinations(vs, 2) if rng.random() < p]
+        yield pc.parse_weighted_graph("".join(lines)), SWEEP_SPECS[:4]
+
+
+def test_sweep_matches_grid_and_oracle(seed=71):
+    def contains(d, c):
+        return c.includes(d)
+
+    finite = dict.fromkeys((spec.label() for spec in SWEEP_SPECS), 0)
+    for wg, specs in _sweep_corpus(seed):
+        filt = pc.build_filtration(wg)
+        for spec in specs:
+            levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+            grid = pc.extract_diagram(pc.tabulate_persistence(filt.criticals, levels, contains))
+            oracle = pc.extract_diagram(oracles.oracle_table(filt.criticals, levels, contains))
+            swept = pc.graph_diagram(filt, spec)
+            assert swept == grid == oracle, (spec.label(), pc.serialize_weighted_graph(wg))
+            # byte-identical text: the coordinates are the same critical values
+            assert pc.serialize_diagram(swept) == pc.serialize_diagram(grid)
+            finite[spec.label()] += len(swept.finite_points())
+    assert min(finite.values()) > 5, finite
 
 
 def test_engine_example_table_and_diagram():
@@ -179,6 +229,7 @@ def test_engine_matches_grid_oracle_on_gquivers(seed=61):
             comps = [pc.gq_components(level, cls) for level in filt.levels]
             expected = oracles.oracle_table(filt.criticals, comps, contains)
             assert pc.gq_persistence_function(gq, cls) == expected
+            assert pc.gq_persistence(gq, cls) == pc.extract_diagram(expected)
             checked += 1
     assert checked > 60
 
