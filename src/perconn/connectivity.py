@@ -22,6 +22,9 @@ Four property kinds are supported:
   vertex lies in one block at most, its closed neighbourhood when that is a
   k-clique), and splits the rest along vertex cuts smaller than k (Menger,
   by max-flow on the split network), followed by a maximality filter.
+  ``vertex_blocks`` does this on a bare adjacency dict, so the same search
+  serves simple graphs here and the orbit graphs of the equivariant
+  deletion classes in ``quivers``.
 * ``edge_block`` — deleting any fewer than k edges (spanning) leaves a
   connected graph.  A single vertex passes for every k, so maximal
   components partition the vertex set.  Vertices of degree below k are
@@ -135,12 +138,19 @@ def _peel(sub: dict[str, set[str]], k: int) -> list[tuple[str, set[str]]]:
     return gone
 
 
-def _vertex_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
-    adj = g.adjacency()
-    found: set[frozenset[str]] = set()
-    seen: set[frozenset[str]] = set()
+def vertex_blocks(adj: dict, k: int) -> list[frozenset]:
+    """Maximal vertex sets of the graph ``adj`` that stay nonempty and
+    connected after deleting any fewer than k of their vertices (induced),
+    in no fixed order.  Vertices may be any sortable hashables."""
+    if k == 1:
+        return [frozenset(c) for c in connected_vertex_sets(adj)]
     # a k-vertex-connected subgraph with k >= 2 lies inside one biconnected block
-    stack = [frozenset(b) for b in biconnected_components(adj) if len(b) >= k]
+    blocks = [frozenset(b) for b in biconnected_components(adj) if len(b) >= k]
+    if k == 2:
+        return blocks
+    found: set[frozenset] = set()
+    seen: set[frozenset] = set()
+    stack = blocks
     while stack:
         vs = stack.pop()
         if vs in seen:
@@ -162,11 +172,11 @@ def _vertex_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
             for piece in connected_vertex_sets(_restrict(adj, comp_set - cut)):
                 stack.append(frozenset(piece | cut))
     ordered = sorted(found, key=lambda s: (-len(s), tuple(sorted(s))))
-    keep: list[frozenset[str]] = []
+    keep: list[frozenset] = []
     for s in ordered:
         if not any(s <= t for t in keep):
             keep.append(s)
-    return _induced_sorted(adj, keep)
+    return keep
 
 
 def _edge_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
@@ -207,12 +217,8 @@ def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]
         comms = [_clique_union(cliques, idxs) for idxs in classes]
         return sorted(comms, key=_component_sort_key)
     if spec.kind == "vertex_block":
-        if spec.k == 1:
-            return _plain_components(g)
-        if spec.k == 2:
-            adj = g.adjacency()
-            return _induced_sorted(adj, biconnected_components(adj))
-        return _vertex_block_components(g, spec.k)
+        adj = g.adjacency()
+        return _induced_sorted(adj, vertex_blocks(adj, spec.k))
     if spec.k == 1:
         return _plain_components(g)
     return _edge_block_components(g, spec.k)

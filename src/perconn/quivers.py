@@ -18,19 +18,26 @@ equivariant deletion classes refine this: ``isomorphisms`` (no deletions),
 incident arrows), and ``fixed_vertex_deletion`` (drop fewer than k
 vertices fixed by every generator).  k defaults to 2; k = 1 degenerates to
 the isomorphisms class.
+
+The deletion classes are vertex blocks of the orbit graph
+(``connectivity.vertex_blocks``): ``orbit_deletion:k`` is ``vertex_block:k``
+there.  For ``fixed_vertex_deletion:k`` each orbit of two or more vertices,
+which may not be deleted, becomes k mutually adjacent twins joined to every
+copy of its orbit neighbours.  A deletion budget below k never removes all
+twins, and a maximal block holds all twins of an orbit or none, so blocks
+read back by orbit index are exactly the maximal components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
+from .connectivity import vertex_blocks
 from .cuts import UnionFind, connected_vertex_sets
-from .graphs import CapExceeded, FormatError, GraphError, weighted_graph
+from .graphs import FormatError, GraphError, weighted_graph
 from .persistence import Diagram, PersistenceFunction, successor_diagram, tabulate_persistence
 
 EQUIVARIANT_KINDS = ("isomorphisms", "orbit_deletion", "fixed_vertex_deletion")
-ORBIT_CAP = 16  # the deletion-class search visits every subset of vertex orbits
 
 
 class QuiverError(GraphError):
@@ -239,15 +246,10 @@ def _orbit_graph(gq: GQuiver) -> tuple[list[frozenset[str]], dict[int, set[int]]
     return vorbs, adj
 
 
-def _connected(adj: dict[int, set[int]], keep: frozenset[int]) -> bool:
-    """Is the orbit set nonempty and connected in the orbit graph?"""
-    return len(connected_vertex_sets({i: adj[i] & keep for i in keep})) == 1
-
-
 def is_gq_connected(gq: GQuiver) -> bool:
     """Nonempty, and the group permutes the weak components transitively."""
     _, adj = _orbit_graph(gq)
-    return _connected(adj, frozenset(adj))
+    return len(connected_vertex_sets(adj)) == 1
 
 
 @dataclass(frozen=True)
@@ -269,58 +271,36 @@ class EquivariantClass:
         return f"{self.kind}:{self.k}"
 
 
-def _survives_deletions(
-    vorbs: list[frozenset[str]],
-    adj: dict[int, set[int]],
-    keep: frozenset[int],
-    cls: EquivariantClass,
-) -> bool:
-    """Does the orbit set stay connected after deleting any fewer than k of
-    its units (orbits, or for fixed_vertex_deletion its singleton orbits)?"""
-    if not _connected(adj, keep):
-        return False
-    if cls.kind == "isomorphisms" or cls.k == 1:
-        return True
-    units = [i for i in sorted(keep) if cls.kind == "orbit_deletion" or len(vorbs[i]) == 1]
-    for r in range(1, cls.k):
-        for combo in combinations(units, r):
-            if not _connected(adj, keep.difference(combo)):
-                return False
-    return True
+def _orbit_blocks(gq: GQuiver, cls: EquivariantClass) -> tuple[list[frozenset[str]], list[set[int]]]:
+    """Vertex orbits and the orbit index sets of the maximal components:
+    vertex blocks of the orbit graph, with k twins per undeletable orbit."""
+    vorbs, adj = _orbit_graph(gq)
+    k = 1 if cls.kind == "isomorphisms" else cls.k
+    copies = [k if cls.kind == "fixed_vertex_deletion" and len(orb) > 1 else 1 for orb in vorbs]
+    twins = {i: [(i, c) for c in range(copies[i])] for i in adj}
+    expanded = {t: {u for j in adj[i] | {i} for u in twins[j]} - {t} for i in adj for t in twins[i]}
+    return vorbs, [{i for i, _ in block} for block in vertex_blocks(expanded, k)]
 
 
 def is_equivariantly_connected(gq: GQuiver, cls: EquivariantClass) -> bool:
-    """Every deletion of fewer than k units leaves a connected G-quiver."""
-    vorbs, adj = _orbit_graph(gq)
-    return _survives_deletions(vorbs, adj, frozenset(adj), cls)
+    """Every deletion of fewer than k units leaves a connected G-quiver: the
+    whole orbit set is the one maximal component."""
+    vorbs, blocks = _orbit_blocks(gq, cls)
+    return blocks == [set(range(len(vorbs)))]
 
 
 def gq_components(gq: GQuiver, cls: EquivariantClass) -> list[GQuiver]:
     """Maximal invariant subquivers that are connected for the deletion class.
 
-    Maximal components are induced on invariant vertex sets, so candidates
-    are sets of vertex orbits, each decided on the orbit graph; for the
-    isomorphisms class the components of the orbit graph are taken directly.
+    They are induced on sets of vertex orbits: the vertex blocks of the
+    (twin-expanded) orbit graph read back by orbit index.  This is exact
+    because a deletion budget below k never removes all k twins of an orbit,
+    and a twin of a block member sees the member and its k - 1 or more block
+    neighbours, so a maximal block holds every twin of an orbit or none.
     """
-    vorbs, adj = _orbit_graph(gq)
-    if cls.kind == "isomorphisms" or cls.k == 1:
-        found = connected_vertex_sets(adj)
-    else:
-        if len(vorbs) > ORBIT_CAP:
-            raise CapExceeded(f"component search limited to {ORBIT_CAP} vertex orbits")
-        found = [
-            keep
-            for r in range(1, len(vorbs) + 1)
-            for keep in map(frozenset, combinations(range(len(vorbs)), r))
-            if _survives_deletions(vorbs, adj, keep, cls)
-        ]
-    candidates = [frozenset().union(*(vorbs[i] for i in keep)) for keep in found]
-    ordered = sorted(candidates, key=lambda s: (-len(s), tuple(sorted(s))))
-    maximal: list[frozenset[str]] = []
-    for s in ordered:
-        if not any(s <= t for t in maximal):
-            maximal.append(s)
-    return [restrict_gquiver(gq, s) for s in sorted(maximal, key=lambda s: tuple(sorted(s)))]
+    vorbs, blocks = _orbit_blocks(gq, cls)
+    found = [frozenset().union(*(vorbs[i] for i in block)) for block in blocks]
+    return [restrict_gquiver(gq, s) for s in sorted(found, key=lambda s: tuple(sorted(s)))]
 
 
 def _contains(d: GQuiver, c: GQuiver) -> bool:

@@ -156,11 +156,12 @@ def random_gquiver(
     max_vertices: int = 6,
     max_arrows: int = 6,
     group: str = "random",
+    min_vertices: int = 1,
 ) -> pc.GQuiver:
     """Random quiver whose arrow set is closed under a small permutation
     group; arrows are keyed by (source, target) so the vertex maps induce the
     arrow maps, which keeps every generator an automorphism by construction."""
-    n = rng.randint(1, max_vertices)
+    n = rng.randint(min_vertices, max_vertices)
     names = [f"q{i}" for i in range(n)]
     vmaps = group_vmaps(rng, names, group)
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 GRAPH = "e a b 1\ne c d 1\ne b c 2\n"
@@ -145,15 +146,41 @@ def test_quiver_diagram(tmp_path):
     assert res.stdout == "1 inf 1\n2 inf 1\n"
 
 
-def test_quiver_orbit_cap(tmp_path):
+def test_quiver_deletion_classes_past_sixteen_orbits(tmp_path):
     src = tmp_path / "q.txt"
     src.write_text("".join(f"v x{i:02d}\n" for i in range(17)))
-    res = run_cli("quiver-diagram", "--class", "orbit-deletion", "--k", "2", str(src))
-    assert res.returncode == 2
-    assert res.stderr == "error: component search limited to 16 vertex orbits\n"
+    for cls in ("orbit-deletion", "fixed-vertex-deletion"):
+        res = run_cli("quiver-diagram", "--class", cls, "--k", "2", str(src))
+        assert (res.returncode, res.stdout, res.stderr) == (0, "", ""), cls
     res = run_cli("quiver-diagram", "--class", "isomorphisms", str(src))
     assert res.returncode == 0
     assert res.stdout == "1 inf 17\n"
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("".join(f"a e{i:02d} x{i:02d} x{(i + 1) % 17:02d}\n" for i in range(17)))
+    for cls in ("orbit-deletion", "fixed-vertex-deletion"):
+        res = run_cli("quiver-diagram", "--class", cls, "--k", "2", str(cycle))
+        assert (res.returncode, res.stdout, res.stderr) == (0, "1 inf 1\n", ""), cls
+
+
+def test_pseudodistance_cap_is_a_config_error(tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("e a b 1\n")
+    res = run_cli("pseudodistance", "--cap", "1", str(g), str(g))
+    assert res.returncode == 2
+    assert res.stderr == "error: pseudodistance limited to 1 vertices, got 2\n"
+    assert res.stdout == ""
+
+
+def test_distance_point_cap_is_a_config_error(tmp_path):
+    # one line that expands to 10**8 points; refused before any is built
+    d = tmp_path / "d.txt"
+    d.write_text("1 2 100000000\n")
+    start = time.perf_counter()
+    res = run_cli("distance", str(d), str(d))
+    assert time.perf_counter() - start < 10.0
+    assert res.returncode == 2
+    assert res.stderr == "error: bottleneck distance limited to 5000 points, got 200000000\n"
+    assert res.stdout == ""
 
 
 def test_plot_svg(tmp_path):

@@ -1,9 +1,14 @@
-"""Text round-trip properties of the three file formats, as hypothesis tests.
+"""Text round-trip properties of the four file formats, and the CLI's exit
+codes on arbitrary input, as hypothesis tests.
 
 Derandomized with fixed example counts, so every run checks the same inputs.
 """
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import pytest
 
@@ -11,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import perconn as pc  # noqa: E402
+from perconn import cli  # noqa: E402
 from corpus import random_gquiver  # noqa: E402
 
 FIXED = hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -70,3 +76,63 @@ def test_gquiver_text_round_trip(rng, max_vertices, max_arrows):
     again = pc.parse_gquiver(text)
     assert again == gq
     assert pc.serialize_gquiver(again) == text
+
+
+@st.composite
+def posets(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=7, unique=True))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+    relations = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return pc.Poset(names, relations)
+
+
+@FIXED
+@hypothesis.given(posets())
+def test_poset_text_round_trip(p):
+    text = pc.serialize_poset(p)
+    again = pc.parse_poset(text)
+    assert set(again.elements) == set(p.elements)
+    assert set(again.relation_pairs()) == set(p.relation_pairs())
+    assert pc.serialize_poset(again) == text
+
+
+# One invocation per command; FILE marks where the input files go.
+FILE = object()
+COMMANDS = [
+    ["diagram", "--property", "components", FILE],
+    ["diagram", "--property", "clique", "--k", "3", "--format", "json", FILE],
+    ["components", "--property", "vertex-block", "--k", "3", FILE],
+    ["components", "--property", "edge-block", "--k", "2", FILE],
+    ["distance", FILE, FILE],
+    ["pseudodistance", FILE, FILE],
+    ["verify", "--property", "components", FILE],
+    ["quiver-diagram", "--class", "fixed-vertex-deletion", FILE],
+    ["plot", FILE],
+]
+TOKENS = ["e", "v", "a", "g", "map", "x", "y", "z", "1", "2", "0.5", "-0", "inf", "nan", "1e400", "100000000", "#", "é"]
+RECORDS = st.lists(st.sampled_from(TOKENS), max_size=5).map(" ".join)
+INPUTS = st.one_of(
+    st.binary(max_size=64),
+    st.lists(RECORDS, max_size=8).map(lambda lines: "\n".join(lines).encode("utf-8")),
+)
+
+
+@hypothesis.settings(FIXED, max_examples=150)
+@hypothesis.given(INPUTS, INPUTS)
+def test_cli_on_arbitrary_bytes_exits_with_one_line_errors(first, second):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "first"), os.path.join(tmp, "second")]
+        for path, data in zip(paths, (first, second)):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        for command in COMMANDS:
+            files = iter(paths)
+            argv = [next(files) if arg is FILE else arg for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), (argv, first, second)
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -193,6 +193,81 @@ def test_gq_components_match_subquiver_oracle(seed=131):
         gq = random_gquiver(rng, max_vertices=7, max_arrows=7)
         for cls in DELETION_CLASSES:
             assert pc.gq_components(gq, cls) == oracles.oracle_gq_components(gq, cls)
+    # larger quivers under non-trivial groups, deletion budgets up to 4
+    classes = [
+        pc.EquivariantClass(kind, k)
+        for kind in ("orbit_deletion", "fixed_vertex_deletion")
+        for k in (2, 3, 4)
+    ]
+    checked = 0
+    while checked < 15:
+        gq = random_gquiver(rng, max_vertices=11, max_arrows=14)
+        if len(pc.orbits(gq)[0]) == len(gq.quiver.vertices):
+            continue
+        checked += 1
+        for cls in classes:
+            assert pc.gq_components(gq, cls) == oracles.oracle_gq_components(gq, cls)
+
+
+def test_fixed_vertex_deletion_twin_cases():
+    def components(gq, k):
+        cls = pc.EquivariantClass("fixed_vertex_deletion", k)
+        return [sorted(c.quiver.vertices) for c in pc.gq_components(gq, cls)]
+
+    swap = ({"a": "b", "b": "a"}, {})
+    lone_orbit = pc.gquiver(["a", "b"], [], [swap])
+    orbit_path = pc.gquiver(
+        ["a", "b", "c", "d"],
+        [("e1", "a", "c"), ("e2", "b", "d")],
+        [({"a": "b", "b": "a", "c": "d", "d": "c"}, {"e1": "e2", "e2": "e1"})],
+    )
+    triangle = pc.gquiver(["x", "y", "z"], [("e1", "x", "y"), ("e2", "y", "z"), ("e3", "x", "z")])
+    middle_orbit = pc.gquiver(
+        ["a", "b", "x", "y"],
+        [("e1", "x", "a"), ("e2", "x", "b"), ("f1", "a", "y"), ("f2", "b", "y")],
+        [({"a": "b", "b": "a"}, {"e1": "e2", "e2": "e1", "f1": "f2", "f2": "f1"})],
+    )
+    for k in (1, 2, 3, 4):
+        assert components(lone_orbit, k) == [["a", "b"]]
+        assert components(orbit_path, k) == [["a", "b", "c", "d"]]
+        assert components(middle_orbit, k) == [["a", "b", "x", "y"]]
+    # three singleton orbits survive two deletions but not a budget of four
+    assert components(triangle, 3) == [["x", "y", "z"]]
+    assert components(triangle, 4) == []
+    # the middle orbit is an orbit-deletion cut, but no fixed vertex is
+    split = pc.gq_components(middle_orbit, pc.EquivariantClass("orbit_deletion", 2))
+    assert [sorted(c.quiver.vertices) for c in split] == [["a", "b", "x"], ["a", "b", "y"]]
+
+
+def test_gq_components_past_forty_orbits(seed=139):
+    rng = random.Random(seed)
+    for group in ("z2", "trivial"):
+        quivers = []
+        while len(quivers) < 2:
+            gq = random_gquiver(rng, max_vertices=64, max_arrows=200, group=group, min_vertices=64)
+            if len(gq.quiver.arrows) >= 120 and len(pc.orbits(gq)[0]) >= 40:
+                quivers.append(gq)
+        for gq in quivers:
+            vorbs, _ = pc.orbits(gq)
+            where = {v: orb for orb in vorbs for v in orb}
+            for cls in (
+                pc.EquivariantClass("orbit_deletion", 2),
+                pc.EquivariantClass("orbit_deletion", 3),
+                pc.EquivariantClass("fixed_vertex_deletion", 2),
+                pc.EquivariantClass("fixed_vertex_deletion", 3),
+            ):
+                comps = [c.quiver.vertices for c in pc.gq_components(gq, cls)]
+                for vs in comps:
+                    assert oracles.oracle_equivariantly_connected(pc.restrict_gquiver(gq, vs), cls)
+                    assert not any(vs < other for other in comps)
+                    touching = {
+                        where[t if s in vs else s]
+                        for _, s, t in gq.quiver.arrows
+                        if (s in vs) != (t in vs)
+                    }
+                    for orb in touching:
+                        bigger = pc.restrict_gquiver(gq, vs | orb)
+                        assert not oracles.oracle_equivariantly_connected(bigger, cls)
 
 
 def test_equivariant_connectivity_matches_oracle_on_subquivers(seed=137):
