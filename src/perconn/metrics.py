@@ -39,24 +39,16 @@ MatchPair = tuple[Optional[Point], Optional[Point]]
 POINT_CAP = 5000
 
 
-def _expand(d1: Diagram, d2: Diagram) -> list[tuple[list[Point], list[float]]]:
-    """Finite points and infinite births of each diagram, one entry per unit
-    of multiplicity; CapExceeded past POINT_CAP points in all."""
-    total = d1.total_multiplicity() + d2.total_multiplicity()
-    if total > POINT_CAP:
-        raise CapExceeded(f"bottleneck distance limited to {POINT_CAP} points, got {total}")
-    out = []
-    for d in (d1, d2):
-        finite: list[Point] = []
-        inf_births: list[float] = []
-        for p in d.points:
-            for _ in range(p.multiplicity):
-                if p.is_infinite:
-                    inf_births.append(p.birth)
-                else:
-                    finite.append((p.birth, p.death))
-        out.append((finite, inf_births))
-    return out
+def _expand(d: Diagram) -> tuple[list[Point], list[float]]:
+    finite: list[Point] = []
+    inf_births: list[float] = []
+    for p in d.points:
+        for _ in range(p.multiplicity):
+            if p.is_infinite:
+                inf_births.append(p.birth)
+            else:
+                finite.append((p.birth, p.death))
+    return finite, inf_births
 
 
 def _pair_cost(p: Point, q: Point) -> float:
@@ -213,7 +205,11 @@ def optimal_matching(d1: Diagram, d2: Diagram) -> tuple[float, list[MatchPair]]:
 
 
 def _bottleneck(d1: Diagram, d2: Diagram) -> tuple[float, list[MatchPair] | None]:
-    (f1, i1), (f2, i2) = _expand(d1, d2)
+    total = d1.total_multiplicity() + d2.total_multiplicity()
+    if total > POINT_CAP:
+        raise CapExceeded(f"bottleneck distance limited to {POINT_CAP} points, got {total}")
+    f1, i1 = _expand(d1)
+    f2, i2 = _expand(d2)
     if len(i1) != len(i2):
         return math.inf, None
     inf_pairs: list[MatchPair] = []

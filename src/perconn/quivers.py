@@ -276,6 +276,9 @@ def _orbit_blocks(gq: GQuiver, cls: EquivariantClass) -> tuple[list[frozenset[st
     vertex blocks of the orbit graph, with k twins per undeletable orbit."""
     vorbs, adj = _orbit_graph(gq)
     k = 1 if cls.kind == "isomorphisms" else cls.k
+    if cls.kind == "fixed_vertex_deletion":
+        # only singleton orbits may go, so a budget past all of them is all of them
+        k = min(k, sum(len(orb) == 1 for orb in vorbs) + 1)
     copies = [k if cls.kind == "fixed_vertex_deletion" and len(orb) > 1 else 1 for orb in vorbs]
     twins = {i: [(i, c) for c in range(copies[i])] for i in adj}
     expanded = {t: {u for j in adj[i] | {i} for u in twins[j]} - {t} for i in adj for t in twins[i]}

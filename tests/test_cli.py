@@ -162,6 +162,21 @@ def test_quiver_deletion_classes_past_sixteen_orbits(tmp_path):
         assert (res.returncode, res.stdout, res.stderr) == (0, "1 inf 1\n", ""), cls
 
 
+def test_quiver_deletion_budget_past_every_unit(tmp_path):
+    # a swapped pair joined to a fixed vertex: two orbits, one fixed vertex.
+    # A budget past every deletable unit answers at once, as the smallest
+    # such budget does.
+    src = tmp_path / "q.txt"
+    src.write_text("a p x c\na q y c\ng\nmap v x y\nmap v y x\nmap a p q\nmap a q p\n")
+    for cls, k_all, want in (("orbit-deletion", "3", ""), ("fixed-vertex-deletion", "2", "2 inf 1\n")):
+        small = run_cli("quiver-diagram", "--class", cls, "--k", k_all, str(src))
+        start = time.perf_counter()
+        huge = run_cli("quiver-diagram", "--class", cls, "--k", "100000", str(src))
+        assert time.perf_counter() - start < 10.0, cls
+        assert (small.returncode, small.stdout, small.stderr) == (0, want, ""), cls
+        assert (huge.returncode, huge.stdout, huge.stderr) == (0, want, ""), cls
+
+
 def test_pseudodistance_cap_is_a_config_error(tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("e a b 1\n")
