@@ -32,6 +32,7 @@ from .persistence import (
     PersistenceAxiomError,
     PersistenceFunction,
     check_axioms,
+    check_reconstruction,
     diagram,
     elder_rule,
     evaluate_diagram,

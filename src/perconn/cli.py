@@ -9,6 +9,7 @@ byte-deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from .persistence import (
     Diagram,
     PersistenceFunction,
     check_axioms,
-    evaluate_diagram,
+    check_reconstruction,
     extract_diagram,
     graph_diagram,
     parse_diagram,
@@ -222,25 +223,14 @@ def _cmd_verify(args) -> int:
         print(f"FAIL axioms: {message}")
         failures.append(message)
     try:
-        d = extract_diagram(pf)
-        mids = _grid_midpoints(pf.criticals)
-        bad = None
-        for bi, beta in enumerate(mids):
-            for gamma in mids[bi:]:
-                if evaluate_diagram(d, beta, gamma) != pf.at(beta, gamma):
-                    bad = (beta, gamma)
-                    break
-            if bad:
-                break
-        if bad is None:
-            print("PASS reconstruction: diagram reproduces the function off-grid")
-        else:
-            msg = f"reconstruction mismatch at ({bad[0]!r}, {bad[1]!r})"
-            print(f"FAIL reconstruction: {msg}")
-            failures.append(msg)
+        message = check_reconstruction(pf, extract_diagram(pf))
     except ValueError as exc:
-        print(f"FAIL reconstruction: {exc}")
-        failures.append(str(exc))
+        message = str(exc)
+    if message is None:
+        print("PASS reconstruction: diagram reproduces the function off-grid")
+    else:
+        print(f"FAIL reconstruction: {message}")
+        failures.append(message)
     if len(wg.graph.vertices) <= args.poset_cap:
         poset = subobject_poset(filt.limit(), spec, size_cap=args.poset_cap)
         if is_weakly_directed(poset):
@@ -255,14 +245,6 @@ def _cmd_verify(args) -> int:
             f"({len(wg.graph.vertices)} > {args.poset_cap})"
         )
     return EXIT_VERIFY if failures else EXIT_OK
-
-
-def _grid_midpoints(criticals: tuple[float, ...]) -> list[float]:
-    mids = [criticals[0] - 1.0]
-    for a, b in zip(criticals, criticals[1:]):
-        mids.append((a + b) / 2.0)
-    mids.append(criticals[-1] + 1.0)
-    return mids
 
 
 def _cmd_quiver_diagram(args) -> int:
@@ -284,7 +266,13 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call.
+
+    parse_args keeps no state between calls: each makes a fresh namespace
+    and looks up stdout, stderr and the terminal width when it prints.
+    """
     parser = argparse.ArgumentParser(
         prog="perconn",
         description="Persistence diagrams of weighted graphs and G-quivers "

@@ -138,7 +138,7 @@ def weighted_graph(
     items = edge_weights.items() if isinstance(edge_weights, Mapping) else edge_weights
     for (u, v), w in items:
         e = edge_key(u, v)
-        w = float(w) + 0.0  # -0.0 becomes 0.0, so equal graphs print alike
+        w = float(w)
         if not math.isfinite(w):
             raise GraphError(f"edge {e} has non-finite weight {w!r}")
         if e in ew:
@@ -147,40 +147,52 @@ def weighted_graph(
     explicit_items = vertex_weights.items() if isinstance(vertex_weights, Mapping) else vertex_weights
     explicit: dict[str, float] = {}
     for v, w in explicit_items:
-        w = float(w) + 0.0
+        w = float(w)
         if not math.isfinite(w):
             raise GraphError(f"vertex {v!r} has non-finite weight {w!r}")
         if v in explicit:
             raise GraphError(f"duplicate vertex weight for {v!r}")
         explicit[v] = w
+    return _assemble(ew, explicit, vertices)
 
-    vs = set(explicit) | set(vertices)
-    for u, v in ew:
-        vs.add(u)
-        vs.add(v)
-    incident_min: dict[str, float] = {}
-    for (u, v), w in ew.items():
-        for x in (u, v):
-            if x not in incident_min or w < incident_min[x]:
-                incident_min[x] = w
+
+def _assemble(
+    edges: dict[tuple[str, str], float],
+    explicit: dict[str, float],
+    vertices: Iterable[str] = (),
+    lines: Mapping[str, int] | None = None,
+) -> WeightedGraph:
+    """The WeightedGraph of records that are already valid one by one.
+
+    ``edges`` holds normalized, distinct edges with finite weights and
+    ``explicit`` finite vertex weights.  This checks what needs the whole
+    graph, in input order: each explicit weight against its incident
+    minimum, then each extra vertex for a weight.  With ``lines`` (the line
+    of each explicit record) the first error is a FormatError on that line.
+    """
+    ew: dict[tuple[str, str], float] = {}
     vw: dict[str, float] = {}
-    for v in vs:
-        if v in incident_min:
-            derived = incident_min[v]
-            if v in explicit:
-                if explicit[v] > derived:
-                    raise GraphError(
-                        f"explicit weight {explicit[v]!r} of vertex {v!r} exceeds "
-                        f"the incident minimum {derived!r}"
-                    )
-                vw[v] = explicit[v]
-            else:
-                vw[v] = derived
-        else:
-            if v not in explicit:
-                raise GraphError(f"isolated vertex {v!r} needs an explicit weight")
-            vw[v] = explicit[v]
-    g = SimpleGraph(frozenset(vs), frozenset(ew))
+    for e, w in edges.items():
+        w += 0.0  # -0.0 becomes 0.0, so equal graphs print alike
+        ew[e] = w
+        for x in e:
+            if w < vw.get(x, math.inf):
+                vw[x] = w
+    for v, w in explicit.items():
+        w += 0.0
+        derived = vw.get(v)
+        if derived is not None and w > derived:
+            message = f"explicit weight {w!r} of vertex {v!r} exceeds the incident minimum {derived!r}"
+            raise GraphError(message) if lines is None else FormatError(message, lines[v])
+        vw[v] = w
+    for v in vertices:
+        if v not in vw:
+            raise GraphError(f"isolated vertex {v!r} needs an explicit weight")
+    # Every edge is normalized and its endpoints are keys of vw, so the
+    # SimpleGraph invariants hold without checking each edge again.
+    g = object.__new__(SimpleGraph)
+    object.__setattr__(g, "vertices", frozenset(vw))
+    object.__setattr__(g, "edges", frozenset(ew))
     return WeightedGraph(g, ew, vw, frozenset(explicit))
 
 
@@ -225,11 +237,11 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
     """Parse the edge-list format; raises FormatError with line numbers."""
     edges: dict[tuple[str, str], float] = {}
     explicit: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         record = parts[0]
         if record == "e":
             if len(parts) != 4:
@@ -261,14 +273,10 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
             if u in explicit:
                 raise FormatError(f"duplicate vertex weight for {u!r}", ln)
             explicit[u] = w
+            lines[u] = ln
         else:
             raise FormatError(f"unknown record type {record!r}", ln)
-    try:
-        return weighted_graph(edges, explicit)
-    except GraphError as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(str(exc)) from exc
+    return _assemble(edges, explicit, lines=lines)
 
 
 def serialize_weighted_graph(wg: WeightedGraph) -> str:

@@ -34,7 +34,7 @@ function is reconstructed exactly from its diagram at off-critical points.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -384,6 +384,37 @@ def extract_diagram(pf: PersistenceFunction) -> Diagram:
         if mu_inf > 0:
             pts.append(Cornerpoint(pf.criticals[i], math.inf, mu_inf))
     return diagram(pts)
+
+
+def check_reconstruction(pf: PersistenceFunction, d: Diagram) -> str | None:
+    """First grid cell where ``d`` does not give back ``pf``, as a message, or None.
+
+    p(c_i, c_j) must equal the multiplicity of the points born at or before
+    c_i that die after c_j.  Cells are decided by grid index, never by
+    evaluating between floats, and running counts per row make the check
+    O(m^2 + |d|).
+    """
+    m = pf.grid_size
+    deaths_by_birth: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for p in d.points:
+        b = bisect_left(pf.criticals, p.birth)
+        if b < m:
+            deaths_by_birth[b].append((bisect_left(pf.criticals, p.death), p.multiplicity))
+    # alive[k]: multiplicity born at or before c_i whose death index is k (m: none)
+    alive = [0] * (m + 1)
+    for i in range(m):
+        for k, mult in deaths_by_birth[i]:
+            alive[k] += mult
+        count = alive[m]
+        for j in range(m - 1, i - 1, -1):
+            if count != pf.rows[i][j - i]:
+                return (
+                    f"reconstruction mismatch at p({format_weight(pf.criticals[i])}, "
+                    f"{format_weight(pf.criticals[j])}): the diagram gives {count}, "
+                    f"the function {pf.rows[i][j - i]}"
+                )
+            count += alive[j]
+    return None
 
 
 def evaluate_diagram(d: Diagram, beta: float, gamma: float) -> int:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,13 +8,95 @@ import xml.etree.ElementTree as ET
 GRAPH = "e a b 1\ne c d 1\ne b c 2\n"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "perconn", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
+
+
+def test_explicit_weight_error_names_the_first_v_record(tmp_path):
+    # every v record exceeds its incident minimum; the first one is reported
+    src = tmp_path / "g.txt"
+    src.write_text("e a b 1\ne c d 1\ne a c 1\ne b d 1\nv d 2\nv b 2\nv a 2\nv c 2\n")
+    want = "error: line 5: explicit weight 2.0 of vertex 'd' exceeds the incident minimum 1.0\n"
+    for seed in ("0", "1"):
+        res = run_cli("diagram", "--property", "components", str(src), env={**os.environ, "PYTHONHASHSEED": seed})
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", want), seed
+
+
+# Runs each argv of argv[1] (JSON) through cli.main in this one process.
+IN_PROCESS = """
+import contextlib, io, json, sys
+from perconn import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(results))
+"""
+
+
+def test_one_parser_serves_every_call_alike(tmp_path):
+    good = tmp_path / "g.txt"
+    good.write_text(GRAPH)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("e a b 1\ne b b 2\n")
+    argvs = [
+        ["diagram", "--property", "components", str(good)],
+        ["diagram", "--property", "banana", str(good)],
+        ["diagram", "--property", "components", str(bad)],
+        ["--help"],
+        ["diagram", "--help"],
+        ["distance", str(good)],
+        ["diagram", "--property", "components", str(good)],
+    ]
+    res = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS, json.dumps(argvs)], capture_output=True, text=True
+    )
+    assert (res.returncode, res.stderr) == (0, "")
+    shared = json.loads(res.stdout)
+    fresh = [[r.stdout, r.stderr, r.returncode] for r in (run_cli(*argv) for argv in argvs)]
+    assert shared == fresh
+    assert [code for _, _, code in shared] == [0, 2, 1, 0, 0, 2, 0]
+    assert shared[0] == shared[-1] == ["1 2 1\n1 inf 1\n", "", 0]
+
+
+# Counts ArgumentParser constructions: after import, after one call, after three.
+COUNT_PARSERS = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import perconn.cli
+counts = [len(built)]
+for _ in range(3):
+    perconn.cli.main(["diagram", "--property", "components", sys.argv[1]])
+    counts.append(len(built))
+print(*counts, file=sys.stderr)
+"""
+
+
+def test_parser_is_built_once_and_not_at_import(tmp_path):
+    src = tmp_path / "g.txt"
+    src.write_text(GRAPH)
+    res = subprocess.run([sys.executable, "-c", COUNT_PARSERS, str(src)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    counts = [int(x) for x in res.stderr.split()]
+    assert counts[0] == 0
+    assert counts[1] == counts[2] == counts[3] > 0
+    assert res.stdout == "1 2 1\n1 inf 1\n" * 3
 
 
 def test_diagram_text_output(tmp_path):
@@ -126,6 +209,23 @@ def test_verify_pass_and_corrupt(tmp_path):
     bad = run_cli("verify", "--property", "components", "--corrupt", "0,1,5", str(src))
     assert bad.returncode == 3
     assert "FAIL axioms" in bad.stdout
+
+
+def test_verify_decides_cells_by_index(tmp_path):
+    # The float midpoint of 1.0 and the next float is one of them, and
+    # c + 1.0 == c near the largest float: no point between or past these
+    # criticals exists, yet the reconstruction holds on every grid cell.
+    passed = (
+        "PASS axioms: monotonicity and jump superadditivity hold\n"
+        "PASS reconstruction: diagram reproduces the function off-grid\n"
+        "PASS weak directedness: subobject poset of the final graph\n"
+    )
+    for text in ("e x y 1.0\ne y z 1.0000000000000002\n", "e x y 1e308\ne y z 1.7976931348623157e308\n"):
+        src = tmp_path / "g.txt"
+        src.write_text(text)
+        for prop in ("components", "edge-block"):
+            res = run_cli("verify", "--property", prop, str(src))
+            assert (res.returncode, res.stdout, res.stderr) == (0, passed, ""), (text, prop)
 
 
 def test_verify_skips_poset_check_over_cap(tmp_path):

@@ -108,3 +108,69 @@ def test_sublevels_constant_between_criticals(seed=11):
         for i in range(len(f.criticals) - 1):
             small, big = f.sublevel_at(i), f.sublevel_at(i + 1)
             assert big.includes(small)
+
+
+# Every reader error, with its exact message and line.
+READER_ERRORS = [
+    ("e a b 1\ne b c nope\n", 2, "bad weight 'nope'"),
+    ("v a 1x\n", 1, "bad weight '1x'"),
+    ("e a b inf\n", 1, "non-finite weight 'inf'"),
+    ("e a b 1\nv a nan\n", 2, "non-finite weight 'nan'"),
+    ("# loop\ne a a 1\n", 2, "self-loop at 'a'"),
+    ("e a b 1\ne b a 2\n", 2, "duplicate edge a b"),
+    ("v z 1\n\nv z 2\n", 3, "duplicate vertex weight for 'z'"),
+    ("e a b 1\nx a b 1\n", 2, "unknown record type 'x'"),
+    ("e a b\n", 1, "edge record must be 'e <u> <v> <weight>'"),
+    ("e a b 1 2\n", 1, "edge record must be 'e <u> <v> <weight>'"),
+    ("v a\n", 1, "vertex record must be 'v <u> <weight>'"),
+    ("e a b 1\n# a\nv a 2\n", 3, "explicit weight 2.0 of vertex 'a' exceeds the incident minimum 1.0"),
+    # several offenders: the first v record in file order, even before its edges
+    ("v c 3\nv a 5\ne a b 1\ne c d -0\n", 1,
+     "explicit weight 3.0 of vertex 'c' exceeds the incident minimum 0.0"),
+]
+
+
+@pytest.mark.parametrize("text,line,message", READER_ERRORS)
+def test_reader_error_messages(text, line, message):
+    with pytest.raises(pc.FormatError) as err:
+        pc.parse_weighted_graph(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+# The same checks through the API: plain GraphErrors, reported in input order.
+API_ERRORS = [
+    (({("a", "a"): 1.0},), "self-loop at 'a'"),
+    (({("b", "a"): math.inf},), "edge ('a', 'b') has non-finite weight inf"),
+    (([(("a", "b"), 1.0), (("b", "a"), 2.0)],), "duplicate edge ('a', 'b')"),
+    (({}, {"a": math.nan}), "vertex 'a' has non-finite weight nan"),
+    (({}, [("a", 1.0), ("a", 2.0)]), "duplicate vertex weight for 'a'"),
+    (({("a", "b"): 1.0}, {"a": 2}), "explicit weight 2.0 of vertex 'a' exceeds the incident minimum 1.0"),
+    (({("a", "b"): 1.0, ("c", "d"): 1.0}, {"d": 2.0, "b": 0.5, "a": 3.0}),
+     "explicit weight 2.0 of vertex 'd' exceeds the incident minimum 1.0"),
+    (({("a", "b"): 1.0}, {}, ["a", "z", "y"]), "isolated vertex 'z' needs an explicit weight"),
+    (({("a", "b"): 1.0}, {"a": 5.0}, ["z"]),
+     "explicit weight 5.0 of vertex 'a' exceeds the incident minimum 1.0"),
+]
+
+
+@pytest.mark.parametrize("args,message", API_ERRORS)
+def test_weighted_graph_error_messages(args, message):
+    with pytest.raises(pc.GraphError) as err:
+        pc.weighted_graph(*args)
+    assert type(err.value) is pc.GraphError
+    assert str(err.value) == message
+
+
+def test_assembled_graph_meets_the_simple_graph_invariants():
+    text = "v z -0\ne c b -0\ne a b 2\nv a 1\n"
+    wg = pc.parse_weighted_graph(text)
+    assert wg == pc.weighted_graph({("b", "c"): 0.0, ("a", "b"): 2.0}, {"z": 0.0, "a": 1.0})
+    assert wg.graph == pc.SimpleGraph(wg.graph.vertices, wg.graph.edges)
+    assert wg.graph == pc.simple_graph("z", [("c", "b"), ("a", "b")])
+    assert hash(wg.graph) == hash(pc.simple_graph("z", [("c", "b"), ("a", "b")]))
+    assert wg.edge_weights == {("b", "c"): 0.0, ("a", "b"): 2.0}
+    assert wg.vertex_weights == {"a": 1.0, "b": 0.0, "c": 0.0, "z": 0.0}
+    assert all(math.copysign(1.0, w) == 1.0 for w in [*wg.edge_weights.values(), *wg.vertex_weights.values()])
+    assert wg.explicit == frozenset({"z", "a"})
+    assert pc.serialize_weighted_graph(wg) == "v a 1\nv z 0\ne a b 2\ne b c 0\n"

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -143,6 +144,69 @@ def test_round_trip_reconstruction(seed=43):
             for i, beta in enumerate(mids):
                 for gamma in mids[i:]:
                     assert pc.evaluate_diagram(d, beta, gamma) == pf.at(beta, gamma)
+
+
+def test_check_reconstruction_matches_midpoint_evaluation(seed=47):
+    # Corpus weights are multiples of 0.5, so the grid midpoints avoid every
+    # coordinate and evaluating there is an oracle.  Corrupted functions
+    # whose diagram still extracts, and diagrams with a point added or
+    # removed, must pass or fail exactly as the oracle does.
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(40):
+        wg = random_weighted_graph(rng, max_vertices=7)
+        filt, spec = pc.build_filtration(wg), rng.choice(ALL_SPECS)
+        pf = pc.persistence_function(filt, spec)
+        crit, m = pf.criticals, pf.grid_size
+        cases = [(pf, pc.extract_diagram(pf)), (pf, pc.graph_diagram(filt, spec))]
+        for _ in range(4):
+            rows = [list(r) for r in pf.rows]
+            i = rng.randrange(m)
+            rows[i][rng.randrange(m - i)] += rng.choice((-1, 1))
+            bad = pc.PersistenceFunction(crit, tuple(tuple(r) for r in rows), pf.inf_column)
+            try:
+                cases.append((bad, pc.extract_diagram(bad)))
+            except pc.PersistenceAxiomError:
+                pass
+            points = list(pc.extract_diagram(pf).points)
+            if points and rng.random() < 0.5:
+                points.pop(rng.randrange(len(points)))
+            else:
+                b = rng.randrange(m)
+                points.append(pc.Cornerpoint(crit[b], rng.choice([*crit[b + 1 :], math.inf])))
+            cases.append((pf, pc.diagram(points)))
+        mids = grid_midpoints(crit)
+        for f, d in cases:
+            agrees = all(
+                pc.evaluate_diagram(d, beta, gamma) == f.at(beta, gamma)
+                for i, beta in enumerate(mids)
+                for gamma in mids[i:]
+            )
+            message = pc.check_reconstruction(f, d)
+            assert (message is None) == agrees, (f, d, message)
+            verdicts.add(agrees)
+    assert verdicts == {True, False}
+
+
+def test_check_reconstruction_message_names_the_cell():
+    pf = pc.persistence_function(two_then_one(), pc.PropertySpec("components"))
+    assert pc.check_reconstruction(pf, pc.extract_diagram(pf)) is None
+    message = pc.check_reconstruction(pf, pc.diagram([pc.Cornerpoint(1.0, math.inf)]))
+    assert message == "reconstruction mismatch at p(1, 1): the diagram gives 1, the function 2"
+
+
+def test_check_reconstruction_is_quadratic_in_the_grid():
+    # 400 distinct critical values: evaluating the diagram cell by cell took
+    # seconds, running counts per row take milliseconds.
+    rng = random.Random(400)
+    wg = pc.weighted_graph({(f"v{i}", f"v{rng.randrange(i)}"): rng.random() for i in range(1, 401)})
+    filt = pc.build_filtration(wg)
+    pf = pc.persistence_function(filt, pc.PropertySpec("components"))
+    d = pc.graph_diagram(filt, pc.PropertySpec("components"))
+    assert pf.grid_size == 400
+    start = time.perf_counter()
+    assert pc.check_reconstruction(pf, d) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def test_axiom_checker_catches_corruption():

@@ -1,5 +1,6 @@
-"""Text round-trip properties of the four file formats, and the CLI's exit
-codes on arbitrary input, as hypothesis tests.
+"""Text round-trip properties of the four file formats, the stability of
+diagrams under perturbation, and the CLI's exit codes on arbitrary input, as
+hypothesis tests.
 
 Derandomized with fixed example counts, so every run checks the same inputs.
 """
@@ -17,7 +18,7 @@ st = hypothesis.strategies
 
 import perconn as pc  # noqa: E402
 from perconn import cli  # noqa: E402
-from corpus import random_gquiver  # noqa: E402
+from corpus import random_gquiver, random_weighted_graph  # noqa: E402
 
 FIXED = hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
 NAMES = st.text(alphabet="abqz09_.|-", min_size=1, max_size=3)
@@ -94,6 +95,29 @@ def test_poset_text_round_trip(p):
     assert set(again.elements) == set(p.elements)
     assert set(again.relation_pairs()) == set(p.relation_pairs())
     assert pc.serialize_poset(again) == text
+
+
+STABILITY_SPECS = [
+    pc.PropertySpec("components"),
+    *(pc.PropertySpec("clique", k) for k in (2, 3)),
+    *(pc.PropertySpec(kind, k) for kind in ("vertex_block", "edge_block") for k in (1, 2, 3)),
+]
+
+
+@hypothesis.settings(FIXED, max_examples=30)
+@hypothesis.given(
+    st.randoms(use_true_random=False),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_diagrams_are_stable_under_perturbation(rng, epsilon, seed):
+    # 10-30 vertices with tied weights from a small pool: past brute-force
+    # size, and the perturbation breaks the ties
+    wg = random_weighted_graph(rng, max_vertices=30, min_vertices=10, max_criticals=8, edge_prob=(0.05, 0.25))
+    f, g = pc.build_filtration(wg), pc.build_filtration(pc.perturb(wg, epsilon, seed))
+    for spec in STABILITY_SPECS:
+        dist = pc.bottleneck_distance(pc.graph_diagram(f, spec), pc.graph_diagram(g, spec))
+        assert dist <= epsilon + 1e-9, (spec, dist)
 
 
 # One invocation per command; FILE marks where the input files go.
