@@ -9,10 +9,7 @@ Four property kinds are supported:
   percolation communities; they may overlap and are unions of their member
   cliques rather than induced subgraphs.  A level's communities come from
   one enumeration of its k-cliques by ordered extension and a union-find
-  over their shared (k-1)-cliques.  Diagrams do not rebuild them level by
-  level: ``persistence.graph_diagram`` adds the edges in weight order and
-  joins only the k-cliques each new edge closes (sequential clique
-  percolation).
+  over their shared (k-1)-cliques.
 * ``vertex_block`` — deleting any fewer than k vertices (induced) leaves a
   nonempty connected graph.  Complete graphs on at least k vertices pass.
   Maximal components may overlap in fewer than k vertices.  For k = 2 they
@@ -27,10 +24,18 @@ Four property kinds are supported:
   deletion classes in ``quivers``.
 * ``edge_block`` — deleting any fewer than k edges (spanning) leaves a
   connected graph.  A single vertex passes for every k, so maximal
-  components partition the vertex set.  Vertices of degree below k are
-  peeled off as singletons and the rest is split along any cut of fewer
-  than k edges, found by Nagamochi-Ibaraki contraction, until no such cut
-  is left.
+  components partition the vertex set.  For k = 2 they are the connected
+  components left once the bridges (the K2 blocks of the biconnected
+  search) are deleted.  For k >= 3 vertices of degree below k are peeled
+  off as singletons and the rest is split along any cut of fewer than k
+  edges, found by Nagamochi-Ibaraki contraction, until no such cut is
+  left.
+
+These providers give the components of one graph.  Diagrams build them
+level by level only for blocks at k >= 3: ``persistence.graph_diagram``
+sweeps components, clique communities (joining the k-cliques each new
+edge closes) and blocks at k <= 2 in one pass over the edges in weight
+order, with no provider call.
 """
 
 from __future__ import annotations
@@ -181,6 +186,12 @@ def vertex_blocks(adj: dict, k: int) -> list[frozenset]:
 
 def _edge_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
     adj = g.adjacency()
+    if k == 2:
+        # a K2 block is a bridge; without the bridges the classes are the components
+        for u, v in [b for b in biconnected_components(adj) if len(b) == 2]:
+            adj[u].discard(v)
+            adj[v].discard(u)
+        return _induced_sorted(adj, connected_vertex_sets(adj))
     out: list[set[str]] = []
     stack = [set(adj)]
     while stack:

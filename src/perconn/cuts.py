@@ -41,6 +41,14 @@ class UnionFind:
         self.count -= 1
         return ra
 
+    def attach(self, a: int, b: int) -> None:
+        """Hang the root a directly under b, whatever the sizes, so that the
+        root of b's class stays the root of the joined class."""
+        rb = self.find(b)
+        self.parent[a] = b
+        self.size[rb] += self.size[a]
+        self.count -= 1
+
     def roots(self) -> list[int]:
         """One member per class: its root."""
         return [a for a, p in enumerate(self.parent) if a == p]

@@ -11,11 +11,22 @@ Diagrams come from one elder-rule sweep over such a forest: a union-find
 whose roots carry the earliest birth of their class, where a union at value
 w ends the younger class's bar (birth, w) and every class left at the end
 gives (birth, inf).  ``graph_diagram`` feeds it the cheapest forest for
-each property: the edges in weight order over the vertices for plain
-components, the k-cliques each new edge closes (sequential clique
-percolation, Kumpula et al. 2008) for clique communities, and the
-successor maps of the per-level components for everything else.  Births
-and deaths are always critical values of the filtration.
+each property, and only blocks at k >= 3 build per-level components:
+
+* plain components, and blocks at k = 1: the edges in weight order over
+  the vertices;
+* clique communities: the k-cliques each new edge closes (sequential
+  clique percolation, Kumpula et al. 2008);
+* blocks at k = 2: the non-tree edges of one spanning forest in weight
+  order, each merging the vertices (edge blocks) or the edges (vertex
+  blocks) along its tree path, with jumps over what earlier paths joined
+  (incremental 2-edge and 2-vertex connectivity, after Westbrook and
+  Tarjan, Algorithmica 7, 1992);
+* blocks at k >= 3: the successor maps of the per-level components, where
+  each component is tested only against the next level's components that
+  hold one of its vertices.
+
+Births and deaths are always critical values of the filtration.
 
 The tabulated grid serves ``verify`` and the test oracles: values are
 tabulated on critical values only, because between consecutive criticals
@@ -38,6 +49,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .cuts import UnionFind, cliques_within
@@ -137,7 +149,7 @@ class PersistenceFunction:
 
 
 def _successor_maps(
-    criticals: Sequence[float], level_components, contains: Callable
+    criticals: Sequence[float], level_components, contains: Callable, vertices: Callable | None = None
 ) -> list[list[int]]:
     """succ[j][a]: index of the level-j component that contains level-(j-1)
     component a; succ[0] is empty.
@@ -145,14 +157,24 @@ def _successor_maps(
     ``contains(d, c)`` decides whether component ``d`` of level j - 1 is
     included in component ``c`` of level j.  A component that lies in no or
     in several components of the next level breaks the union property and
-    raises PersistenceAxiomError.
+    raises PersistenceAxiomError.  With ``vertices`` (the vertex set of a
+    component) ``d`` is tested only against the level-j components that
+    hold one of its vertices: any component containing ``d`` holds that
+    vertex, so the hits are the same as in a scan of the whole level.
     """
     succ: list[list[int]] = [[]]
     for j in range(1, len(criticals)):
         later = level_components[j]
+        holders: dict = defaultdict(list)
+        if vertices is not None:
+            for b, c in enumerate(later):
+                for x in vertices(c):
+                    holders[x].append(b)
         row = []
         for a, d in enumerate(level_components[j - 1]):
-            hits = [b for b, c in enumerate(later) if contains(d, c)]
+            x = next(iter(vertices(d)), None) if vertices is not None else None
+            candidates = range(len(later)) if x is None else holders[x]
+            hits = [b for b in candidates if contains(d, later[b])]
             if len(hits) != 1:
                 raise PersistenceAxiomError(
                     f"component {a} of the level at {criticals[j - 1]!r} lies in "
@@ -174,10 +196,13 @@ def tabulate_persistence(
     ``level_components[j]`` lists the maximal components of the level at
     ``criticals[j]``; ``contains`` is as in ``successor_diagram``.
     """
+    return _tabulate(criticals, level_components, _successor_maps(criticals, level_components, contains))
+
+
+def _tabulate(criticals: Sequence[float], level_components, succ: list[list[int]]) -> PersistenceFunction:
     m = len(criticals)
     if m == 0:
         raise ValueError("a filtration needs at least one critical value")
-    succ = _successor_maps(criticals, level_components, contains)
     rows = []
     for i in range(m):
         image = set(range(len(level_components[i])))
@@ -200,13 +225,15 @@ def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
     Each level's maximal components come from the connectivity provider
     for ``spec``; component inclusion is subgraph inclusion.
     """
-    return tabulate_persistence(filt.criticals, _level_components(filt, spec), _graph_contains)
+    return _tabulate(filt.criticals, *_graph_levels(filt, spec))
 
 
-def _level_components(filt: Filtration, spec) -> list:
+def _graph_levels(filt: Filtration, spec) -> tuple[list, list[list[int]]]:
+    """Per-level components of a graph filtration and their successor maps."""
     from .connectivity import property_components
 
-    return [property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+    levels = [property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+    return levels, _successor_maps(filt.criticals, levels, _graph_contains, attrgetter("vertices"))
 
 
 def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]) -> Diagram:
@@ -245,7 +272,10 @@ def successor_diagram(criticals: Sequence[float], level_components, contains: Ca
     component is born at c_j and joins, at c_j, the level-(j-1) components
     that map into it.  No levels give the empty diagram.
     """
-    succ = _successor_maps(criticals, level_components, contains)
+    return _forest_diagram(criticals, level_components, _successor_maps(criticals, level_components, contains))
+
+
+def _forest_diagram(criticals: Sequence[float], level_components, succ: list[list[int]]) -> Diagram:
     births: list[float] = []
     merges: list[tuple[int, int, float]] = []
     prev = 0
@@ -282,26 +312,119 @@ def _clique_percolation(edges, k: int) -> tuple[list[float], list[tuple[int, int
     return births, merges
 
 
+def _rooted_forest(n: int, edges) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Kruskal's spanning forest of ``edges`` over vertices 0..n-1, rooted.
+
+    ``edges`` holds (u, v, weight) in nondecreasing weight.  Returns each
+    vertex's parent (itself at a root), the index of the tree edge to its
+    parent (-1 at a root), its depth, and the indices of the non-tree edges
+    in order.  The tree path between the ends of a non-tree edge uses only
+    edges sorted before it, so it is there at the non-tree edge's weight.
+    """
+    uf = UnionFind(n)
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    cycles = []
+    for i, (u, v, _) in enumerate(edges):
+        if uf.find(u) == uf.find(v):
+            cycles.append(i)
+        else:
+            uf.union(u, v)
+            tree[u].append((v, i))
+            tree[v].append((u, i))
+    parent = list(range(n))
+    up = [-1] * n
+    depth = [-1] * n
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, i in tree[x]:
+                if depth[y] < 0:
+                    parent[y], up[y], depth[y] = x, i, depth[x] + 1
+                    stack.append(y)
+    return parent, up, depth, cycles
+
+
+def _bridge_merges(n: int, edges) -> list[tuple[int, int, float]]:
+    """Merges of the vertices into 2-edge-connected classes, in weight order.
+
+    A tree edge stops being a bridge at the first non-tree edge whose path
+    covers it, which then merges its two ends.  ``jump`` finds the top of
+    the covered subtree above a vertex, so each tree edge is walked once.
+    """
+    parent, _, depth, cycles = _rooted_forest(n, edges)
+    jump = UnionFind(n)
+    merges = []
+    for i in cycles:
+        u, v, w = edges[i]
+        x, y = jump.find(u), jump.find(v)
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            merges.append((x, parent[x], w))
+            jump.attach(x, parent[x])
+            x = jump.find(x)
+    return merges
+
+
+def _block_merges(n: int, edges) -> list[tuple[int, int, float]]:
+    """Merges of the edges (nodes: edge indices) into biconnected blocks, in
+    weight order.
+
+    Each non-tree edge merges with every tree edge on its path.  A walk
+    that takes the tree edge above x and then the one above parent(x)
+    joins x to parent(x) in ``jump``: a spanning tree meets each block in a
+    subtree, so the two edges lie in one block from then on, and later
+    walks skip from x to the top of its class.  A jump may pass the
+    meeting point of the two ends, but only over edges of the block the
+    walk joins anyway.
+    """
+    parent, up, depth, cycles = _rooted_forest(n, edges)
+    jump = UnionFind(n)
+    merges = []
+    for i in cycles:
+        x, y, w = edges[i]
+        tx = ty = -1  # top of the class this side took last
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y, tx, ty = y, x, ty, tx
+            merges.append((i, up[x], w))
+            if tx >= 0:
+                jump.attach(tx, x)
+            tx = jump.find(x)
+            x = parent[tx]
+    return merges
+
+
 def graph_diagram(filt: Filtration, spec) -> Diagram:
     """Persistence diagram of a graph filtration under a property, by one
     elder-rule sweep.
 
     Plain components (and vertex and edge blocks at k = 1) sweep the edges
     in weight order over vertices born at their weights; clique communities
-    sweep the k-cliques each edge closes; other properties sweep the
-    successor forest of their per-level components.
+    sweep the k-cliques each edge closes.  Blocks at k = 2 sweep one
+    spanning forest: each non-tree edge, in weight order, merges the
+    vertices (edge blocks) or the edges (vertex blocks) along its tree
+    path.  Blocks at k >= 3 build per-level components and sweep their
+    successor forest.
     """
-    if spec.kind not in ("components", "clique") and spec.k > 1:
-        return successor_diagram(filt.criticals, _level_components(filt, spec), _graph_contains)
+    if spec.kind in ("vertex_block", "edge_block") and spec.k > 2:
+        return _forest_diagram(filt.criticals, *_graph_levels(filt, spec))
     wg = filt.source
     edges = sorted(wg.edge_weights.items(), key=lambda item: item[1])
     if spec.kind == "clique":
-        births, merges = _clique_percolation(edges, spec.k)
-    else:
-        index = {v: i for i, v in enumerate(wg.vertex_weights)}
-        births = list(wg.vertex_weights.values())
-        merges = [(index[u], index[v], w) for (u, v), w in edges]
-    return elder_rule(births, merges)
+        return elder_rule(*_clique_percolation(edges, spec.k))
+    index = {v: i for i, v in enumerate(wg.vertex_weights)}
+    pairs = [(index[u], index[v], w) for (u, v), w in edges]
+    births = list(wg.vertex_weights.values())
+    if spec.kind == "components" or spec.k == 1:
+        return elder_rule(births, pairs)
+    if spec.kind == "edge_block":
+        return elder_rule(births, _bridge_merges(len(index), pairs))
+    return elder_rule([w for _, _, w in pairs], _block_merges(len(index), pairs))
 
 
 def check_axioms(pf: PersistenceFunction) -> str | None:

@@ -204,3 +204,65 @@ def relabeled_copy(rng: random.Random, wg: pc.WeightedGraph) -> pc.WeightedGraph
     edges = {(ren[u], ren[v]): w for (u, v), w in wg.edge_weights.items()}
     explicit = {ren[v]: w for v, w in wg.vertex_weights.items() if v in wg.explicit}
     return pc.weighted_graph(edges, explicit)
+
+
+def sparse_graph_edges(rng: random.Random, n: int) -> list[tuple[str, str]]:
+    """2n distinct random edges on n vertices."""
+    edges: set[tuple[str, str]] = set()
+    while len(edges) < 2 * n:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((f"v{a:04d}", f"v{b:04d}"))
+    return sorted(edges)
+
+
+def path_with_chords(rng: random.Random, n: int, tied: bool) -> pc.WeightedGraph:
+    """A path on n vertices plus about n / 10 chords between random vertices.
+
+    Every chord weighs more than every path edge, so the path is the
+    spanning tree and the tree path of a chord is as long as its span.
+    """
+    edges = {(f"p{i:05d}", f"p{i + 1:05d}"): _weight(rng, tied) for i in range(n - 1)}
+    for _ in range(n // 10):
+        a, b = sorted(rng.sample(range(n), 2))
+        if b > a + 1:
+            edges[(f"p{a:05d}", f"p{b:05d}")] = _weight(rng, tied) + 8
+    return pc.weighted_graph(edges)
+
+
+def triangle_bridge_chain(links: int) -> list[tuple[str, str]]:
+    """Triangles in a row, each joined to the next by a bridge."""
+    edges = []
+    for i in range(links):
+        a, b, c = (f"t{i:04d}{x}" for x in "abc")
+        edges += [(a, b), (a, c), (b, c)]
+        if i:
+            edges.append((f"t{i - 1:04d}c", a))
+    return edges
+
+
+def cycles_at_one_vertex(cycles: int, length: int) -> list[tuple[str, str]]:
+    """Cycles of the given length that share the vertex 'hub' and nothing else."""
+    edges = []
+    for i in range(cycles):
+        ring = ["hub", *(f"c{i:03d}_{j:03d}" for j in range(1, length))]
+        edges += [(ring[j], ring[(j + 1) % length]) for j in range(length)]
+    return edges
+
+
+def k4_star(arms: int) -> list[tuple[str, str]]:
+    """K4s, each joined to the vertex 'hub' by one edge."""
+    edges = []
+    for i in range(arms):
+        quad = [f"k{i:03d}{x}" for x in "abcd"]
+        edges += list(combinations(quad, 2))
+        edges.append((quad[0], "hub"))
+    return edges
+
+
+def _weight(rng: random.Random, tied: bool) -> float:
+    """From 1-8 in halves (tied) or uniform on [0, 1) (distinct)."""
+    return rng.randint(2, 16) / 2 if tied else rng.random()
+
+
+def weigh(rng: random.Random, edges, tied: bool) -> pc.WeightedGraph:
+    return pc.weighted_graph({e: _weight(rng, tied) for e in edges})

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import perconn as pc
 import oracles
 from perconn.cuts import edge_cut_below
-from corpus import random_weighted_graph
+from corpus import random_weighted_graph, triangle_bridge_chain
 
 
 def complete(names):
@@ -251,6 +252,17 @@ def test_edge_blocks_match_networkx():
             assert _vertex_sets(comps) == expected, (k, sorted(g.edges))
 
 
+def test_edge_blocks_at_k2_are_linear_on_bridge_chains():
+    # splitting along one cut and restarting on each side took 22.9 s on this chain
+    nx = pytest.importorskip("networkx")
+    g = pc.simple_graph(edges=triangle_bridge_chain(1000))
+    start = time.perf_counter()
+    comps = pc.property_components(g, pc.PropertySpec("edge_block", 2))
+    assert time.perf_counter() - start < 1.0
+    assert len(comps) == 1000
+    assert _vertex_sets(comps) == sorted(sorted(s) for s in nx.k_edge_components(_to_networkx(nx, g), 2))
+
+
 def test_edge_block_contraction_stops_below_k():
     # an MA ordering from a1 runs a1 a2 a3 a4 b1, and b1 attaches to the
     # first four by exactly two edges: contracting a4 with b1 at k = 3
@@ -293,7 +305,7 @@ def _networkx_level_sets(nx, wg, crit, kind, k):
     return [frozenset(s) for s in nx.biconnected_components(level)]
 
 
-@pytest.mark.parametrize("kind,k", [("edge_block", 3), ("vertex_block", 2)])
+@pytest.mark.parametrize("kind,k", [("edge_block", 2), ("edge_block", 3), ("vertex_block", 2)])
 def test_block_diagrams_match_networkx_levels(kind, k):
     nx = pytest.importorskip("networkx")
     rng = random.Random(47)
@@ -309,6 +321,7 @@ def test_block_diagrams_match_networkx_levels(kind, k):
     pf = pc.persistence_function(filt, spec)
     assert pf == expected
     assert pc.extract_diagram(pf) == pc.extract_diagram(expected)
+    assert pc.graph_diagram(filt, spec) == pc.extract_diagram(expected)
     assert len(pc.extract_diagram(pf).points) > 1
 
 

@@ -7,7 +7,16 @@ import pytest
 
 import oracles
 import perconn as pc
-from corpus import random_gquiver, random_weighted_graph
+from corpus import (
+    cycles_at_one_vertex,
+    k4_star,
+    path_with_chords,
+    random_gquiver,
+    random_weighted_graph,
+    sparse_graph_edges,
+    triangle_bridge_chain,
+    weigh,
+)
 
 ALL_SPECS = [
     pc.PropertySpec("components"),
@@ -24,6 +33,9 @@ SWEEP_SPECS = [
     *(pc.PropertySpec("clique", k) for k in (2, 3, 4)),
     *(pc.PropertySpec(kind, k) for kind in ("vertex_block", "edge_block") for k in (1, 2, 3)),
 ]
+# the specs whose diagrams come from one sweep, with no per-level provider
+PROVIDER_FREE = [spec for spec in SWEEP_SPECS if spec.kind in ("components", "clique") or spec.k <= 2]
+K2_BLOCKS = [pc.PropertySpec("edge_block", 2), pc.PropertySpec("vertex_block", 2)]
 
 
 def two_then_one():
@@ -52,7 +64,7 @@ def _sweep_corpus(seed):
         vs = [f"v{i:02d}" for i in range(rng.randint(15, 40))]
         p = rng.uniform(0.2, 0.45)
         lines = [f"e {a} {b} {rng.randint(1, 40) / 2}\n" for a, b in combinations(vs, 2) if rng.random() < p]
-        yield pc.parse_weighted_graph("".join(lines)), SWEEP_SPECS[:4]
+        yield pc.parse_weighted_graph("".join(lines)), PROVIDER_FREE
 
 
 def test_sweep_matches_grid_and_oracle(seed=71):
@@ -72,6 +84,64 @@ def test_sweep_matches_grid_and_oracle(seed=71):
             assert pc.serialize_diagram(swept) == pc.serialize_diagram(grid)
             finite[spec.label()] += len(swept.finite_points())
     assert min(finite.values()) > 5, finite
+
+
+def _per_level_diagram(filt, spec):
+    """The diagram from every level's provider components, by a successor
+    scan over all component pairs of adjacent levels."""
+    levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+    return pc.successor_diagram(filt.criticals, levels, lambda d, c: c.includes(d))
+
+
+def _check_k2_sweeps(wg):
+    """Both k = 2 sweeps equal the per-level path, text included; returns
+    the number of finite points they found."""
+    filt = pc.build_filtration(wg)
+    finite = 0
+    for spec in K2_BLOCKS:
+        swept, expected = pc.graph_diagram(filt, spec), _per_level_diagram(filt, spec)
+        assert swept == expected, spec.label()
+        assert pc.serialize_diagram(swept) == pc.serialize_diagram(expected)
+        finite += len(swept.finite_points())
+    return finite
+
+
+@pytest.mark.parametrize("n,tied", [(100, False), (150, False), (300, True), (500, True)])
+def test_k2_block_sweeps_match_per_level_path_at_scale(n, tied):
+    rng = random.Random(n)
+    assert _check_k2_sweeps(weigh(rng, sparse_graph_edges(rng, n), tied)) > 10
+
+
+SHAPES = {
+    "path with chords": lambda rng, tied: path_with_chords(rng, 120, tied),
+    "triangle-bridge chain": lambda rng, tied: weigh(rng, triangle_bridge_chain(30), tied),
+    "cycles at one vertex": lambda rng, tied: weigh(rng, cycles_at_one_vertex(8, 12), tied),
+    "star of K4s": lambda rng, tied: weigh(rng, k4_star(20), tied),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_k2_block_sweeps_on_adversarial_shapes(shape):
+    rng = random.Random(shape)
+    for tied in (False, True):
+        assert _check_k2_sweeps(SHAPES[shape](rng, tied)) > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda rng: path_with_chords(rng, 20000, False), lambda rng: weigh(rng, triangle_bridge_chain(1000), False)],
+    ids=["path with chords", "triangle-bridge chain"],
+)
+def test_k2_block_sweeps_scale_linearly(make):
+    # The per-level path took seconds at 200 vertices, and a walk that took
+    # every tree edge of every chord, with no jumps, would be quadratic on
+    # the long path.
+    filt = pc.build_filtration(make(random.Random(7)))
+    for spec in K2_BLOCKS:
+        start = time.perf_counter()
+        d = pc.graph_diagram(filt, spec)
+        assert time.perf_counter() - start < 2.0, spec.label()
+        assert d.finite_points()
 
 
 def test_engine_example_table_and_diagram():

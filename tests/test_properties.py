@@ -1,6 +1,6 @@
 """Text round-trip properties of the four file formats, the stability of
-diagrams under perturbation, and the CLI's exit codes on arbitrary input, as
-hypothesis tests.
+diagrams under perturbation, the k = 2 block sweeps against the per-level
+path, and the CLI's exit codes on arbitrary input, as hypothesis tests.
 
 Derandomized with fixed example counts, so every run checks the same inputs.
 """
@@ -118,6 +118,19 @@ def test_diagrams_are_stable_under_perturbation(rng, epsilon, seed):
     for spec in STABILITY_SPECS:
         dist = pc.bottleneck_distance(pc.graph_diagram(f, spec), pc.graph_diagram(g, spec))
         assert dist <= epsilon + 1e-9, (spec, dist)
+
+
+@hypothesis.settings(FIXED, max_examples=150)
+@hypothesis.given(weighted_graphs(), st.randoms(use_true_random=False), st.integers(1, 6))
+def test_k2_block_sweeps_match_per_level_successor_diagrams(wg, rng, criticals):
+    # arbitrary floats, and up to 16 vertices with weights from a small pool
+    tied = random_weighted_graph(rng, max_vertices=16, max_criticals=criticals, edge_prob=(0.1, 0.5))
+    for filt in (pc.build_filtration(wg), pc.build_filtration(tied)):
+        for kind in ("edge_block", "vertex_block"):
+            spec = pc.PropertySpec(kind, 2)
+            levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+            expected = pc.successor_diagram(filt.criticals, levels, lambda d, c: c.includes(d))
+            assert pc.graph_diagram(filt, spec) == expected, kind
 
 
 # One invocation per command; FILE marks where the input files go.
