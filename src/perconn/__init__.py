@@ -35,9 +35,9 @@ from .persistence import (
     check_reconstruction,
     diagram,
     elder_rule,
-    evaluate_diagram,
     extract_diagram,
     graph_diagram,
+    index_diagram,
     parse_diagram,
     persistence_function,
     serialize_diagram,
@@ -67,14 +67,12 @@ from .quivers import (
     GroupAction,
     Quiver,
     QuiverError,
-    QuiverFiltration,
     gq_components,
     gq_persistence,
     gq_persistence_function,
     gquiver,
     is_equivariantly_connected,
     is_gq_connected,
-    orbit_filtration,
     orbits,
     parse_gquiver,
     quiver,

@@ -19,9 +19,6 @@ Four property kinds are supported:
   vertex lies in one block at most, its closed neighbourhood when that is a
   k-clique), and splits the rest along vertex cuts smaller than k (Menger,
   by max-flow on the split network), followed by a maximality filter.
-  ``vertex_blocks`` does this on a bare adjacency dict, so the same search
-  serves simple graphs here and the orbit graphs of the equivariant
-  deletion classes in ``quivers``.
 * ``edge_block`` — deleting any fewer than k edges (spanning) leaves a
   connected graph.  A single vertex passes for every k, so maximal
   components partition the vertex set.  For k = 2 they are the connected
@@ -31,17 +28,19 @@ Four property kinds are supported:
   edges, found by Nagamochi-Ibaraki contraction, until no such cut is
   left.
 
-These providers give the components of one graph.  Diagrams build them
-level by level only for blocks at k >= 3: ``persistence.graph_diagram``
-sweeps components, clique communities (joining the k-cliques each new
-edge closes) and blocks at k <= 2 in one pass over the edges in weight
-order, with no provider call.
+``vertex_blocks`` and ``edge_blocks`` search a bare adjacency dict for
+vertex sets; ``property_components`` wraps them in induced subgraphs, and
+``block_levels`` runs them on every level of a filtered graph on integer
+vertices for the diagram engine (``persistence.index_diagram``).  Only
+blocks at k >= 3 need those levels: the engine sweeps the other properties
+in one pass over the edges in weight order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .cuts import (
     UnionFind,
@@ -80,11 +79,6 @@ class PropertySpec:
 
 def _component_sort_key(g: SimpleGraph):
     return tuple(sorted(g.vertices))
-
-
-def _plain_components(g: SimpleGraph) -> list[SimpleGraph]:
-    adj = g.adjacency()
-    return _induced_sorted(adj, connected_vertex_sets(adj))
 
 
 def _clique_classes(g: SimpleGraph, k: int) -> tuple[list[frozenset[str]], list[list[int]]]:
@@ -184,27 +178,63 @@ def vertex_blocks(adj: dict, k: int) -> list[frozenset]:
     return keep
 
 
-def _edge_block_components(g: SimpleGraph, k: int) -> list[SimpleGraph]:
-    adj = g.adjacency()
+def edge_blocks(adj: dict, k: int) -> list[frozenset]:
+    """Maximal vertex sets of the graph ``adj`` that stay connected after
+    deleting any fewer than k of their edges (spanning), in no fixed order.
+    They partition the vertices; vertices may be any sortable hashables."""
+    if k == 1:
+        return [frozenset(c) for c in connected_vertex_sets(adj)]
     if k == 2:
         # a K2 block is a bridge; without the bridges the classes are the components
+        adj = {v: set(nbrs) for v, nbrs in adj.items()}
         for u, v in [b for b in biconnected_components(adj) if len(b) == 2]:
             adj[u].discard(v)
             adj[v].discard(u)
-        return _induced_sorted(adj, connected_vertex_sets(adj))
-    out: list[set[str]] = []
+        return [frozenset(c) for c in connected_vertex_sets(adj)]
+    out: list[frozenset] = []
     stack = [set(adj)]
     while stack:
         sub = _restrict(adj, stack.pop())
         # a vertex of degree below k is a block of its own
-        out += ({v} for v, _ in _peel(sub, k))
+        out += (frozenset((v,)) for v, _ in _peel(sub, k))
         for comp in connected_vertex_sets(sub):
             side = edge_cut_below({v: sub[v] for v in comp}, k)
             if side is None:
-                out.append(comp)
+                out.append(frozenset(comp))
             else:
                 stack += (side, comp - side)
-    return _induced_sorted(adj, out)
+    return out
+
+
+def _block_search(spec: PropertySpec):
+    """The maximal-vertex-set search for components or a block kind, and its k."""
+    if spec.kind == "components":
+        return vertex_blocks, 1
+    return (edge_blocks if spec.kind == "edge_block" else vertex_blocks), spec.k
+
+
+def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[frozenset[int]]]:
+    """Maximal vertex sets (``spec``: components or a block kind) of each
+    level of a filtered graph: vertex i is born at ``births[i]``, an
+    (u, v, w) edge enters at w, and one adjacency grows level by level.
+    """
+    blocks, k = _block_search(spec)
+    born = sorted(range(len(births)), key=births.__getitem__)
+    edges = sorted(edges, key=itemgetter(2))
+    adj: dict[int, set[int]] = {}
+    levels = []
+    i = e = 0
+    for c in criticals:
+        while i < len(born) and births[born[i]] <= c:
+            adj[born[i]] = set()
+            i += 1
+        while e < len(edges) and edges[e][2] <= c:
+            u, v, _ = edges[e]
+            adj[u].add(v)
+            adj[v].add(u)
+            e += 1
+        levels.append(blocks(adj, k))
+    return levels
 
 
 def _induced_sorted(adj: dict[str, set[str]], vertex_sets) -> list[SimpleGraph]:
@@ -221,18 +251,13 @@ def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]
     For components and edge blocks these partition (a subset of) the
     vertices; clique communities and vertex blocks may overlap.
     """
-    if spec.kind == "components":
-        return _plain_components(g)
     if spec.kind == "clique":
         cliques, classes = _clique_classes(g, spec.k)
         comms = [_clique_union(cliques, idxs) for idxs in classes]
         return sorted(comms, key=_component_sort_key)
-    if spec.kind == "vertex_block":
-        adj = g.adjacency()
-        return _induced_sorted(adj, vertex_blocks(adj, spec.k))
-    if spec.k == 1:
-        return _plain_components(g)
-    return _edge_block_components(g, spec.k)
+    blocks, k = _block_search(spec)
+    adj = g.adjacency()
+    return _induced_sorted(adj, blocks(adj, k))
 
 
 def contains_property_subgraph(g: SimpleGraph, spec: PropertySpec) -> bool:

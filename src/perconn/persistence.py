@@ -10,8 +10,10 @@ level-i components under the composed successor maps from level i to j.
 Diagrams come from one elder-rule sweep over such a forest: a union-find
 whose roots carry the earliest birth of their class, where a union at value
 w ends the younger class's bar (birth, w) and every class left at the end
-gives (birth, inf).  ``graph_diagram`` feeds it the cheapest forest for
-each property, and only blocks at k >= 3 build per-level components:
+gives (birth, inf).  One engine feeds it from a filtered graph on integer
+vertices, ``index_diagram``: ``graph_diagram`` and ``quivers.gq_persistence``
+(on the weighted orbit graph of a G-quiver) both call it.  It sweeps the
+cheapest forest for each property; only blocks at k >= 3 build levels:
 
 * plain components, and blocks at k = 1: the edges in weight order over
   the vertices;
@@ -22,16 +24,17 @@ each property, and only blocks at k >= 3 build per-level components:
   blocks) along its tree path, with jumps over what earlier paths joined
   (incremental 2-edge and 2-vertex connectivity, after Westbrook and
   Tarjan, Algorithmica 7, 1992);
-* blocks at k >= 3: the successor maps of the per-level components, where
-  each component is tested only against the next level's components that
-  hold one of its vertices.
+* blocks at k >= 3: the successor maps of the per-level maximal vertex
+  sets (``connectivity.block_levels``), where each set is tested only
+  against the next level's sets that hold one of its vertices.
 
 Births and deaths are always critical values of the filtration.
 
-The tabulated grid serves ``verify`` and the test oracles: values are
-tabulated on critical values only, because between consecutive criticals
-the filtration is constant, and the value at (u, infinity) equals the
-value at (u, last critical) because filtrations stabilize.
+The tabulated grid serves ``verify``, ``quivers.gq_persistence_function``
+and the test oracles: values are tabulated on critical values only,
+because between consecutive criticals the filtration is constant, and the
+value at (u, infinity) equals the value at (u, last critical) because
+filtrations stabilize.
 ``extract_diagram`` reads the cornerpoints back by inclusion-exclusion: the
 multiplicity of a proper cornerpoint (c_i, c_j) is
 
@@ -49,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cuts import UnionFind, cliques_within
@@ -295,11 +298,11 @@ def _clique_percolation(edges, k: int) -> tuple[list[float], list[tuple[int, int
     weight that merges, at that weight, with the earlier owner of each of
     its (k-1)-clique facets.
     """
-    adj: dict[str, set[str]] = defaultdict(set)
+    adj: dict[int, set[int]] = defaultdict(set)
     births: list[float] = []
     merges: list[tuple[int, int, float]] = []
-    owner: dict[tuple[str, ...], int] = {}
-    for (u, v), w in edges:
+    owner: dict[tuple[int, ...], int] = {}
+    for u, v, w in edges:
         for rest in cliques_within(adj, adj[u] & adj[v], k - 2):
             q = len(births)
             births.append(w)
@@ -399,32 +402,37 @@ def _block_merges(n: int, edges) -> list[tuple[int, int, float]]:
     return merges
 
 
-def graph_diagram(filt: Filtration, spec) -> Diagram:
-    """Persistence diagram of a graph filtration under a property, by one
-    elder-rule sweep.
+def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, spec) -> Diagram:
+    """Persistence diagram of a filtered graph on vertices 0..n-1, by one
+    elder-rule sweep of the forest for ``spec`` (see the module docstring).
 
-    Plain components (and vertex and edge blocks at k = 1) sweep the edges
-    in weight order over vertices born at their weights; clique communities
-    sweep the k-cliques each edge closes.  Blocks at k = 2 sweep one
-    spanning forest: each non-tree edge, in weight order, merges the
-    vertices (edge blocks) or the edges (vertex blocks) along its tree
-    path.  Blocks at k >= 3 build per-level components and sweep their
-    successor forest.
+    Vertex i is born at ``births[i]``; each (u, v, w) edge enters at w, no
+    earlier than its ends.  ``criticals`` are the filtration's critical
+    values: blocks at k >= 3 take their levels there.
     """
     if spec.kind in ("vertex_block", "edge_block") and spec.k > 2:
-        return _forest_diagram(filt.criticals, *_graph_levels(filt, spec))
-    wg = filt.source
-    edges = sorted(wg.edge_weights.items(), key=lambda item: item[1])
+        from .connectivity import block_levels
+
+        levels = block_levels(criticals, births, edges, spec)
+        succ = _successor_maps(criticals, levels, frozenset.issubset, lambda s: s)
+        return _forest_diagram(criticals, levels, succ)
+    edges = sorted(edges, key=itemgetter(2))
     if spec.kind == "clique":
         return elder_rule(*_clique_percolation(edges, spec.k))
-    index = {v: i for i, v in enumerate(wg.vertex_weights)}
-    pairs = [(index[u], index[v], w) for (u, v), w in edges]
-    births = list(wg.vertex_weights.values())
     if spec.kind == "components" or spec.k == 1:
-        return elder_rule(births, pairs)
+        return elder_rule(births, edges)
     if spec.kind == "edge_block":
-        return elder_rule(births, _bridge_merges(len(index), pairs))
-    return elder_rule([w for _, _, w in pairs], _block_merges(len(index), pairs))
+        return elder_rule(births, _bridge_merges(len(births), edges))
+    return elder_rule([w for _, _, w in edges], _block_merges(len(births), edges))
+
+
+def graph_diagram(filt: Filtration, spec) -> Diagram:
+    """Persistence diagram of a graph filtration under a property: the
+    weighted graph on vertex indices, swept by ``index_diagram``."""
+    wg = filt.source
+    index = {v: i for i, v in enumerate(wg.vertex_weights)}
+    edges = [(index[u], index[v], w) for (u, v), w in wg.edge_weights.items()]
+    return index_diagram(filt.criticals, list(wg.vertex_weights.values()), edges, spec)
 
 
 def check_axioms(pf: PersistenceFunction) -> str | None:
@@ -538,23 +546,6 @@ def check_reconstruction(pf: PersistenceFunction, d: Diagram) -> str | None:
                 )
             count += alive[j]
     return None
-
-
-def evaluate_diagram(d: Diagram, beta: float, gamma: float) -> int:
-    """Sum of multiplicities with birth < beta and death > gamma.
-
-    beta and gamma must avoid the coordinates of the diagram (these are the
-    only possible discontinuity lines of the reconstructed function) and
-    satisfy beta <= gamma, gamma finite.
-    """
-    if beta > gamma:
-        raise ValueError("evaluation needs beta <= gamma")
-    if math.isinf(gamma) or math.isinf(beta):
-        raise ValueError("evaluation points must be finite")
-    coords = {p.birth for p in d.points} | {p.death for p in d.points if not p.is_infinite}
-    if beta in coords or gamma in coords:
-        raise ValueError("evaluation at a discontinuity point is not defined")
-    return sum(p.multiplicity for p in d.points if p.birth < beta and p.death > gamma)
 
 
 def serialize_diagram(d: Diagram) -> str:

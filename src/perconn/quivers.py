@@ -19,23 +19,30 @@ incident arrows), and ``fixed_vertex_deletion`` (drop fewer than k
 vertices fixed by every generator).  k defaults to 2; k = 1 degenerates to
 the isomorphisms class.
 
-The deletion classes are vertex blocks of the orbit graph
-(``connectivity.vertex_blocks``): ``orbit_deletion:k`` is ``vertex_block:k``
-there.  For ``fixed_vertex_deletion:k`` each orbit of two or more vertices,
-which may not be deleted, becomes k mutually adjacent twins joined to every
-copy of its orbit neighbours.  A deletion budget below k never removes all
-twins, and a maximal block holds all twins of an orbit or none, so blocks
-read back by orbit index are exactly the maximal components.
+The orbit filtration (a vertex enters at the size of its orbit, an arrow
+once its own orbit and both endpoint orbits have entered) is the sublevel
+filtration of one weighted orbit graph: each orbit is born at its size, and
+two adjacent orbits are joined at the least entry value of the arrows
+between them.  An arrow inside one orbit adds a critical value and no edge.
+Its diagram is a graph diagram (``persistence.index_diagram``): components
+for ``isomorphisms``, and ``vertex_block:k`` for ``orbit_deletion:k``.  For
+``fixed_vertex_deletion:k`` each orbit of two or more vertices, which may
+not be deleted, becomes k mutually adjacent twins joined to every copy of
+its orbit neighbours.  A deletion budget below k never removes all twins,
+and a maximal block holds all twins of an orbit or none, so blocks read
+back by orbit index are exactly the maximal components.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 
-from .connectivity import vertex_blocks
-from .cuts import UnionFind, connected_vertex_sets
+from .connectivity import PropertySpec, block_levels
+from .cuts import UnionFind
 from .graphs import FormatError, GraphError, weighted_graph
-from .persistence import Diagram, PersistenceFunction, successor_diagram, tabulate_persistence
+from .persistence import Diagram, PersistenceFunction, index_diagram, tabulate_persistence
 
 EQUIVARIANT_KINDS = ("isomorphisms", "orbit_deletion", "fixed_vertex_deletion")
 
@@ -202,57 +209,6 @@ def restrict_gquiver(gq: GQuiver, vertex_set, arrow_names=None) -> GQuiver:
 
 
 @dataclass(frozen=True)
-class QuiverFiltration:
-    """Nested invariant subquivers over integer orbit-cardinality criticals."""
-
-    criticals: tuple[float, ...]
-    levels: tuple[GQuiver, ...]
-
-
-def orbit_filtration(gq: GQuiver) -> QuiverFiltration:
-    """Filtration by orbit cardinality: a vertex enters at the size of its
-    orbit, an arrow once its own orbit and both endpoint orbits have entered."""
-    vorbs, aorbs = orbits(gq)
-    ventry: dict[str, int] = {}
-    for orb in vorbs:
-        for v in orb:
-            ventry[v] = len(orb)
-    am = gq.quiver.arrow_map()
-    aentry: dict[str, int] = {}
-    for orb in aorbs:
-        for a in orb:
-            src, tgt = am[a]
-            aentry[a] = max(len(orb), ventry[src], ventry[tgt])
-    values = sorted(set(ventry.values()) | set(aentry.values()))
-    levels = []
-    for c in values:
-        keep_v = {v for v, e in ventry.items() if e <= c}
-        keep_a = {a for a, e in aentry.items() if e <= c}
-        levels.append(restrict_gquiver(gq, keep_v, keep_a))
-    return QuiverFiltration(tuple(float(c) for c in values), tuple(levels))
-
-
-def _orbit_graph(gq: GQuiver) -> tuple[list[frozenset[str]], dict[int, set[int]]]:
-    """Vertex orbits and the graph on their indices: two distinct orbits are
-    adjacent when an arrow joins them."""
-    vorbs, _ = orbits(gq)
-    where = {v: i for i, orb in enumerate(vorbs) for v in orb}
-    adj: dict[int, set[int]] = {i: set() for i in range(len(vorbs))}
-    for _, src, tgt in gq.quiver.arrows:
-        a, b = where[src], where[tgt]
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    return vorbs, adj
-
-
-def is_gq_connected(gq: GQuiver) -> bool:
-    """Nonempty, and the group permutes the weak components transitively."""
-    _, adj = _orbit_graph(gq)
-    return len(connected_vertex_sets(adj)) == 1
-
-
-@dataclass(frozen=True)
 class EquivariantClass:
     """Deletion class for equivariant connectivity; fewer than k units may go."""
 
@@ -271,18 +227,49 @@ class EquivariantClass:
         return f"{self.kind}:{self.k}"
 
 
-def _orbit_blocks(gq: GQuiver, cls: EquivariantClass) -> tuple[list[frozenset[str]], list[set[int]]]:
-    """Vertex orbits and the orbit index sets of the maximal components:
-    vertex blocks of the orbit graph, with k twins per undeletable orbit."""
-    vorbs, adj = _orbit_graph(gq)
+def _orbit_graph(gq: GQuiver, cls: EquivariantClass):
+    """The weighted orbit graph of ``gq`` for a deletion class: the vertex
+    orbits, each graph vertex's orbit, the quiver's critical values (loops
+    and arrows inside one orbit included), the vertex births, the (u, v, w)
+    edges, and the property to sweep.  Twins are joined at their size."""
+    vorbs, aorbs = orbits(gq)
+    where = {v: i for i, orb in enumerate(vorbs) for v in orb}
+    size = [float(len(orb)) for orb in vorbs]
+    am = gq.quiver.arrow_map()
+    criticals = set(size)
+    joins: dict[tuple[int, int], float] = {}
+    for orb in aorbs:
+        a, b = sorted(where[v] for v in am[min(orb)])
+        entry = max(float(len(orb)), size[a], size[b])
+        criticals.add(entry)
+        if a != b:
+            joins[a, b] = min(joins.get((a, b), entry), entry)
     k = 1 if cls.kind == "isomorphisms" else cls.k
+    copies = [1] * len(vorbs)
     if cls.kind == "fixed_vertex_deletion":
-        # only singleton orbits may go, so a budget past all of them is all of them
-        k = min(k, sum(len(orb) == 1 for orb in vorbs) + 1)
-    copies = [k if cls.kind == "fixed_vertex_deletion" and len(orb) > 1 else 1 for orb in vorbs]
-    twins = {i: [(i, c) for c in range(copies[i])] for i in adj}
-    expanded = {t: {u for j in adj[i] | {i} for u in twins[j]} - {t} for i in adj for t in twins[i]}
-    return vorbs, [{i for i, _ in block} for block in vertex_blocks(expanded, k)]
+        # only singleton orbits may go, so a budget past all of them is all of
+        # them, at every level: they are all born at 1, the least critical
+        k = min(k, size.count(1.0) + 1)
+        copies = [1 if n == 1.0 else k for n in size]
+    twins = [range(end - c, end) for c, end in zip(copies, accumulate(copies))]
+    owner = [i for i, ts in enumerate(twins) for _ in ts]
+    edges = [(s, t, size[i]) for i, ts in enumerate(twins) for s, t in combinations(ts, 2)]
+    edges += [(s, t, w) for (a, b), w in joins.items() for s in twins[a] for t in twins[b]]
+    spec = PropertySpec("components") if k == 1 else PropertySpec("vertex_block", k)
+    return vorbs, owner, sorted(criticals), [size[i] for i in owner], edges, spec
+
+
+def _orbit_blocks(gq: GQuiver, cls: EquivariantClass) -> tuple[list[frozenset[str]], list[set[int]]]:
+    """Vertex orbits and the orbit index sets of the maximal components of
+    the whole quiver: the top level of its weighted orbit graph."""
+    vorbs, owner, _, *graph = _orbit_graph(gq, cls)
+    (top,) = block_levels((math.inf,), *graph)
+    return vorbs, [{owner[t] for t in block} for block in top]
+
+
+def is_gq_connected(gq: GQuiver) -> bool:
+    """Nonempty, and the group permutes the weak components transitively."""
+    return is_equivariantly_connected(gq, EquivariantClass("isomorphisms"))
 
 
 def is_equivariantly_connected(gq: GQuiver, cls: EquivariantClass) -> bool:
@@ -306,28 +293,20 @@ def gq_components(gq: GQuiver, cls: EquivariantClass) -> list[GQuiver]:
     return [restrict_gquiver(gq, s) for s in sorted(found, key=lambda s: tuple(sorted(s)))]
 
 
-def _contains(d: GQuiver, c: GQuiver) -> bool:
-    return (
-        d.quiver.vertices <= c.quiver.vertices
-        and d.quiver.arrow_names() <= c.quiver.arrow_names()
-    )
-
-
-def _orbit_levels(gq: GQuiver, cls: EquivariantClass) -> tuple[tuple[float, ...], list[list[GQuiver]]]:
-    filt = orbit_filtration(gq)
-    return filt.criticals, [gq_components(level, cls) for level in filt.levels]
-
-
 def gq_persistence_function(gq: GQuiver, cls: EquivariantClass) -> PersistenceFunction | None:
-    """Persistence of the orbit filtration; None for the empty quiver."""
+    """Persistence of the orbit filtration, tabulated on the quiver's own
+    critical values; None for the empty quiver."""
     if not gq.quiver.vertices:
         return None
-    return tabulate_persistence(*_orbit_levels(gq, cls), _contains)
+    _, _, criticals, *graph = _orbit_graph(gq, cls)
+    return tabulate_persistence(criticals, block_levels(criticals, *graph), frozenset.issubset)
 
 
 def gq_persistence(gq: GQuiver, cls: EquivariantClass) -> Diagram:
-    """Diagram of the orbit filtration by the elder rule on its successor forest."""
-    return successor_diagram(*_orbit_levels(gq, cls), _contains)
+    """Diagram of the orbit filtration: the graph diagram of its weighted
+    orbit graph."""
+    _, _, *graph = _orbit_graph(gq, cls)
+    return index_diagram(*graph)
 
 
 def underlying_weighted_graph(q: Quiver, weight: float = 1.0):
@@ -351,6 +330,7 @@ def parse_gquiver(text: str) -> GQuiver:
     'map v <x> <y>' and 'map a <x> <y>' lines.  Unmapped items are fixed."""
     vertices: list[str] = []
     arrows: list[tuple[str, str, str]] = []
+    names: set[str] = set()
     generators: list[tuple[dict[str, str], dict[str, str]]] = []
     current: tuple[dict[str, str], dict[str, str]] | None = None
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -361,6 +341,9 @@ def parse_gquiver(text: str) -> GQuiver:
         if parts[0] == "v" and len(parts) == 2:
             vertices.append(parts[1])
         elif parts[0] == "a" and len(parts) == 4:
+            if parts[1] in names:
+                raise FormatError(f"duplicate arrow name {parts[1]!r}", ln)
+            names.add(parts[1])
             arrows.append((parts[1], parts[2], parts[3]))
         elif parts[0] == "g" and len(parts) == 1:
             current = ({}, {})
@@ -369,12 +352,12 @@ def parse_gquiver(text: str) -> GQuiver:
             if current is None:
                 raise FormatError("map record before any 'g' generator header", ln)
             kind, x, y = parts[1], parts[2], parts[3]
-            if kind == "v":
-                current[0][x] = y
-            elif kind == "a":
-                current[1][x] = y
-            else:
+            if kind not in ("v", "a"):
                 raise FormatError(f"map kind must be 'v' or 'a', got {kind!r}", ln)
+            what, mapping = ("vertex", current[0]) if kind == "v" else ("arrow", current[1])
+            if x in mapping:
+                raise FormatError(f"{what} {x!r} is mapped twice in one generator", ln)
+            mapping[x] = y
         else:
             raise FormatError(f"bad quiver record {line!r}", ln)
     try:

@@ -3,12 +3,15 @@
 Connectivity here is plain DFS; property membership is literal deletion
 enumeration; components are maximality filtering over exhaustive candidate
 enumerations; the bottleneck oracle enumerates every admissible matching;
-the pseudodistance oracle enumerates every vertex bijection.
+the pseudodistance oracle enumerates every vertex bijection.  The orbit
+filtration of a G-quiver is built level by level as validated invariant
+subquivers, and its persistence is read from their components.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import perconn as pc
@@ -392,3 +395,76 @@ def oracle_check_axioms(pf: pc.PersistenceFunction) -> str | None:
                     if b - a < d - c:
                         return f"jump superadditivity at ({i1}, {i2}, {j1}, {j2})"
     return None
+
+
+def evaluate_diagram(d: pc.Diagram, beta: float, gamma: float) -> int:
+    """Sum of multiplicities with birth < beta and death > gamma.
+
+    beta and gamma must avoid the coordinates of the diagram (these are the
+    only possible discontinuity lines of the reconstructed function) and
+    satisfy beta <= gamma, gamma finite.
+    """
+    if beta > gamma:
+        raise ValueError("evaluation needs beta <= gamma")
+    if math.isinf(gamma) or math.isinf(beta):
+        raise ValueError("evaluation points must be finite")
+    coords = {p.birth for p in d.points} | {p.death for p in d.points if not p.is_infinite}
+    if beta in coords or gamma in coords:
+        raise ValueError("evaluation at a discontinuity point is not defined")
+    return sum(p.multiplicity for p in d.points if p.birth < beta and p.death > gamma)
+
+
+@dataclass(frozen=True)
+class QuiverFiltration:
+    """Nested invariant subquivers over integer orbit-cardinality criticals."""
+
+    criticals: tuple[float, ...]
+    levels: tuple[pc.GQuiver, ...]
+
+
+def orbit_filtration(gq: pc.GQuiver) -> QuiverFiltration:
+    """Filtration by orbit cardinality: a vertex enters at the size of its
+    orbit, an arrow once its own orbit and both endpoint orbits have entered."""
+    vorbs, aorbs = pc.orbits(gq)
+    ventry: dict[str, int] = {}
+    for orb in vorbs:
+        for v in orb:
+            ventry[v] = len(orb)
+    am = gq.quiver.arrow_map()
+    aentry: dict[str, int] = {}
+    for orb in aorbs:
+        for a in orb:
+            src, tgt = am[a]
+            aentry[a] = max(len(orb), ventry[src], ventry[tgt])
+    values = sorted(set(ventry.values()) | set(aentry.values()))
+    levels = []
+    for c in values:
+        keep_v = {v for v, e in ventry.items() if e <= c}
+        keep_a = {a for a, e in aentry.items() if e <= c}
+        levels.append(pc.restrict_gquiver(gq, keep_v, keep_a))
+    return QuiverFiltration(tuple(float(c) for c in values), tuple(levels))
+
+
+def gq_contains(d: pc.GQuiver, c: pc.GQuiver) -> bool:
+    """Subquiver inclusion: vertices and arrows."""
+    return d.quiver.vertices <= c.quiver.vertices and d.quiver.arrow_names() <= c.quiver.arrow_names()
+
+
+def gq_levels(gq: pc.GQuiver, cls: pc.EquivariantClass) -> tuple[tuple[float, ...], list[list[pc.GQuiver]]]:
+    """Critical values of the orbit filtration and each level's components."""
+    filt = orbit_filtration(gq)
+    return filt.criticals, [pc.gq_components(level, cls) for level in filt.levels]
+
+
+def oracle_gq_persistence_function(gq: pc.GQuiver, cls: pc.EquivariantClass) -> pc.PersistenceFunction | None:
+    """The persistence grid of the per-level filtration by direct counting;
+    None for the empty quiver."""
+    if not gq.quiver.vertices:
+        return None
+    return oracle_table(*gq_levels(gq, cls), gq_contains)
+
+
+def oracle_gq_persistence(gq: pc.GQuiver, cls: pc.EquivariantClass) -> pc.Diagram:
+    """The diagram of the per-level filtration by the elder rule on the
+    successor forest of its components."""
+    return pc.successor_diagram(*gq_levels(gq, cls), gq_contains)

@@ -92,7 +92,7 @@ def test_criterion_02_reconstruction(tabulated_corpus):
         mids = grid_midpoints(pf.criticals)
         for i, beta in enumerate(mids):
             for gamma in mids[i:]:
-                assert pc.evaluate_diagram(d, beta, gamma) == pf.at(beta, gamma), (gi, spec)
+                assert oracles.evaluate_diagram(d, beta, gamma) == pf.at(beta, gamma), (gi, spec)
                 checked += 1
     print(f"PASS criterion 2: diagram reconstruction exact at {checked} off-critical points")
 

@@ -246,6 +246,22 @@ def test_quiver_diagram(tmp_path):
     assert res.stdout == "1 inf 1\n2 inf 1\n"
 
 
+def test_quiver_reader_errors_name_the_second_record(tmp_path):
+    # a second map record for one item would silently override the first
+    cases = [
+        ("a e1 x y\na e2 y x\na e1 y y\n", "error: line 3: duplicate arrow name 'e1'\n"),
+        (
+            "v a\nv b\ng\nmap v a b\nmap v b a\nmap v a a\nmap v b b\n",
+            "error: line 6: vertex 'a' is mapped twice in one generator\n",
+        ),
+    ]
+    src = tmp_path / "q.txt"
+    for text, want in cases:
+        src.write_text(text)
+        res = run_cli("quiver-diagram", "--class", "isomorphisms", str(src))
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", want)
+
+
 def test_quiver_deletion_classes_past_sixteen_orbits(tmp_path):
     src = tmp_path / "q.txt"
     src.write_text("".join(f"v x{i:02d}\n" for i in range(17)))

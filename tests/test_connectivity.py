@@ -6,6 +6,7 @@ import pytest
 
 import perconn as pc
 import oracles
+from perconn.connectivity import block_levels
 from perconn.cuts import edge_cut_below
 from corpus import random_weighted_graph, triangle_bridge_chain
 
@@ -295,6 +296,27 @@ def test_vertex_blocks_match_networkx():
             # a vertex with three neighbours in a 3-block would extend it
             assert all(len(set(h[v]) & c.vertices) < 3 for v in g.vertices - c.vertices)
         assert not any(a < b for a in sets3 for b in sets3)
+
+
+def test_block_levels_match_the_providers_level_by_level(seed=67):
+    # one adjacency grown over integer vertices gives every level's maximal
+    # vertex sets, as the providers do on each sublevel graph
+    specs = [pc.PropertySpec("components")] + [
+        pc.PropertySpec(kind, k) for kind in ("vertex_block", "edge_block") for k in (1, 2, 3, 4)
+    ]
+    rng = random.Random(seed)
+    for _ in range(25):
+        wg = random_weighted_graph(rng, max_vertices=10, max_criticals=5, edge_prob=(0.3, 0.8))
+        filt = pc.build_filtration(wg)
+        names = list(wg.vertex_weights)
+        index = {v: i for i, v in enumerate(names)}
+        edges = [(index[u], index[v], w) for (u, v), w in wg.edge_weights.items()]
+        for spec in specs:
+            levels = block_levels(filt.criticals, list(wg.vertex_weights.values()), edges, spec)
+            assert len(levels) == len(filt.criticals)
+            for i, sets in enumerate(levels):
+                got = sorted(sorted(names[x] for x in s) for s in sets)
+                assert got == _vertex_sets(pc.property_components(filt.sublevel_at(i), spec)), spec
 
 
 def _networkx_level_sets(nx, wg, crit, kind, k):

@@ -71,3 +71,16 @@ def test_no_unbounded_self_recursion():
         tree = ast.parse(path.read_text(), filename=str(path))
         recursive += _self_recursive(tree, path.stem)
     assert sorted(set(recursive) - RECURSION_ALLOWED) == []
+
+
+def test_no_private_names_cross_modules():
+    # modules reach each other through public names only, so the seams
+    # between layers stay visible
+    crossing = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("perconn")):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                crossing += [f"{path.name}:{node.lineno}: {name}" for name in private]
+    assert crossing == []

@@ -66,11 +66,17 @@ def test_generator_must_be_automorphism():
 
 
 def test_orbit_filtration_examples():
+    # the per-level oracle and the weighted orbit graph agree on criticals
+    def criticals(gq):
+        filt = oracles.orbit_filtration(gq)
+        assert pc.gq_persistence_function(gq, ISO).criticals == filt.criticals
+        return filt
+
     trivial = pc.gquiver(["a", "b"], [("e1", "a", "b")], [])
-    filt = pc.orbit_filtration(trivial)
+    filt = criticals(trivial)
     assert filt.criticals == (1.0,)
     fixed_plus_pair = pc.gquiver(["x", "p", "q"], [], [({"p": "q", "q": "p"}, {})])
-    filt = pc.orbit_filtration(fixed_plus_pair)
+    filt = criticals(fixed_plus_pair)
     assert filt.criticals == (1.0, 2.0)
     assert sorted(filt.levels[0].quiver.vertices) == ["x"]
     # arrow with endpoint orbits of sizes 1 and 2 and arrow orbit of size 2
@@ -79,10 +85,55 @@ def test_orbit_filtration_examples():
         [("e1", "x", "p"), ("e2", "x", "q")],
         [({"p": "q", "q": "p"}, {"e1": "e2", "e2": "e1"})],
     )
-    filt = pc.orbit_filtration(gq)
+    filt = criticals(gq)
     assert filt.criticals == (1.0, 2.0)
     assert not filt.levels[0].quiver.arrows
     assert len(filt.levels[1].quiver.arrows) == 2
+
+
+LATE_ARROWS = {
+    # three loops on a fixed vertex, cycled by a Z3 generator: they enter at 3
+    "loops on a fixed vertex": (
+        pc.gquiver(
+            ["x"],
+            [(f"l{i}", "x", "x") for i in range(3)],
+            [({}, {"l0": "l1", "l1": "l2", "l2": "l0"})],
+        ),
+        3.0,
+    ),
+    # four arrows between a swapped pair, cycled by a Z4 generator: they
+    # enter at 4, inside the one vertex orbit
+    "arrows inside a swapped pair": (
+        pc.gquiver(
+            ["a", "b"],
+            [("e0", "a", "b"), ("e1", "b", "a"), ("e2", "a", "b"), ("e3", "b", "a")],
+            [({"a": "b", "b": "a"}, {"e0": "e1", "e1": "e2", "e2": "e3", "e3": "e0"})],
+        ),
+        4.0,
+    ),
+    # e joins the fixed vertices x and y at 1; the parallel arrows f0..f2,
+    # cycled by a Z3 generator, enter at 3, after the orbits have joined
+    "parallel arrows past the least entry": (
+        pc.gquiver(
+            ["x", "y"],
+            [("e", "x", "y"), *((f"f{i}", "x", "y") for i in range(3))],
+            [({}, {"f0": "f1", "f1": "f2", "f2": "f0"})],
+        ),
+        3.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LATE_ARROWS)
+def test_late_arrows_add_a_critical_but_no_point(name):
+    gq, late = LATE_ARROWS[name]
+    for cls in DELETION_CLASSES:
+        pf = pc.gq_persistence_function(gq, cls)
+        assert late in pf.criticals, cls
+        assert pf == oracles.oracle_gq_persistence_function(gq, cls), cls
+        d = pc.gq_persistence(gq, cls)
+        assert d == oracles.oracle_gq_persistence(gq, cls) == pc.extract_diagram(pf), cls
+        assert all(late not in (p.birth, p.death) for p in d), cls
 
 
 def test_components_reduce_to_weak_components_for_trivial_group():
@@ -295,3 +346,20 @@ def test_quiver_parse_errors():
         pc.parse_gquiver("v a\nmap v a a\n")  # map before generator header
     with pytest.raises(pc.FormatError):
         pc.parse_gquiver("v a\nv b\na e1 a b\ng\nmap v a b\nmap v b a\n")  # e1 dangles
+    # the second record for one arrow name, or for one item in one
+    # generator, is named by its line; a second map record once overrode
+    # the first
+    for text, message in [
+        ("a e1 x y\na e2 y x\na e1 y y\n", "line 3: duplicate arrow name 'e1'"),
+        (
+            "v a\nv b\ng\nmap v a b\nmap v b a\nmap v a a\nmap v b b\n",
+            "line 6: vertex 'a' is mapped twice in one generator",
+        ),
+        (
+            "a e1 x x\na e2 x x\ng\nmap a e1 e2\nmap a e2 e1\nmap a e1 e1\n",
+            "line 6: arrow 'e1' is mapped twice in one generator",
+        ),
+    ]:
+        with pytest.raises(pc.FormatError) as info:
+            pc.parse_gquiver(text)
+        assert str(info.value) == message
