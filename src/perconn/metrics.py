@@ -1,30 +1,41 @@
 """Bottleneck distance, natural pseudodistance, and perturbation.
 
-The bottleneck distance is exact: candidate values are 0 and the finitely
-many pairwise L-infinity costs and diagonal costs, and a binary search over
-them decides each threshold by a perfect-matching test.  The threshold's
-bipartite graph is built once as adjacency lists and matched by an iterative
-Hopcroft-Karp, seeded with the maximum matching of the last infeasible
-threshold (Efrat-Itai-Katz 2001; Kerber-Morozov-Nigmetov 2017).  Cornerpoints
-at infinity may only match each other (at the difference of births,
-optimally in sorted order); the distance is infinite when the counts of
-infinite points differ.
+The bottleneck distance is exact: candidate values are the finitely many
+pairwise L-infinity costs and diagonal costs, and each threshold is decided
+by a perfect-matching test on a bipartite graph built as adjacency lists and
+matched by an iterative Hopcroft-Karp (Efrat-Itai-Katz 2001;
+Kerber-Morozov-Nigmetov 2017).  The diagonal slots of two points join only
+where the points themselves may pair: the k point pairs of a perfect matching
+free exactly the k slots of those points on each side, which pair along the
+same k edges, so this sparse slot block loses no matching.  Every point pays
+at least the smaller of its half persistence and its cheapest cost to the
+other diagram; the largest such value is a candidate at or below the
+distance and is decided first.  Only when it fails are the other candidates
+sorted and searched, each threshold seeded with the maximum matching of the
+last infeasible one.  Cornerpoints at infinity may only match each other (at
+the difference of births, optimally in sorted order); the distance is
+infinite when the counts of infinite points differ.
 
 The natural pseudodistance between two weighted graphs is the minimum over
 isomorphisms of their underlying final graphs of the largest weight
-difference across matched vertices and edges.  It is computed by binary
-search over candidate thresholds with a backtracking isomorphism search
-constrained to that threshold, so the result is the exact minimum.  The
-search runs on an explicit stack and requires the images of twin vertices to
-increase along its visit order, which loses no isomorphism's cost.
+difference across matched vertices and edges.  An isomorphism pairs the
+vertex weights and the edge weights one to one, and in one dimension the
+sorted pairing has the least largest gap, so the larger of the two sorted
+gaps is a lower bound; it is tried first, and a success there also proves the
+graphs isomorphic.  Otherwise a binary search runs over the weight
+differences above it, with a backtracking isomorphism search constrained to
+each threshold, so the result is the exact minimum.  The search runs on an
+explicit stack and requires the images of twin vertices to increase along
+its visit order, which loses no isomorphism's cost.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
-from typing import Optional
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from typing import Iterable, Optional
 
 from .graphs import CapExceeded, WeightedGraph, weighted_graph
 from .persistence import Diagram
@@ -33,9 +44,11 @@ Point = tuple[float, float]
 MatchPair = tuple[Optional[Point], Optional[Point]]
 
 
-# Matching work grows with n1 * n2, at most 6.25M pairs under this cap; a
-# 2,000 + 2,000 point pair took 95 s and 549 MB.  Multiplicities count, since
-# every unit becomes its own point.
+# Matching work grows with n1 * n2, at most 6.25M pairs under this cap.  A
+# 2,000 + 2,000 point pair takes 2.9-3.3 s and peaks at 127-191 MiB
+# (tracemalloc); at the cap, a perturbed pair whose lower bound fails took
+# 14.6 s and 461 MiB.  Multiplicities count, since every unit becomes its own
+# point.
 POINT_CAP = 5000
 
 
@@ -49,10 +62,6 @@ def _expand(d: Diagram) -> tuple[list[Point], list[float]]:
             else:
                 finite.append((p.birth, p.death))
     return finite, inf_births
-
-
-def _pair_cost(p: Point, q: Point) -> float:
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
 
 def _diag_cost(p: Point) -> float:
@@ -131,56 +140,68 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     persistence <= h, with such a matching.
 
     Left nodes are the points of f1, then one diagonal slot per point of f2;
-    right nodes are symmetric, and diagonal slots pair up freely.  The edges
-    only grow with h, so the maximum matching of the last infeasible
-    threshold seeds the next one.
+    right nodes are symmetric.  The slot of f2[j] joins the slot of f1[i]
+    only where f1[i]-f2[j] is a point edge: a perfect matching with k point
+    pairs leaves exactly the k slots of those points free on each side, and
+    they pair up along the same k point edges, so this sparse slot block
+    admits a perfect matching exactly when the complete one does.
+
+    Every point pays at least the smaller of its half persistence and its
+    cheapest edge to the other diagram, so the largest such value is a
+    candidate at or below the answer; it is decided first, and is the answer
+    unless its matching is imperfect.  Only then is the candidate set built,
+    and a binary search runs over the candidates above it.  The edges only
+    grow with h, so the maximum matching of the last infeasible threshold
+    seeds the next one.
     """
     if not f1 and not f2:
         return 0.0, []
     n1, n2 = len(f1), len(f2)
-    rows = [[_pair_cost(p, q) for q in f2] for p in f1]
-    cands = {0.0}
-    cands.update(_diag_cost(p) for p in f1)
-    cands.update(_diag_cost(q) for q in f2)
-    for row in rows:
-        cands.update(row)
-    ordered = sorted(cands)
-    # the point edges of f1[i] at threshold h are a prefix of by_cost[i]
-    by_cost = [sorted(range(n2), key=row.__getitem__) for row in rows]
-    sorted_costs = [[row[j] for j in cols] for row, cols in zip(rows, by_cost)]
-    slots = list(range(n2, n2 + n1))
+    rows = [[max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in f2] for b1, d1 in f1]
+    half1 = [_diag_cost(p) for p in f1]
+    half2 = [_diag_cost(q) for q in f2]
+    cheapest = [min(row, default=math.inf) for row in rows]
+    cheapest += [min(col) for col in zip(*rows)] if rows else [math.inf] * n2
+    lb = max(map(min, half1 + half2, cheapest))
 
     def matched(h: float, seed: list[int]) -> tuple[bool, list[int]]:
-        adj = [
-            cols[: bisect_right(costs, h)] + ([n2 + i] if _diag_cost(f1[i]) <= h else [])
-            for i, (cols, costs) in enumerate(zip(by_cost, sorted_costs))
-        ]
-        adj += [([j] if _diag_cost(q) <= h else []) + slots for j, q in enumerate(f2)]
+        points = [[j for j, c in enumerate(row) if c <= h] for row in rows]
+        slots: list[list[int]] = [[j] if half2[j] <= h else [] for j in range(n2)]
+        for i, cols in enumerate(points):
+            for j in cols:
+                slots[j].append(n2 + i)
+            if half1[i] <= h:
+                cols.append(n2 + i)
         match_right = list(seed)
-        return _hopcroft_karp(adj, match_right), match_right
+        return _hopcroft_karp(points + slots, match_right), match_right
 
-    lo, hi = 0, len(ordered) - 1
-    seed = [-1] * (n1 + n2)
-    best = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        perfect, match_right = matched(ordered[mid], seed)
-        if perfect:
-            best = match_right
-            hi = mid
-        else:
-            seed = match_right
-            lo = mid + 1
-    if best is None:
-        perfect, best = matched(ordered[lo], seed)
-        assert perfect  # the largest candidate always admits a matching
+    h = lb
+    perfect, best = matched(lb, [-1] * (n1 + n2))
+    if not perfect:
+        ordered = sorted({c for c in chain(half1, half2, *rows) if c > lb})
+        seed = best
+        lo, hi = 0, len(ordered) - 1
+        best = None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            perfect, match_right = matched(ordered[mid], seed)
+            if perfect:
+                best = match_right
+                hi = mid
+            else:
+                seed = match_right
+                lo = mid + 1
+        if best is None:
+            perfect, best = matched(ordered[lo], seed)
+            assert perfect  # the largest candidate always admits a matching
+        h = ordered[lo]
     pairs: list[MatchPair] = []
     for b, a in enumerate(best):
         left = f1[a] if a < n1 else None
         right = f2[b] if b < n2 else None
         if left is not None or right is not None:
             pairs.append((left, right))
-    return ordered[lo], pairs
+    return h, pairs
 
 
 def bottleneck_distance(d1: Diagram, d2: Diagram) -> float:
@@ -221,22 +242,19 @@ def _bottleneck(d1: Diagram, d2: Diagram) -> tuple[float, list[MatchPair] | None
     return max(inf_cost, fin_cost), inf_pairs + fin_pairs
 
 
-def _iso_candidates(wg1: WeightedGraph, wg2: WeightedGraph) -> list[float] | None:
+def _same_degrees(wg1: WeightedGraph, wg2: WeightedGraph) -> bool:
     g1, g2 = wg1.graph, wg2.graph
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return None
+        return False
     deg1 = sorted(len(n) for n in g1.adjacency().values())
     deg2 = sorted(len(n) for n in g2.adjacency().values())
-    if deg1 != deg2:
-        return None
-    cands = {0.0}
-    cands.update(
-        abs(w1 - w2) for w1 in wg1.vertex_weights.values() for w2 in wg2.vertex_weights.values()
-    )
-    cands.update(
-        abs(w1 - w2) for w1 in wg1.edge_weights.values() for w2 in wg2.edge_weights.values()
-    )
-    return sorted(cands)
+    return deg1 == deg2
+
+
+def _sorted_gap(ws1: Iterable[float], ws2: Iterable[float]) -> float:
+    """Largest gap of the sorted pairing of two equal-size multisets: the
+    least possible largest gap of any bijection between them."""
+    return max((abs(w1 - w2) for w1, w2 in zip(sorted(ws1), sorted(ws2))), default=0.0)
 
 
 def _iso_feasible(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
@@ -264,14 +282,24 @@ def _iso_feasible(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
                     seen.add(w)
                     queue.append(w)
 
-    candidates = {
-        u: [
-            v
-            for v in sorted(g2.vertices)
-            if len(adj2[v]) == len(adj1[u]) and abs(vw1[u] - vw2[v]) <= h
-        ]
-        for u in order
-    }
+    # g2's vertices by degree, sorted by weight: each candidate list is one
+    # bisected slice, widened while the exact test still holds (the float
+    # bounds a - h and a + h may round inwards), then sorted by name
+    by_degree: dict[int, tuple[list[float], list[str]]] = {}
+    for v in sorted(g2.vertices, key=lambda v: (vw2[v], v)):
+        ws, names = by_degree.setdefault(len(adj2[v]), ([], []))
+        ws.append(vw2[v])
+        names.append(v)
+    candidates: dict[str, list[str]] = {}
+    for u in order:
+        ws, names = by_degree.get(len(adj1[u]), ([], []))
+        a = vw1[u]
+        lo, hi = bisect_left(ws, a - h), bisect_right(ws, a + h)
+        while lo > 0 and abs(a - ws[lo - 1]) <= h:
+            lo -= 1
+        while hi < len(ws) and abs(a - ws[hi]) <= h:
+            hi += 1
+        candidates[u] = sorted(names[k] for k in range(lo, hi) if abs(a - ws[k]) <= h)
     if any(not c for c in candidates.values()):
         return False
     twin_before = _previous_twins(wg1, adj1, order)
@@ -355,10 +383,19 @@ def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: i
         raise CapExceeded(
             f"pseudodistance limited to {vertex_cap} vertices, got {max(n1, n2)}"
         )
-    cands = _iso_candidates(wg1, wg2)
-    if cands is None:
+    if not _same_degrees(wg1, wg2):
         return math.inf
-    if not _iso_feasible(wg1, wg2, cands[-1]):
+    # an isomorphism pairs the vertex weights and the edge weights one to one
+    pools = (
+        (wg1.vertex_weights.values(), wg2.vertex_weights.values()),
+        (wg1.edge_weights.values(), wg2.edge_weights.values()),
+    )
+    lb = max(_sorted_gap(ws1, ws2) for ws1, ws2 in pools)
+    if _iso_feasible(wg1, wg2, lb):
+        return lb
+    diffs = {abs(w1 - w2) for ws1, ws2 in pools for w1 in ws1 for w2 in ws2}
+    cands = sorted(d for d in diffs if d > lb)
+    if not cands or not _iso_feasible(wg1, wg2, cands[-1]):
         return math.inf
     lo, hi = 0, len(cands) - 1
     while lo < hi:

@@ -558,7 +558,10 @@ def serialize_diagram(d: Diagram) -> str:
 
 
 def parse_diagram(text: str) -> Diagram:
-    pts: list[Cornerpoint] = []
+    """Parse 'birth death multiplicity' records; raises FormatError with line
+    numbers.  Each record is checked once, and repeated (birth, death) pairs
+    add up their multiplicities."""
+    acc: dict[tuple[float, float], int] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -572,8 +575,12 @@ def parse_diagram(text: str) -> Diagram:
             mult = int(parts[2])
         except ValueError:
             raise FormatError(f"bad diagram record {line!r}", ln) from None
-        try:
-            pts.append(Cornerpoint(birth, death, mult))
-        except ValueError as exc:
-            raise FormatError(str(exc), ln) from None
-    return diagram(pts)
+        if not math.isfinite(birth):
+            raise FormatError(f"cornerpoint birth must be finite, got {birth!r}", ln)
+        if not birth < death:
+            raise FormatError(f"cornerpoint needs birth < death, got ({birth!r}, {death!r})", ln)
+        if mult < 1:
+            raise FormatError(f"multiplicity must be a positive integer, got {mult!r}", ln)
+        key = (birth, death)
+        acc[key] = acc.get(key, 0) + mult
+    return Diagram(tuple(Cornerpoint(b, d, m) for (b, d), m in sorted(acc.items())))

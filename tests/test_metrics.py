@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -162,6 +163,36 @@ def test_bottleneck_staircase_beyond_recursion_limit(tmp_path):
     assert (res.returncode, res.stdout, res.stderr) == (0, "1\n", "")
 
 
+def test_bottleneck_above_the_lower_bound():
+    # every point's cheapest option is at most 0.1, but one of the two close
+    # points must retire to the diagonal at half persistence 2
+    d1 = pc.diagram([pc.Cornerpoint(0.0, 4.0), pc.Cornerpoint(0.1, 4.1)])
+    d2 = pc.diagram([pc.Cornerpoint(0.0, 4.0)])
+    assert pc.bottleneck_distance(d1, d2) == oracles.oracle_bottleneck(d1, d2) == 1.9999999999999998
+    dist, pairs = pc.optimal_matching(d2, d1)
+    assert dist == 1.9999999999999998
+    _check_witness(d2, d1, dist, pairs)
+
+
+def test_bottleneck_perturbed_600_point_pair_is_fast(seed=101):
+    rng = random.Random(seed)
+    points = []
+    for _ in range(600):
+        birth = round(rng.uniform(0.0, 10.0), 3)
+        points.append((birth, round(birth + rng.expovariate(1.0) + 0.01, 3)))
+    moved = []
+    for b, d in points:
+        nb = round(max(0.0, b + rng.uniform(-0.3, 0.3)), 3)
+        moved.append((nb, round(max(nb + 0.01, d + rng.uniform(-0.3, 0.3)), 3)))
+    d1 = pc.diagram(pc.Cornerpoint(b, d) for b, d in points)
+    d2 = pc.diagram(pc.Cornerpoint(b, d) for b, d in moved)
+    start = time.perf_counter()
+    dist, pairs = pc.optimal_matching(d1, d2)
+    assert time.perf_counter() - start < 1.5
+    assert dist <= 0.3 + 1e-3
+    _check_witness(d1, d2, dist, pairs)
+
+
 def _check_witness(d1, d2, dist, pairs):
     for side, d in ((0, d1), (1, d2)):
         for p in d.points:
@@ -282,6 +313,40 @@ def test_pseudodistance_with_equal_weight_twins(seed=97):
             continue
         assert pc.natural_pseudodistance(w1, w2) == oracles.oracle_pseudodistance(w1, w2)
         assert pc.natural_pseudodistance(w2, w1) == oracles.oracle_pseudodistance(w2, w1)
+
+
+def test_pseudodistance_above_the_lower_bound():
+    # equal sorted vertex and edge weights, so the lower bound is 0, but
+    # neither isomorphism of the two paths matches the weights
+    w1 = pc.parse_weighted_graph("e a b 1\ne b c 2\ne c d 3\n")
+    w2 = pc.parse_weighted_graph("e x y 2\ne y z 1\ne z w 3\n")
+    assert pc.natural_pseudodistance(w1, w2) == oracles.oracle_pseudodistance(w1, w2) == 1.0
+    assert pc.natural_pseudodistance(w2, w1) == 1.0
+
+
+def test_pseudodistance_where_weight_bounds_round_inwards():
+    # 8 - (8 - 3.4) rounds to 3.4000000000000004 and 2.6 + (7.3 - 2.6) to
+    # 7.299999999999999, so a candidate window bisected at a - h and a + h
+    # alone would miss the only isomorphism
+    for a, b in ((8.0, 3.4), (2.6, 7.3)):
+        w1 = pc.parse_weighted_graph(f"e a b {a}\n")
+        w2 = pc.parse_weighted_graph(f"e x y {b}\n")
+        assert pc.natural_pseudodistance(w1, w2) == abs(a - b)
+
+
+def test_pseudodistance_long_perturbed_path_is_fast():
+    edges = {(f"v{i:04d}", f"v{i + 1:04d}"): float(i % 97 + 1) for i in range(1500)}
+    w1 = pc.weighted_graph(edges)
+    w2 = pc.perturb(w1, 0.3, 7)
+    start = time.perf_counter()
+    dist = pc.natural_pseudodistance(w1, w2, vertex_cap=5000)
+    assert time.perf_counter() - start < 1.0
+    # the identity is optimal: reversing the path moves weights by up to 96
+    identity = max(
+        max(abs(w - w2.edge_weights[e]) for e, w in w1.edge_weights.items()),
+        max(abs(w - w2.vertex_weights[v]) for v, w in w1.vertex_weights.items()),
+    )
+    assert dist == identity
 
 
 def test_pseudodistance_path_beyond_recursion_limit(tmp_path):

@@ -1,6 +1,7 @@
-"""Text round-trip properties of the four file formats, the stability of
-diagrams under perturbation, the k = 2 block sweeps against the per-level
-path, and the CLI's exit codes on arbitrary input, as hypothesis tests.
+"""Text round-trip properties of the four file formats, the bottleneck
+distance against the exhaustive oracle, the stability of diagrams under
+perturbation, the k = 2 block sweeps against the per-level path, and the
+CLI's exit codes on arbitrary input, as hypothesis tests.
 
 Derandomized with fixed example counts, so every run checks the same inputs.
 """
@@ -18,6 +19,7 @@ st = hypothesis.strategies
 
 import perconn as pc  # noqa: E402
 from perconn import cli  # noqa: E402
+import oracles  # noqa: E402
 from corpus import random_gquiver, random_weighted_graph  # noqa: E402
 
 FIXED = hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -102,6 +104,23 @@ STABILITY_SPECS = [
     *(pc.PropertySpec("clique", k) for k in (2, 3)),
     *(pc.PropertySpec(kind, k) for kind in ("vertex_block", "edge_block") for k in (1, 2, 3)),
 ]
+
+
+@st.composite
+def grid_diagrams(draw):
+    """Up to 6 points on a 0.5 grid, so equal costs and ties are common."""
+    points = []
+    for _ in range(draw(st.integers(0, 6))):
+        birth = 0.5 * draw(st.integers(0, 8))
+        death = draw(st.one_of(st.just(math.inf), st.integers(1, 6).map(lambda k: birth + 0.5 * k)))
+        points.append(pc.Cornerpoint(birth, death))
+    return pc.diagram(points)
+
+
+@hypothesis.settings(FIXED, max_examples=200)
+@hypothesis.given(grid_diagrams(), grid_diagrams())
+def test_bottleneck_matches_exhaustive_oracle_on_tied_grids(d1, d2):
+    assert pc.bottleneck_distance(d1, d2) == oracles.oracle_bottleneck(d1, d2)
 
 
 @hypothesis.settings(FIXED, max_examples=30)
