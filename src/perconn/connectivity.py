@@ -17,8 +17,18 @@ Four property kinds are supported:
   iterative Hopcroft-Tarjan search.  For k >= 3 the search starts from the
   biconnected components, peels off vertices of degree below k (such a
   vertex lies in one block at most, its closed neighbourhood when that is a
-  k-clique), and splits the rest along vertex cuts smaller than k (Menger,
-  by max-flow on the split network), followed by a maximality filter.
+  k-clique), and splits the rest along vertex cuts smaller than k, followed
+  by a maximality filter.  A cut is found by max-flow on the split network
+  (Menger), probing only the vertices that two sweeps leave unsettled
+  (after Wen et al., ICDE 2016).  A vertex is settled once no cut below k
+  can separate it from a fixed vertex v0; v0 and its neighbours start
+  settled, and the rest are probed in BFS order.  A vertex with k settled
+  neighbours is settled, as a cut below k misses one of them.  Every member
+  of a previous level's block is settled once v0 or k of its members are:
+  the block keeps its property at the next level, so a cut below k leaves
+  it connected and misses one of those members.  Non-adjacent neighbour
+  pairs of v0 inside one such block are not probed, for the same reason.
+  ``block_levels`` hands each level's blocks to the next level's search.
 * ``edge_block`` — deleting any fewer than k edges (spanning) leaves a
   connected graph.  A single vertex passes for every k, so maximal
   components partition the vertex set.  For k = 2 they are the connected
@@ -137,16 +147,24 @@ def _peel(sub: dict[str, set[str]], k: int) -> list[tuple[str, set[str]]]:
     return gone
 
 
-def vertex_blocks(adj: dict, k: int) -> list[frozenset]:
+def vertex_blocks(adj: dict, k: int, prior=()) -> list[frozenset]:
     """Maximal vertex sets of the graph ``adj`` that stay nonempty and
     connected after deleting any fewer than k of their vertices (induced),
-    in no fixed order.  Vertices may be any sortable hashables."""
+    in no fixed order.  Vertices may be any sortable hashables.
+
+    ``prior`` may hold such sets of a subgraph of ``adj``, such as the
+    previous level's blocks: they keep the property in ``adj``, so each
+    component's cut search takes those inside it as groups no cut splits.
+    """
     if k == 1:
         return [frozenset(c) for c in connected_vertex_sets(adj)]
     # a k-vertex-connected subgraph with k >= 2 lies inside one biconnected block
     blocks = [frozenset(b) for b in biconnected_components(adj) if len(b) >= k]
     if k == 2:
         return blocks
+    prior_at: dict = {}  # each prior set under its least vertex
+    for b in prior:
+        prior_at.setdefault(min(b), []).append(b)
     found: set[frozenset] = set()
     seen: set[frozenset] = set()
     stack = blocks
@@ -164,7 +182,11 @@ def vertex_blocks(adj: dict, k: int) -> list[frozenset]:
         for comp_set in connected_vertex_sets(sub):
             comp = {v: sub[v] for v in comp_set}
             complete = all(len(nbrs) == len(comp) - 1 for nbrs in comp.values())
-            cut = None if complete else vertex_cut_below(comp, k)
+            if complete:
+                cut = None
+            else:
+                inside = [b for v in comp_set for b in prior_at.get(v, ()) if b <= comp_set]
+                cut = vertex_cut_below(comp, k, inside)
             if cut is None:
                 found.add(frozenset(comp_set))
                 continue
@@ -217,6 +239,7 @@ def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[froz
     """Maximal vertex sets (``spec``: components or a block kind) of each
     level of a filtered graph: vertex i is born at ``births[i]``, an
     (u, v, w) edge enters at w, and one adjacency grows level by level.
+    Each level's vertex blocks are the next level's ``prior``.
     """
     blocks, k = _block_search(spec)
     born = sorted(range(len(births)), key=births.__getitem__)
@@ -233,7 +256,10 @@ def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[froz
             adj[u].add(v)
             adj[v].add(u)
             e += 1
-        levels.append(blocks(adj, k))
+        if spec.kind == "vertex_block":
+            levels.append(vertex_blocks(adj, k, levels[-1] if levels else ()))
+        else:
+            levels.append(blocks(adj, k))
     return levels
 
 

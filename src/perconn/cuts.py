@@ -4,6 +4,17 @@ All functions take an adjacency dict ``{vertex: set(neighbors)}`` over string
 vertex ids.  Where several answers are valid they break ties by vertex id, so
 results are deterministic; ``biconnected_components`` returns its blocks in no
 fixed order.
+
+``vertex_cut_below`` runs a max-flow probe only where two sweeps leave a
+doubt.  From a vertex v0 and its neighbours it grows the set of vertices
+that no cut below k separates from v0: a vertex with k neighbours in the
+set joins it (a cut below k misses one of them, and that one lies on the
+vertex's side), and so does every member of a group, a vertex set known to
+stay connected after any fewer than k deletions, once v0 or k of its
+members are in it (a cut below k misses one of them, and leaves the rest of
+the group connected).  Only vertices outside the set are probed against
+v0.  A non-adjacent pair of v0's neighbours that one group holds is not
+probed either, since no cut below k splits a group.
 """
 
 from __future__ import annotations
@@ -190,21 +201,97 @@ def biconnected_components(adj: dict[str, set[str]]) -> list[set[str]]:
     return blocks
 
 
-def vertex_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:
+def vertex_cut_below(adj: dict[str, set[str]], k: int, groups=()) -> set[str] | None:
     """A vertex cut of size < k in a connected non-complete graph, else None.
 
-    Flow-based (Menger).  It suffices to probe pairs (v0, t) for t outside
-    the closed neighborhood of a minimum-degree vertex v0, plus non-adjacent
-    pairs of v0's neighbors: every minimum cut separates one such pair.  The
-    split network is built once, as residual arc lists, and every probe
-    starts from a fresh copy of its capacities.
+    Flow-based (Menger), on a split network built at the first probe.  Take
+    a minimum-degree vertex v0.  A cut below k that misses v0 separates it
+    from some vertex t; a minimal one that holds v0 separates two
+    non-adjacent neighbours of v0.  Before any probe a set ``known`` of
+    vertices that no cut below k separates from v0 grows from v0 and its
+    neighbours by two sweeps:
+
+    * a vertex with k neighbours in ``known`` joins it: a cut below k misses
+      one of them, and that neighbour lies on the vertex's side;
+    * every member of a group joins once v0 or k of its members are in
+      ``known``: a cut below k leaves the rest of a group connected and
+      misses one of those members.
+
+    ``groups`` is a sequence of vertex sets of adj that stay connected
+    after deleting any fewer than k of their vertices, such as the blocks of
+    a subgraph.  Only vertices outside ``known`` are probed against v0, in
+    BFS order from v0, and each that passes joins ``known`` and sweeps
+    again.  A non-adjacent pair of v0's neighbours is probed unless one
+    group holds both: no cut below k separates two members of a group.
     """
     names = sorted(adj)
+    v0 = min(names, key=lambda v: (len(adj[v]), v))
+    member_of: dict[str, list[int]] = {}
+    for g, members in enumerate(groups):
+        for v in members:
+            member_of.setdefault(v, []).append(g)
+    missing = [k] * len(groups)  # members a group lacks in known before it joins
+    count = dict.fromkeys(names, 0)  # neighbours in known
+    known: set[str] = set()
+
+    def learn(todo: list[str]) -> None:
+        while todo:
+            v = todo.pop()
+            if v in known:
+                continue
+            known.add(v)
+            for u in adj[v]:
+                count[u] += 1
+                if count[u] == k:
+                    todo.append(u)
+            for g in member_of.get(v, ()):
+                missing[g] -= 1
+                if missing[g] == 0:
+                    todo += groups[g]
+
+    learn([v0, *adj[v0], *(v for g in member_of.get(v0, ()) for v in groups[g])])
+    net: list = []
+
+    def cut_between(s: str, t: str) -> set[str] | None:
+        if not net:
+            net.extend(_split_network(adj, names, k))
+        idx, head, arcs, cap = net
+        reach = _reach_below(head, arcs, cap[:], 2 * idx[s] + 1, 2 * idx[t], k)
+        if reach is None:
+            return None
+        return {v for v in names if 2 * idx[v] in reach and 2 * idx[v] + 1 not in reach}
+
+    order = [v0]
+    seen = {v0}
+    for u in order:
+        for w in sorted(adj[u] - seen):
+            seen.add(w)
+            order.append(w)
+    for t in order:
+        if t not in known:
+            cut = cut_between(v0, t)
+            if cut is not None:
+                return cut
+            learn([t])
+    for x, y in combinations(sorted(adj[v0]), 2):
+        if y in adj[x] or not set(member_of.get(x, ())).isdisjoint(member_of.get(y, ())):
+            continue
+        cut = cut_between(x, y)
+        if cut is not None:
+            return cut
+    return None
+
+
+def _split_network(adj: dict[str, set[str]], names: list[str], k: int):
+    """The split network of adj for vertex cuts below k, as residual arc
+    lists: the vertex index, arc heads, each node's arcs and capacities.
+
+    Node 2i enters vertex i and node 2i+1 leaves it.  Arc 2i runs from 2i
+    to 2i+1 with capacity 1, arc 2e from 2i+1 to 2j with capacity k for the
+    e-th directed edge (i, j), and arc a ^ 1 reverses arc a.  A probe runs
+    from 2s+1 to 2t, so the arcs of s and t never bind.
+    """
     idx = {v: i for i, v in enumerate(names)}
-    # split network: node 2i enters vertex i and node 2i+1 leaves it.  Arc 2i
-    # runs from 2i to 2i+1 with capacity 1, arc 2e from 2i+1 to 2j with
-    # capacity k for the e-th directed edge (i, j), and arc a ^ 1 reverses
-    # arc a.  A probe runs from 2s+1 to 2t, so the arcs of s and t never bind.
     dedges = [(i, idx[v]) for i, u in enumerate(names) for v in adj[u]]
     head = [a ^ 1 for a in range(2 * len(names))]
     head += [x for i, j in dedges for x in (2 * j, 2 * i + 1)]
@@ -213,16 +300,7 @@ def vertex_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:
     for e, (i, j) in enumerate(dedges, len(names)):
         arcs[2 * i + 1].append(2 * e)
         arcs[2 * j].append(2 * e + 1)
-    v0 = min(names, key=lambda v: (len(adj[v]), v))
-    pairs = [(v0, t) for t in names if t != v0 and t not in adj[v0]]
-    for x, y in combinations(sorted(adj[v0]), 2):
-        if y not in adj[x]:
-            pairs.append((x, y))
-    for s, t in pairs:
-        reach = _reach_below(head, arcs, cap[:], 2 * idx[s] + 1, 2 * idx[t], k)
-        if reach is not None:
-            return {v for v in names if 2 * idx[v] in reach and 2 * idx[v] + 1 not in reach}
-    return None
+    return idx, head, arcs, cap
 
 
 def _reach_below(

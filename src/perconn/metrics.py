@@ -307,13 +307,17 @@ def _iso_feasible(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
     used: set[str] = set()
 
     def fits(u: str, v: str) -> bool:
-        for u2, v2 in mapping.items():
-            e1 = u2 in adj1[u]
-            if e1 != (v2 in adj2[v]):
+        # u's mapped neighbours go to neighbours of v within h; as the mapping
+        # is injective, v then has no other mapped neighbour iff the counts agree
+        mapped = 0
+        for u2 in adj1[u]:
+            v2 = mapping.get(u2)
+            if v2 is None:
+                continue
+            if v2 not in adj2[v] or abs(_edge_w(ew1, u, u2) - _edge_w(ew2, v, v2)) > h:
                 return False
-            if e1 and abs(_edge_w(ew1, u, u2) - _edge_w(ew2, v, v2)) > h:
-                return False
-        return True
+            mapped += 1
+        return mapped == sum(v2 in used for v2 in adj2[v])
 
     # depth-first over positions of ``order``; resume[pos] is the index of the
     # next candidate to try for order[pos]

@@ -2,7 +2,9 @@
 
 Connectivity here is plain DFS; property membership is literal deletion
 enumeration; components are maximality filtering over exhaustive candidate
-enumerations; the bottleneck oracle enumerates every admissible matching;
+enumerations; a vertex cut below k is found by trying every vertex subset,
+and by the max-flow search that probes every pair a minimum cut must
+separate, without the sweeps that certify pairs; the bottleneck oracle enumerates every admissible matching;
 the pseudodistance oracle enumerates every vertex bijection.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
 subquivers, and its persistence is read from their components.
@@ -128,6 +130,73 @@ def oracle_components(g: pc.SimpleGraph, spec: pc.PropertySpec) -> list[pc.Simpl
         if not any(m.includes(h) for m in maximal):
             maximal.append(h)
     return sorted(maximal, key=lambda c: tuple(sorted(c.vertices)))
+
+
+def brute_force_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:
+    """A smallest vertex set below k whose deletion leaves a disconnected
+    graph, by trying every subset; None if there is none."""
+    for r in range(k):
+        for cut in combinations(sorted(adj), r):
+            if disconnects(adj, set(cut)):
+                return set(cut)
+    return None
+
+
+def disconnects(adj: dict[str, set[str]], cut: set[str]) -> bool:
+    """Does deleting cut leave at least two vertices, not all connected?"""
+    rest = frozenset(adj) - cut
+    edges = [(u, v) for u in rest for v in adj[u] & rest if u < v]
+    return len(rest) > 1 and not dfs_connected(rest, edges)
+
+
+def probe_every_pair_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:
+    """A vertex cut below k of a connected non-complete graph, else None, by
+    a max-flow probe of every pair that a minimum cut must separate: a
+    minimum-degree vertex v0 against each non-neighbour, and each
+    non-adjacent pair of v0's neighbours (Menger, on the split network)."""
+    names = sorted(adj)
+    idx = {v: i for i, v in enumerate(names)}
+    # node 2i enters vertex i, node 2i+1 leaves it; arc a ^ 1 reverses arc a
+    dedges = [(i, idx[v]) for i, u in enumerate(names) for v in adj[u]]
+    head = [a ^ 1 for a in range(2 * len(names))]
+    head += [x for i, j in dedges for x in (2 * j, 2 * i + 1)]
+    cap = [1, 0] * len(names) + [k, 0] * len(dedges)
+    arcs = [[a] for a in range(2 * len(names))]
+    for e, (i, j) in enumerate(dedges, len(names)):
+        arcs[2 * i + 1].append(2 * e)
+        arcs[2 * j].append(2 * e + 1)
+    v0 = min(names, key=lambda v: (len(adj[v]), v))
+    pairs = [(v0, t) for t in names if t != v0 and t not in adj[v0]]
+    for x, y in combinations(sorted(adj[v0]), 2):
+        if y not in adj[x]:
+            pairs.append((x, y))
+    for s, t in pairs:
+        reach = _flow_reach_below(head, arcs, cap[:], 2 * idx[s] + 1, 2 * idx[t], k)
+        if reach is not None:
+            return {v for v in names if 2 * idx[v] in reach and 2 * idx[v] + 1 not in reach}
+    return None
+
+
+def _flow_reach_below(head, arcs, cap, src, snk, k):
+    """Nodes reachable from src in the residual network of a maximum flow
+    below k, or None if k units reach snk.  Augments along BFS paths."""
+    for _ in range(k):
+        prev = {src: -1}
+        queue = [src]
+        for a in queue:
+            for e in arcs[a]:
+                if cap[e] and head[e] not in prev:
+                    prev[head[e]] = e
+                    queue.append(head[e])
+        if snk not in prev:
+            return prev
+        b = snk
+        while b != src:
+            e = prev[b]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            b = head[e ^ 1]
+    return None
 
 
 def oracle_bottleneck(d1: pc.Diagram, d2: pc.Diagram) -> float:

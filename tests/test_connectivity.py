@@ -6,9 +6,10 @@ import pytest
 
 import perconn as pc
 import oracles
-from perconn.connectivity import block_levels
-from perconn.cuts import edge_cut_below
-from corpus import random_weighted_graph, triangle_bridge_chain
+from perconn import cuts
+from perconn.connectivity import block_levels, vertex_blocks
+from perconn.cuts import edge_cut_below, vertex_cut_below
+from corpus import random_weighted_graph, sparse_graph_edges, triangle_bridge_chain, weigh
 
 
 def complete(names):
@@ -298,6 +299,78 @@ def test_vertex_blocks_match_networkx():
         assert not any(a < b for a in sets3 for b in sets3)
 
 
+def _connected_non_complete(rng, max_vertices):
+    """A random connected, non-complete adjacency on 4..max_vertices vertices."""
+    while True:
+        vs = [f"v{i}" for i in range(rng.randint(4, max_vertices))]
+        p = rng.uniform(0.3, 0.9)
+        g = pc.simple_graph(vs, [e for e in combinations(vs, 2) if rng.random() < p])
+        adj = g.adjacency()
+        if len(g.edges) < len(vs) * (len(vs) - 1) // 2 and oracles.dfs_connected(g.vertices, g.edges):
+            return adj
+
+
+def test_vertex_cut_below_matches_the_oracles(seed=71):
+    # groups are blocks of the graph itself or of a random edge subset, so no
+    # cut below k splits them; the verdict never depends on them
+    rng = random.Random(seed)
+    hits = grouped = 0
+    for _ in range(400):
+        adj = _connected_non_complete(rng, 9)
+        k = rng.randint(2, 4)
+        keep = rng.uniform(0.5, 1.0)
+        sub = {v: set() for v in adj}
+        for u, v in [(u, v) for u in adj for v in adj[u] if u < v and rng.random() < keep]:
+            sub[u].add(v)
+            sub[v].add(u)
+        expected = oracles.brute_force_cut_below(adj, k)
+        assert (oracles.probe_every_pair_cut_below(adj, k) is None) == (expected is None)
+        for groups in ((), vertex_blocks(adj, k), vertex_blocks(sub, k)):
+            cut = vertex_cut_below(adj, k, groups)
+            assert (cut is None) == (expected is None), (sorted(adj.items()), k, groups)
+            if cut is not None:
+                assert len(cut) < k and oracles.disconnects(adj, cut), cut
+        hits += expected is not None
+        grouped += bool(vertex_blocks(sub, k))
+    assert 100 < hits < 300 and grouped > 100
+
+
+def test_vertex_cut_below_keeps_a_cut_between_two_groups():
+    # two K4s share {a, b}: at k = 3 v0 = c knows a, b, d and its own K4,
+    # and e, f each see only two known vertices, as the other K4 holds only
+    # two known members; a threshold of k - 1 on either sweep would miss {a, b}
+    left, right = complete("abcd"), complete("abef")
+    adj = left.union(right).adjacency()
+    groups = [left.vertices, right.vertices]
+    assert vertex_cut_below(adj, 3, groups) == {"a", "b"}
+    assert vertex_cut_below(adj, 3) == {"a", "b"}
+    assert vertex_cut_below(adj, 2, groups) is None
+
+
+def test_vertex_cut_below_finds_a_cut_through_v0():
+    # two K5s, a and b, both joined to the hub z, and v0 of degree 4 joined
+    # to two vertices of each: {v0, z} is the one cut below 3, so only the
+    # pairs of v0's neighbours find it, and a1, b1 share no group
+    a, b = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
+    g = complete(a + ["z"]).union(complete(b + ["z"]))
+    g = g.union(pc.simple_graph(edges=[("v0", x) for x in ("a0", "a1", "b0", "b1")]))
+    for groups in ((), [frozenset(a + ["z"]), frozenset(b + ["z"])]):
+        assert vertex_cut_below(g.adjacency(), 3, groups) == {"v0", "z"}
+
+
+def test_vertex_block_diagram_probe_count(monkeypatch):
+    # the sweeps settle most vertices: probing every pair that a minimum cut
+    # may separate takes 6,181 flow probes on this graph
+    calls = []
+    reach_below = cuts._reach_below
+    monkeypatch.setattr(cuts, "_reach_below", lambda *args: calls.append(1) or reach_below(*args))
+    rng = random.Random(200)
+    filt = pc.build_filtration(weigh(rng, sparse_graph_edges(rng, 200), tied=False))
+    diagram = pc.graph_diagram(filt, pc.PropertySpec("vertex_block", 3))
+    assert 0 < len(calls) < 500
+    assert len(diagram.points) > 1
+
+
 def test_block_levels_match_the_providers_level_by_level(seed=67):
     # one adjacency grown over integer vertices gives every level's maximal
     # vertex sets, as the providers do on each sublevel graph
@@ -305,13 +378,26 @@ def test_block_levels_match_the_providers_level_by_level(seed=67):
         pc.PropertySpec(kind, k) for kind in ("vertex_block", "edge_block") for k in (1, 2, 3, 4)
     ]
     rng = random.Random(seed)
-    for _ in range(25):
-        wg = random_weighted_graph(rng, max_vertices=10, max_criticals=5, edge_prob=(0.3, 0.8))
+    cases = [
+        (random_weighted_graph(rng, max_vertices=10, max_criticals=5, edge_prob=(0.3, 0.8)), specs)
+        for _ in range(25)
+    ]
+    # 30-60 vertices in six dense clusters joined by a few edges, over up
+    # to 12 levels: the previous level's vertex blocks settle most probes,
+    # and cuts just below k are common
+    for _ in range(8):
+        clusters = [[f"c{c}v{i}" for i in range(rng.randint(5, 10))] for c in range(6)]
+        pairs = [e for vs in clusters for e in combinations(vs, 2) if rng.random() < 0.7]
+        for a, b in combinations(clusters, 2):
+            pairs += [(rng.choice(a), rng.choice(b)) for _ in range(rng.randint(0, 6) // 2)]
+        wg = pc.weighted_graph({e: rng.randint(1, 12) for e in pairs})
+        cases.append((wg, [s for s in specs if s.k >= 3]))
+    for wg, case_specs in cases:
         filt = pc.build_filtration(wg)
         names = list(wg.vertex_weights)
         index = {v: i for i, v in enumerate(names)}
         edges = [(index[u], index[v], w) for (u, v), w in wg.edge_weights.items()]
-        for spec in specs:
+        for spec in case_specs:
             levels = block_levels(filt.criticals, list(wg.vertex_weights.values()), edges, spec)
             assert len(levels) == len(filt.criticals)
             for i, sets in enumerate(levels):

@@ -1,6 +1,7 @@
 """Text round-trip properties of the four file formats, the bottleneck
 distance against the exhaustive oracle, the stability of diagrams under
-perturbation, the k = 2 block sweeps against the per-level path, and the
+perturbation, the k = 2 block sweeps against the per-level path, vertex
+blocks found with and without the blocks of a subgraph as prior, and the
 CLI's exit codes on arbitrary input, as hypothesis tests.
 
 Derandomized with fixed example counts, so every run checks the same inputs.
@@ -11,6 +12,7 @@ import io
 import math
 import os
 import tempfile
+from itertools import combinations
 
 import pytest
 
@@ -19,6 +21,7 @@ st = hypothesis.strategies
 
 import perconn as pc  # noqa: E402
 from perconn import cli  # noqa: E402
+from perconn.connectivity import vertex_blocks  # noqa: E402
 import oracles  # noqa: E402
 from corpus import random_gquiver, random_weighted_graph  # noqa: E402
 
@@ -150,6 +153,33 @@ def test_k2_block_sweeps_match_per_level_successor_diagrams(wg, rng, criticals):
             levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
             expected = pc.successor_diagram(filt.criticals, levels, lambda d, c: c.includes(d))
             assert pc.graph_diagram(filt, spec) == expected, kind
+
+
+@st.composite
+def graphs_and_edge_subsets(draw):
+    """An adjacency on 2-12 integer vertices and one on a subset of its edges."""
+    pairs = list(combinations(range(draw(st.integers(2, 12))), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    kept = [e for e in edges if draw(st.booleans())]
+    return tuple(_adjacency(pairs, chosen) for chosen in (edges, kept))
+
+
+def _adjacency(pairs, edges):
+    adj = {v: set() for pair in pairs for v in pair}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+@hypothesis.settings(FIXED, max_examples=200)
+@hypothesis.given(graphs_and_edge_subsets(), st.integers(2, 5))
+def test_vertex_blocks_with_the_blocks_of_an_edge_subset_as_prior(graphs, k):
+    # a block of a subgraph keeps its property in the graph, so handing the
+    # blocks of any edge subset to the cut search changes no block
+    adj, sub = graphs
+    prior = vertex_blocks(sub, k)
+    assert sorted(map(sorted, vertex_blocks(adj, k, prior))) == sorted(map(sorted, vertex_blocks(adj, k)))
 
 
 # One invocation per command; FILE marks where the input files go.
