@@ -9,7 +9,6 @@ from .connectivity import (
     contains_property_subgraph,
     is_property_connected,
     property_components,
-    subobject_poset,
 )
 from .graphs import (
     CapExceeded,
@@ -57,6 +56,7 @@ from .posets import (
     poset_isomorphic,
     poset_persistence,
     serialize_poset,
+    subobject_poset,
     t_n,
     t_n_filtration,
 )

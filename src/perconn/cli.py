@@ -15,9 +15,8 @@ import json
 import math
 import sys
 
-from .connectivity import PropertySpec, property_components, subobject_poset
+from .connectivity import PropertySpec, property_components
 from .graphs import (
-    CapExceeded,
     FormatError,
     GraphError,
     build_filtration,
@@ -35,7 +34,7 @@ from .persistence import (
     persistence_function,
     serialize_diagram,
 )
-from .posets import is_weakly_directed
+from .posets import is_weakly_directed, subobject_poset
 from .quivers import EquivariantClass, gq_persistence, parse_gquiver
 
 EXIT_OK = 0
@@ -349,10 +348,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GraphError as exc:
+    except GraphError as exc:  # a CapExceeded too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

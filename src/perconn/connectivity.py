@@ -7,9 +7,9 @@ Four property kinds are supported:
   k-cliques are linked by a chain of adjacent k-cliques (adjacent means
   sharing k-1 vertices).  Maximal components are the classical clique
   percolation communities; they may overlap and are unions of their member
-  cliques rather than induced subgraphs.  A level's communities come from
-  one enumeration of its k-cliques by ordered extension and a union-find
-  over their shared (k-1)-cliques.
+  cliques rather than induced subgraphs.  A graph's communities come from
+  ``cuts.clique_percolation``, the sweep the diagram engine runs: a
+  union-find over its merges groups the cliques.
 * ``vertex_block`` — deleting any fewer than k vertices (induced) leaves a
   nonempty connected graph.  Complete graphs on at least k vertices pass.
   Maximal components may overlap in fewer than k vertices.  For k = 2 they
@@ -49,19 +49,18 @@ in one pass over the edges in weight order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 
 from .cuts import (
     UnionFind,
     biconnected_components,
+    clique_percolation,
     connected_vertex_sets,
     edge_cut_below,
-    k_cliques,
     vertex_cut_below,
 )
-from .graphs import CapExceeded, GraphError, SimpleGraph, simple_graph
-from .posets import Poset
+from .graphs import GraphError, SimpleGraph
 
 PROPERTY_KINDS = ("components", "clique", "vertex_block", "edge_block")
 
@@ -85,40 +84,6 @@ class PropertySpec:
         if self.kind == "components":
             return "components"
         return f"{self.kind}:{self.k}"
-
-
-def _component_sort_key(g: SimpleGraph):
-    return tuple(sorted(g.vertices))
-
-
-def _clique_classes(g: SimpleGraph, k: int) -> tuple[list[frozenset[str]], list[list[int]]]:
-    """k-cliques of g and the index classes of the clique-adjacency relation."""
-    cliques = k_cliques(g.adjacency(), k)
-    if not cliques:
-        return [], []
-    uf = UnionFind(len(cliques))
-    buckets: dict[tuple[str, ...], list[int]] = {}
-    for i, c in enumerate(cliques):
-        for sub in combinations(sorted(c), k - 1):
-            buckets.setdefault(sub, []).append(i)
-    for group in buckets.values():
-        for j in group[1:]:
-            uf.union(group[0], j)
-    classes: dict[int, list[int]] = {}
-    for i in range(len(cliques)):
-        classes.setdefault(uf.find(i), []).append(i)
-    ordered = sorted(classes.values(), key=lambda idxs: sorted(sorted(cliques[i]) for i in idxs))
-    return cliques, ordered
-
-
-def _clique_union(cliques: list[frozenset[str]], idxs) -> SimpleGraph:
-    vs: set[str] = set()
-    es = []
-    for i in idxs:
-        members = sorted(cliques[i])
-        vs.update(members)
-        es.extend(combinations(members, 2))
-    return simple_graph(vs, es)
 
 
 def is_property_connected(g: SimpleGraph, spec: PropertySpec) -> bool:
@@ -278,9 +243,19 @@ def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]
     vertices; clique communities and vertex blocks may overlap.
     """
     if spec.kind == "clique":
-        cliques, classes = _clique_classes(g, spec.k)
-        comms = [_clique_union(cliques, idxs) for idxs in classes]
-        return sorted(comms, key=_component_sort_key)
+        cliques, _, merges = clique_percolation([(u, v, 0.0) for u, v in sorted(g.edges)], spec.k)
+        uf = UnionFind(len(cliques))
+        for q, p, _ in merges:
+            uf.union(q, p)
+        classes: dict[int, list[tuple[str, ...]]] = {}
+        for i, c in enumerate(cliques):
+            classes.setdefault(uf.find(i), []).append(c)
+        # sorted by vertex set, ties in the order of the classes' sorted cliques
+        comms = [
+            SimpleGraph(frozenset(chain(*cs)), frozenset(e for c in cs for e in combinations(c, 2)))
+            for cs in sorted(sorted(cs) for cs in classes.values())
+        ]
+        return sorted(comms, key=lambda h: sorted(h.vertices))
     blocks, k = _block_search(spec)
     adj = g.adjacency()
     return _induced_sorted(adj, blocks(adj, k))
@@ -293,65 +268,3 @@ def contains_property_subgraph(g: SimpleGraph, spec: PropertySpec) -> bool:
     k-clique must exist; for vertex blocks a k-vertex-connected subgraph.
     """
     return bool(property_components(g, spec))
-
-
-def _clique_state_graphs(g: SimpleGraph, k: int) -> list[SimpleGraph]:
-    """All subgraphs that are unions of chains of adjacent k-cliques."""
-    cliques = k_cliques(g.adjacency(), k)
-    clique_graphs = [simple_graph(c, combinations(sorted(c), 2)) for c in cliques]
-    adjacent: list[list[int]] = [[] for _ in cliques]
-    for i, j in combinations(range(len(cliques)), 2):
-        if len(cliques[i] & cliques[j]) == k - 1:
-            adjacent[i].append(j)
-            adjacent[j].append(i)
-    states: dict[tuple[frozenset[str], frozenset[tuple[str, str]]], SimpleGraph] = {}
-    frontier: list[SimpleGraph] = []
-    for cg in clique_graphs:
-        key = (cg.vertices, cg.edges)
-        if key not in states:
-            states[key] = cg
-            frontier.append(cg)
-    while frontier:
-        u = frontier.pop()
-        contained = [i for i, c in enumerate(cliques) if c <= u.vertices and clique_graphs[i].edges <= u.edges]
-        for i in contained:
-            for j in adjacent[i]:
-                nxt = u.union(clique_graphs[j])
-                key = (nxt.vertices, nxt.edges)
-                if key not in states:
-                    states[key] = nxt
-                    frontier.append(nxt)
-    return sorted(states.values(), key=lambda s: (len(s.vertices), len(s.edges), _component_sort_key(s)))
-
-
-def subobject_poset(g: SimpleGraph, spec: PropertySpec, size_cap: int = 7) -> Poset:
-    """Poset of all property-satisfying subgraphs of g, ordered by inclusion.
-
-    Exhaustive enumeration, guarded by a vertex cap.  Induced subgraphs
-    suffice for components and blocks (maximal elements agree); clique
-    communities need genuine unions of cliques.
-    """
-    if len(g.vertices) > size_cap:
-        raise CapExceeded(
-            f"subobject poset limited to {size_cap} vertices, got {len(g.vertices)}"
-        )
-    elements: list[SimpleGraph]
-    if spec.kind == "clique":
-        elements = _clique_state_graphs(g, spec.k)
-    else:
-        vs = g.sorted_vertices()
-        elements = []
-        for r in range(1, len(vs) + 1):
-            for subset in combinations(vs, r):
-                h = g.induced(subset)
-                if is_property_connected(h, spec):
-                    elements.append(h)
-    below = []
-    for a in elements:
-        mask = 0
-        for i, b in enumerate(elements):
-            if a.includes(b):
-                mask |= 1 << i
-        below.append(mask)
-    return Poset._from_masks(elements, below)
-

@@ -1,9 +1,15 @@
 """Low-level graph algorithm primitives used by the connectivity providers.
 
-All functions take an adjacency dict ``{vertex: set(neighbors)}`` over string
-vertex ids.  Where several answers are valid they break ties by vertex id, so
-results are deterministic; ``biconnected_components`` returns its blocks in no
-fixed order.
+All functions take an adjacency dict ``{vertex: set(neighbors)}`` over
+sortable vertex ids, or edges over them.  Where several answers are valid they
+break ties by vertex id, so results are deterministic;
+``biconnected_components`` returns its blocks in no fixed order.
+
+``clique_percolation`` is the one clique kernel.  It sweeps edges in order
+and finds each k-clique at its last edge (sequential clique percolation,
+Kumpula et al. 2008); the diagram engine feeds its births and merges to the
+elder rule, ``connectivity.property_components`` groups its cliques into
+communities, and ``posets.subobject_poset`` chains them.
 
 ``vertex_cut_below`` runs a max-flow probe only where two sweeps leave a
 doubt.  From a vertex v0 and its neighbours it grows the set of vertices
@@ -19,7 +25,7 @@ probed either, since no cut below k splits a group.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -30,7 +36,6 @@ class UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
-        self.count = n
 
     def find(self, a: int) -> int:
         root = a
@@ -49,7 +54,6 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        self.count -= 1
         return ra
 
     def attach(self, a: int, b: int) -> None:
@@ -58,7 +62,6 @@ class UnionFind:
         rb = self.find(b)
         self.parent[a] = b
         self.size[rb] += self.size[a]
-        self.count -= 1
 
     def roots(self) -> list[int]:
         """One member per class: its root."""
@@ -106,14 +109,34 @@ def cliques_within(adj: dict[str, set[str]], cand, r: int) -> list[tuple[str, ..
     return out
 
 
-def k_cliques(adj: dict[str, set[str]], k: int) -> list[frozenset[str]]:
-    """All cliques of exactly k vertices, each grown from its least vertex."""
-    found = [
-        frozenset((v, *rest))
-        for v in adj
-        for rest in cliques_within(adj, {u for u in adj[v] if u > v}, k - 1)
-    ]
-    return sorted(found, key=sorted)
+def clique_percolation(edges, k: int) -> tuple[list[tuple], list[float], list[tuple[int, int, float]]]:
+    """Sequential clique percolation over (u, v, w) edges in the order given.
+
+    The k-cliques an edge closes are its endpoints plus a (k-2)-clique of
+    their common neighbourhood so far, so each k-clique is found once, at its
+    last edge.  Returns the cliques as sorted tuples, the weight of the edge
+    that closed each, and the merges (q, p, w): clique q shares a
+    (k-1)-clique facet with the earlier clique p that first held it, and w is
+    q's weight.  Adjacent cliques share a facet, so the merges join the
+    cliques into their percolation classes.
+    """
+    adj: dict = defaultdict(set)
+    cliques: list[tuple] = []
+    births: list[float] = []
+    merges: list[tuple[int, int, float]] = []
+    owner: dict[tuple, int] = {}
+    for u, v, w in edges:
+        for rest in cliques_within(adj, adj[u] & adj[v], k - 2):
+            q = len(cliques)
+            cliques.append(tuple(sorted((u, v, *rest))))
+            births.append(w)
+            for facet in combinations(cliques[q], k - 1):
+                first = owner.setdefault(facet, q)
+                if first != q:
+                    merges.append((q, first, w))
+        adj[u].add(v)
+        adj[v].add(u)
+    return cliques, births, merges
 
 
 def edge_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:

@@ -24,9 +24,16 @@ sorted pairing has the least largest gap, so the larger of the two sorted
 gaps is a lower bound; it is tried first, and a success there also proves the
 graphs isomorphic.  Otherwise a binary search runs over the weight
 differences above it, with a backtracking isomorphism search constrained to
-each threshold, so the result is the exact minimum.  The search runs on an
-explicit stack and requires the images of twin vertices to increase along
-its visit order, which loses no isomorphism's cost.
+each threshold (``isomorphic_within``), so the result is the exact minimum.
+The search runs on an explicit stack and requires the images of twin
+vertices to increase along its visit order, which loses no isomorphism's
+cost.
+
+The same search decides poset isomorphism (``posets.poset_isomorphic``) at
+h = 0 on comparability graphs, each element weighted by the size of its
+down-set.  Of two comparable elements the lower one has the strictly smaller
+down-set, so a weight-preserving isomorphism of the comparability graphs maps
+each comparable pair in its order: it is exactly an order isomorphism.
 """
 
 from __future__ import annotations
@@ -257,14 +264,16 @@ def _sorted_gap(ws1: Iterable[float], ws2: Iterable[float]) -> float:
     return max((abs(w1 - w2) for w1, w2 in zip(sorted(ws1), sorted(ws2))), default=0.0)
 
 
-def _iso_feasible(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
+def isomorphic_within(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
     """Is there an isomorphism with every matched weight difference <= h?"""
     g1, g2 = wg1.graph, wg2.graph
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return False
+    if not g1.vertices:
+        return True
     adj1, adj2 = g1.adjacency(), g2.adjacency()
     vw1, vw2 = wg1.vertex_weights, wg2.vertex_weights
     ew1, ew2 = wg1.edge_weights, wg2.edge_weights
-    if not g1.vertices:
-        return True
 
     # visit order: BFS from high-degree seeds so adjacency constraints bind early
     order: list[str] = []
@@ -395,16 +404,16 @@ def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: i
         (wg1.edge_weights.values(), wg2.edge_weights.values()),
     )
     lb = max(_sorted_gap(ws1, ws2) for ws1, ws2 in pools)
-    if _iso_feasible(wg1, wg2, lb):
+    if isomorphic_within(wg1, wg2, lb):
         return lb
     diffs = {abs(w1 - w2) for ws1, ws2 in pools for w1 in ws1 for w2 in ws2}
     cands = sorted(d for d in diffs if d > lb)
-    if not cands or not _iso_feasible(wg1, wg2, cands[-1]):
+    if not cands or not isomorphic_within(wg1, wg2, cands[-1]):
         return math.inf
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _iso_feasible(wg1, wg2, cands[mid]):
+        if isomorphic_within(wg1, wg2, cands[mid]):
             hi = mid
         else:
             lo = mid + 1

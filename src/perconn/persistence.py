@@ -18,7 +18,7 @@ cheapest forest for each property; only blocks at k >= 3 build levels:
 * plain components, and blocks at k = 1: the edges in weight order over
   the vertices;
 * clique communities: the k-cliques each new edge closes (sequential
-  clique percolation, Kumpula et al. 2008);
+  clique percolation, Kumpula et al. 2008), from ``cuts.clique_percolation``;
 * blocks at k = 2: the non-tree edges of one spanning forest in weight
   order, each merging the vertices (edge blocks) or the edges (vertex
   blocks) along its tree path, with jumps over what earlier paths joined
@@ -51,11 +51,11 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .cuts import UnionFind, cliques_within
+from .connectivity import block_levels, property_components
+from .cuts import UnionFind, clique_percolation
 from .graphs import Filtration, FormatError, format_weight
 
 
@@ -233,8 +233,6 @@ def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
 
 def _graph_levels(filt: Filtration, spec) -> tuple[list, list[list[int]]]:
     """Per-level components of a graph filtration and their successor maps."""
-    from .connectivity import property_components
-
     levels = [property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
     return levels, _successor_maps(filt.criticals, levels, _graph_contains, attrgetter("vertices"))
 
@@ -288,31 +286,6 @@ def _forest_diagram(criticals: Sequence[float], level_components, succ: list[lis
         merges += ((prev + a, start + b, criticals[j]) for a, b in enumerate(succ[j]))
         prev = start
     return elder_rule(births, merges)
-
-
-def _clique_percolation(edges, k: int) -> tuple[list[float], list[tuple[int, int, float]]]:
-    """Sequential clique percolation over edges in weight order.
-
-    The k-cliques an edge closes are its endpoints plus a (k-2)-clique of
-    their common neighbourhood so far; each is a node born at the edge's
-    weight that merges, at that weight, with the earlier owner of each of
-    its (k-1)-clique facets.
-    """
-    adj: dict[int, set[int]] = defaultdict(set)
-    births: list[float] = []
-    merges: list[tuple[int, int, float]] = []
-    owner: dict[tuple[int, ...], int] = {}
-    for u, v, w in edges:
-        for rest in cliques_within(adj, adj[u] & adj[v], k - 2):
-            q = len(births)
-            births.append(w)
-            for facet in combinations(sorted((u, v, *rest)), k - 1):
-                first = owner.setdefault(facet, q)
-                if first != q:
-                    merges.append((q, first, w))
-        adj[u].add(v)
-        adj[v].add(u)
-    return births, merges
 
 
 def _rooted_forest(n: int, edges) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -411,14 +384,13 @@ def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, sp
     values: blocks at k >= 3 take their levels there.
     """
     if spec.kind in ("vertex_block", "edge_block") and spec.k > 2:
-        from .connectivity import block_levels
-
         levels = block_levels(criticals, births, edges, spec)
         succ = _successor_maps(criticals, levels, frozenset.issubset, lambda s: s)
         return _forest_diagram(criticals, levels, succ)
     edges = sorted(edges, key=itemgetter(2))
     if spec.kind == "clique":
-        return elder_rule(*_clique_percolation(edges, spec.k))
+        _, clique_births, merges = clique_percolation(edges, spec.k)
+        return elder_rule(clique_births, merges)
     if spec.kind == "components" or spec.k == 1:
         return elder_rule(births, edges)
     if spec.kind == "edge_block":

@@ -9,16 +9,26 @@ elements only appear, and relations only grow.  Counting maximal elements
 along such a filtration yields a persistence function, and the
 special shape used here (one top element absorbing the others at their
 death values) realizes any diagram with a single infinite cornerpoint.
+
+``subobject_poset`` orders the property-satisfying subgraphs of a graph by
+inclusion; for clique communities it chains the k-cliques of
+``cuts.clique_percolation``.  Isomorphism of posets (as of their cores) is
+the weighted-graph isomorphism search of ``metrics.isomorphic_within`` at
+h = 0 on comparability graphs weighted by down-set size; ``metrics`` gives
+the argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
-from .graphs import SimpleGraph, WeightedGraph, weighted_graph
-from .metrics import optimal_matching
+from .connectivity import PropertySpec, is_property_connected
+from .cuts import clique_percolation
+from .graphs import CapExceeded, SimpleGraph, WeightedGraph, simple_graph, weighted_graph
+from .metrics import isomorphic_within, optimal_matching
 from .persistence import Diagram, PersistenceFunction, tabulate_persistence
 
 
@@ -216,52 +226,74 @@ def core(p: Poset, *, reverse: bool = False) -> Poset:
 
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
-    """Backtracking isomorphism test with (|down|, |up|) invariant pruning."""
-    if len(p) != len(q):
-        return False
-    p_above = p._above_masks()
-    q_above = q._above_masks()
+    """Order isomorphism, as isomorphism at h = 0 of the comparability graphs."""
+    return isomorphic_within(_comparability_graph(p), _comparability_graph(q), 0.0)
 
-    def profile(poset, above):
-        return sorted(
-            (poset._below[i].bit_count(), above[i].bit_count()) for i in range(len(poset))
+
+def _comparability_graph(p: Poset) -> WeightedGraph:
+    """Comparable pairs of elements as edges, each element weighted by the
+    size of its down-set and every edge by the element count, so each
+    explicit weight stays at or below its incident minimum.  Of two
+    comparable elements the lower has the strictly smaller down-set, so a
+    weight-preserving isomorphism is exactly an order isomorphism."""
+    n = float(len(p))
+    edges = {(str(i), str(j)): n for j, mask in enumerate(p._below) for i in _bits(mask) if i != j}
+    return weighted_graph(edges, {str(i): float(mask.bit_count()) for i, mask in enumerate(p._below)})
+
+
+def _clique_state_graphs(g: SimpleGraph, k: int) -> list[SimpleGraph]:
+    """All subgraphs that are unions of chains of adjacent k-cliques."""
+    cliques, _, _ = clique_percolation([(u, v, 0.0) for u, v in sorted(g.edges)], k)
+    clique_graphs = [simple_graph(c, combinations(c, 2)) for c in sorted(cliques)]
+    adjacent: list[list[int]] = [[] for _ in clique_graphs]
+    for i, j in combinations(range(len(clique_graphs)), 2):
+        if len(clique_graphs[i].vertices & clique_graphs[j].vertices) == k - 1:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+    states = dict.fromkeys(clique_graphs)
+    frontier = list(states)
+    while frontier:
+        u = frontier.pop()
+        # with k >= 2 a clique's edges cover its vertices
+        for i in [i for i, cg in enumerate(clique_graphs) if cg.edges <= u.edges]:
+            for j in adjacent[i]:
+                nxt = u.union(clique_graphs[j])
+                if nxt not in states:
+                    states[nxt] = None
+                    frontier.append(nxt)
+    return sorted(states, key=lambda s: (len(s.vertices), len(s.edges), s.sorted_vertices()))
+
+
+def subobject_poset(g: SimpleGraph, spec: PropertySpec, size_cap: int = 7) -> Poset:
+    """Poset of all property-satisfying subgraphs of g, ordered by inclusion.
+
+    Exhaustive enumeration, guarded by a vertex cap.  Induced subgraphs
+    suffice for components and blocks (maximal elements agree); clique
+    communities need genuine unions of cliques.
+    """
+    if len(g.vertices) > size_cap:
+        raise CapExceeded(
+            f"subobject poset limited to {size_cap} vertices, got {len(g.vertices)}"
         )
-
-    if profile(p, p_above) != profile(q, q_above):
-        return False
-    n = len(p)
-    p_inv = [(p._below[i].bit_count(), p_above[i].bit_count()) for i in range(n)]
-    q_inv = [(q._below[i].bit_count(), q_above[i].bit_count()) for i in range(n)]
-    order = sorted(range(n), key=lambda i: (p_inv[i], i))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in range(n):
-            if j in used or q_inv[j] != p_inv[i]:
-                continue
-            ok = True
-            for i2, j2 in mapping.items():
-                if ((p._below[i] >> i2) & 1) != ((q._below[j] >> j2) & 1):
-                    ok = False
-                    break
-                if ((p._below[i2] >> i) & 1) != ((q._below[j2] >> j) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[i] = j
-            used.add(j)
-            if extend(pos + 1):
-                return True
-            del mapping[i]
-            used.remove(j)
-        return False
-
-    return extend(0)
+    elements: list[SimpleGraph]
+    if spec.kind == "clique":
+        elements = _clique_state_graphs(g, spec.k)
+    else:
+        vs = g.sorted_vertices()
+        elements = []
+        for r in range(1, len(vs) + 1):
+            for subset in combinations(vs, r):
+                h = g.induced(subset)
+                if is_property_connected(h, spec):
+                    elements.append(h)
+    below = []
+    for a in elements:
+        mask = 0
+        for i, b in enumerate(elements):
+            if a.includes(b):
+                mask |= 1 << i
+        below.append(mask)
+    return Poset._from_masks(elements, below)
 
 
 def t_n(p: Poset, n: int) -> SimpleGraph:

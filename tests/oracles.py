@@ -5,7 +5,8 @@ enumeration; components are maximality filtering over exhaustive candidate
 enumerations; a vertex cut below k is found by trying every vertex subset,
 and by the max-flow search that probes every pair a minimum cut must
 separate, without the sweeps that certify pairs; the bottleneck oracle enumerates every admissible matching;
-the pseudodistance oracle enumerates every vertex bijection.  The orbit
+the pseudodistance oracle enumerates every vertex bijection, and the poset
+isomorphism oracle every element bijection.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
 subquivers, and its persistence is read from their components.
 """
@@ -276,6 +277,18 @@ def oracle_pseudodistance(w1: pc.WeightedGraph, w2: pc.WeightedGraph) -> float:
             cost = max(cost, abs(w1.vertex_weights[u] - w2.vertex_weights[phi[u]]))
         best = min(best, cost)
     return best
+
+
+def oracle_poset_isomorphic(p: pc.Poset, q: pc.Poset) -> bool:
+    """Some bijection of the elements carries the strict order of p onto q's."""
+    rp, rq = set(p.relation_pairs()), set(q.relation_pairs())
+    if len(p) != len(q) or len(rp) != len(rq):
+        return False
+    for image in permutations(q.elements):
+        to = dict(zip(p.elements, image))
+        if {(to[a], to[b]) for a, b in rp} == rq:
+            return True
+    return False
 
 
 def oracle_gq_is_connected(gq: pc.GQuiver) -> bool:

@@ -433,6 +433,25 @@ def test_block_diagrams_match_networkx_levels(kind, k):
     assert len(pc.extract_diagram(pf).points) > 1
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_clique_percolation_finds_each_clique_once(k, seed=113):
+    rng = random.Random(seed + k)
+    found = 0
+    for _ in range(60):
+        g = random_weighted_graph(rng, max_vertices=9, edge_prob=(0.4, 0.8)).graph
+        edges = sorted(g.edges)
+        rng.shuffle(edges)
+        cliques, births, merges = cuts.clique_percolation([(u, v, i) for i, (u, v) in enumerate(edges)], k)
+        assert sorted(cliques) == sorted(tuple(sorted(c)) for c in oracles._all_k_cliques(g, k))
+        # each clique is born at its last edge in the sweep
+        position = {e: i for i, e in enumerate(edges)}
+        assert births == [max(position[e] for e in combinations(c, 2)) for c in cliques]
+        for q, p, w in merges:
+            assert p < q and w == births[q] and len(set(cliques[p]) & set(cliques[q])) == k - 1
+        found += len(cliques)
+    assert found > 100
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_clique_communities_match_networkx_levels(k):
     nx = pytest.importorskip("networkx")

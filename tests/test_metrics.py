@@ -9,6 +9,7 @@ import pytest
 import perconn as pc
 import oracles
 from corpus import random_diagram, random_weighted_graph, relabeled_copy
+from perconn.metrics import isomorphic_within
 
 
 def test_identity_matching_is_zero():
@@ -231,6 +232,15 @@ def test_pseudodistance_identity_and_non_isomorphic():
     tri = pc.parse_weighted_graph("e a b 1\ne b c 1\ne a c 1\n")
     path = pc.parse_weighted_graph("e a b 1\ne b c 1\n")
     assert math.isinf(pc.natural_pseudodistance(tri, path))
+
+
+def test_isomorphic_within_rejects_an_embedding():
+    # every vertex of x-y maps into x-y plus an isolated z, but that is no isomorphism
+    xy = pc.weighted_graph({("x", "y"): 1.0})
+    xyz = pc.weighted_graph({("x", "y"): 1.0}, {"z": 1.0})
+    assert isomorphic_within(xy, xy, 0.0)
+    assert not isomorphic_within(xy, xyz, 0.0)
+    assert not isomorphic_within(xyz, xy, 0.0)
 
 
 def test_pseudodistance_shifted_weight():

@@ -1,8 +1,11 @@
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
+import oracles
 import perconn as pc
 from corpus import random_poset, random_universal_diagram_pair, random_weakly_directed_poset
 
@@ -54,6 +57,58 @@ def test_core_idempotent_and_order_independent(seed=83):
         c2 = pc.core(p, reverse=True)
         assert pc.core(c1) == c1
         assert pc.poset_isomorphic(c1, c2)
+
+
+def _indexed_order(rng, n, density):
+    """A random order on x0..x{n-1}, whose index order is a linear extension."""
+    names = [f"x{i}" for i in range(n)]
+    pairs = [(names[i], names[j]) for i, j in combinations(range(n), 2) if rng.random() < density]
+    return pc.Poset(names, pairs)
+
+
+def _toggled(rng, p):
+    """p with one pair toggled among its covers, in index order, so the
+    result stays acyclic; a pair already related but not covering adds nothing."""
+    covers = set(p.covers())
+    if len(p) > 1:
+        i, j = sorted(rng.sample(range(len(p)), 2))
+        covers ^= {(p.elements[i], p.elements[j])}
+    return pc.Poset(p.elements, covers)
+
+
+def _relabelled(rng, p):
+    """An isomorphic copy under new names, stored in a shuffled order."""
+    new = [f"y{i}" for i in range(len(p))]
+    rng.shuffle(new)
+    name = dict(zip(p.elements, new))
+    stored = new[:]
+    rng.shuffle(stored)
+    return pc.Poset(stored, [(name[a], name[b]) for a, b in p.covers()])
+
+
+def test_poset_isomorphic_matches_permutation_search(seed=107):
+    rng = random.Random(seed)
+    verdicts = Counter()
+    for case in range(3000):
+        n = rng.randint(1, 7)
+        p = _indexed_order(rng, n, rng.choice((0.2, 0.35, 0.5)))
+        if case % 3 == 0:
+            q = _relabelled(rng, p)
+        elif case % 3 == 1:
+            q = _relabelled(rng, _toggled(rng, p))
+        else:
+            # an independent order of the same size, with as many relations
+            # as p where one of a few draws has them
+            for _ in range(30):
+                q = _relabelled(rng, _indexed_order(rng, n, rng.choice((0.2, 0.35, 0.5))))
+                if len(q.relation_pairs()) == len(p.relation_pairs()):
+                    break
+        expected = oracles.oracle_poset_isomorphic(p, q)
+        assert pc.poset_isomorphic(p, q) == expected, (p.relation_pairs(), q.relation_pairs())
+        # negatives that agree in size and relation count are the hard ones
+        hard = len(p.relation_pairs()) == len(q.relation_pairs())
+        verdicts[expected, hard] += 1
+    assert verdicts[True, True] > 1000 and verdicts[False, True] > 200, verdicts
 
 
 def test_core_of_weakly_directed_is_maximal_antichain(seed=89):
