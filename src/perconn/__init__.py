@@ -40,7 +40,6 @@ from .persistence import (
     parse_diagram,
     persistence_function,
     serialize_diagram,
-    successor_diagram,
     tabulate_persistence,
 )
 from .posets import (

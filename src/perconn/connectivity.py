@@ -9,7 +9,12 @@ Four property kinds are supported:
   percolation communities; they may overlap and are unions of their member
   cliques rather than induced subgraphs.  A graph's communities come from
   ``cuts.clique_percolation``, the sweep the diagram engine runs: a
-  union-find over its merges groups the cliques.
+  union-find over its merges groups the cliques.  A level of
+  ``block_levels`` is a list of communities, each the set of its k-cliques,
+  so inclusion between levels is inclusion of clique sets.  For k >= 4 the
+  union graph of one community may hold every edge of another (a K4 whose
+  six edges each lie in some K4 of one other class), so subgraph inclusion
+  may give a community two successors where its cliques give one.
 * ``vertex_block`` — deleting any fewer than k vertices (induced) leaves a
   nonempty connected graph.  Complete graphs on at least k vertices pass.
   Maximal components may overlap in fewer than k vertices.  For k = 2 they
@@ -41,9 +46,10 @@ Four property kinds are supported:
 ``vertex_blocks`` and ``edge_blocks`` search a bare adjacency dict for
 vertex sets; ``property_components`` wraps them in induced subgraphs, and
 ``block_levels`` runs them on every level of a filtered graph on integer
-vertices for the diagram engine (``persistence.index_diagram``).  Only
-blocks at k >= 3 need those levels: the engine sweeps the other properties
-in one pass over the edges in weight order.
+vertices.  The diagram engine (``persistence.index_diagram``) needs those
+levels only for blocks at k >= 3, as it sweeps the other properties in one
+pass over the edges in weight order; ``verify`` tabulates every property on
+them.
 """
 
 from __future__ import annotations
@@ -200,12 +206,37 @@ def _block_search(spec: PropertySpec):
     return (edge_blocks if spec.kind == "edge_block" else vertex_blocks), spec.k
 
 
-def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[frozenset[int]]]:
-    """Maximal vertex sets (``spec``: components or a block kind) of each
-    level of a filtered graph: vertex i is born at ``births[i]``, an
-    (u, v, w) edge enters at w, and one adjacency grows level by level.
-    Each level's vertex blocks are the next level's ``prior``.
+def _clique_levels(criticals, edges, k: int) -> list[list[frozenset[tuple]]]:
+    """Clique communities of each level of a filtered graph, each the set of
+    its k-cliques as sorted tuples: one ``clique_percolation`` sweep over the
+    (u, v, w) edges, its cliques grouped per level by a union-find that
+    takes the merges as the levels grow."""
+    cliques, births, merges = clique_percolation(sorted(edges, key=itemgetter(2)), k)
+    uf = UnionFind(len(cliques))
+    levels = []
+    born = e = 0
+    for c in criticals:
+        while born < len(cliques) and births[born] <= c:
+            born += 1
+        while e < len(merges) and merges[e][2] <= c:
+            uf.union(merges[e][0], merges[e][1])
+            e += 1
+        classes: dict[int, list[tuple]] = {}
+        for i in range(born):
+            classes.setdefault(uf.find(i), []).append(cliques[i])
+        levels.append([frozenset(cs) for cs in classes.values()])
+    return levels
+
+
+def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[frozenset]]:
+    """Maximal components of each level of a filtered graph: vertex i is
+    born at ``births[i]``, an (u, v, w) edge enters at w.  They are clique
+    sets for ``clique:k`` and vertex sets otherwise, from one adjacency that
+    grows level by level; each level's vertex blocks are the next level's
+    ``prior``.
     """
+    if spec.kind == "clique":
+        return _clique_levels(criticals, edges, spec.k)
     blocks, k = _block_search(spec)
     born = sorted(range(len(births)), key=births.__getitem__)
     edges = sorted(edges, key=itemgetter(2))
@@ -243,17 +274,11 @@ def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]
     vertices; clique communities and vertex blocks may overlap.
     """
     if spec.kind == "clique":
-        cliques, _, merges = clique_percolation([(u, v, 0.0) for u, v in sorted(g.edges)], spec.k)
-        uf = UnionFind(len(cliques))
-        for q, p, _ in merges:
-            uf.union(q, p)
-        classes: dict[int, list[tuple[str, ...]]] = {}
-        for i, c in enumerate(cliques):
-            classes.setdefault(uf.find(i), []).append(c)
+        (classes,) = _clique_levels((0.0,), [(u, v, 0.0) for u, v in sorted(g.edges)], spec.k)
         # sorted by vertex set, ties in the order of the classes' sorted cliques
         comms = [
             SimpleGraph(frozenset(chain(*cs)), frozenset(e for c in cs for e in combinations(c, 2)))
-            for cs in sorted(sorted(cs) for cs in classes.values())
+            for cs in sorted(sorted(cs) for cs in classes)
         ]
         return sorted(comms, key=lambda h: sorted(h.vertices))
     blocks, k = _block_search(spec)

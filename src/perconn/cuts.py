@@ -8,8 +8,8 @@ break ties by vertex id, so results are deterministic;
 ``clique_percolation`` is the one clique kernel.  It sweeps edges in order
 and finds each k-clique at its last edge (sequential clique percolation,
 Kumpula et al. 2008); the diagram engine feeds its births and merges to the
-elder rule, ``connectivity.property_components`` groups its cliques into
-communities, and ``posets.subobject_poset`` chains them.
+elder rule, ``connectivity.block_levels`` and ``property_components`` group
+its cliques into communities, and ``posets.subobject_poset`` chains them.
 
 ``vertex_cut_below`` runs a max-flow probe only where two sweeps leave a
 doubt.  From a vertex v0 and its neighbours it grows the set of vertices

@@ -63,15 +63,8 @@ class SimpleGraph:
             if u not in self.vertices or v not in self.vertices:
                 raise GraphError(f"edge ({u!r}, {v!r}) has a missing endpoint")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def sorted_vertices(self) -> list[str]:
         return sorted(self.vertices)
-
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
 
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
@@ -85,9 +78,6 @@ class SimpleGraph:
         if not keep <= self.vertices:
             raise GraphError("induced subgraph on vertices outside the graph")
         return SimpleGraph(keep, frozenset(e for e in self.edges if e[0] in keep and e[1] in keep))
-
-    def intersection(self, other: "SimpleGraph") -> "SimpleGraph":
-        return SimpleGraph(self.vertices & other.vertices, self.edges & other.edges)
 
     def union(self, other: "SimpleGraph") -> "SimpleGraph":
         return SimpleGraph(self.vertices | other.vertices, self.edges | other.edges)

@@ -1,11 +1,15 @@
 """Persistence functions of component filtrations and their diagrams.
 
 The value p(c_i, c_j) is the number of maximal components of the level at
-c_j that contain some maximal component of the level at c_i.  By the union
-property each maximal component of one level lies in exactly one maximal
-component of the next, so the components of all levels form a forest under
-the successor maps, and p(c_i, c_j) is the size of the image of the
-level-i components under the composed successor maps from level i to j.
+c_j that contain some maximal component of the level at c_i.  Every level
+is a list of frozensets, and inclusion is subset: vertex sets for
+components and blocks, sets of k-cliques for clique communities (all from
+``connectivity.block_levels``), orbit index sets for G-quivers and down-sets
+for posets.  By the union property each maximal component of one level
+lies in exactly one maximal component of the next, so the components of
+all levels form a forest under the successor maps, and p(c_i, c_j) is the
+size of the image of the level-i components under the composed successor
+maps from level i to j.
 
 Diagrams come from one elder-rule sweep over such a forest: a union-find
 whose roots carry the earliest birth of their class, where a union at value
@@ -25,16 +29,19 @@ cheapest forest for each property; only blocks at k >= 3 build levels:
   (incremental 2-edge and 2-vertex connectivity, after Westbrook and
   Tarjan, Algorithmica 7, 1992);
 * blocks at k >= 3: the successor maps of the per-level maximal vertex
-  sets (``connectivity.block_levels``), where each set is tested only
-  against the next level's sets that hold one of its vertices.
+  sets, where each set is tested only against the next level's sets that
+  hold one of its members.
 
 Births and deaths are always critical values of the filtration.
 
-The tabulated grid serves ``verify``, ``quivers.gq_persistence_function``
-and the test oracles: values are tabulated on critical values only,
-because between consecutive criticals the filtration is constant, and the
-value at (u, infinity) equals the value at (u, last critical) because
-filtrations stabilize.
+The tabulated grid serves ``verify`` (``persistence_function``),
+``quivers.gq_persistence_function``, ``posets.poset_persistence`` and the
+test oracles.  Verify takes every property's levels from ``block_levels``,
+which runs a provider on each level for components and blocks, so it stays
+independent of the k <= 2 sweeps above.  Values are tabulated on critical
+values only, because between consecutive criticals the filtration is
+constant, and the value at (u, infinity) equals the value at (u, last
+critical) because filtrations stabilize.
 ``extract_diagram`` reads the cornerpoints back by inclusion-exclusion: the
 multiplicity of a proper cornerpoint (c_i, c_j) is
 
@@ -51,10 +58,10 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
-from .connectivity import block_levels, property_components
+from .connectivity import block_levels
 from .cuts import UnionFind, clique_percolation
 from .graphs import Filtration, FormatError, format_weight
 
@@ -151,33 +158,26 @@ class PersistenceFunction:
         return self.value(i, j)
 
 
-def _successor_maps(
-    criticals: Sequence[float], level_components, contains: Callable, vertices: Callable | None = None
-) -> list[list[int]]:
-    """succ[j][a]: index of the level-j component that contains level-(j-1)
-    component a; succ[0] is empty.
+def _successor_maps(criticals: Sequence[float], levels) -> list[list[int]]:
+    """succ[j][a]: index of the level-j set that holds level-(j-1) set a as
+    a subset; succ[0] is empty.
 
-    ``contains(d, c)`` decides whether component ``d`` of level j - 1 is
-    included in component ``c`` of level j.  A component that lies in no or
-    in several components of the next level breaks the union property and
-    raises PersistenceAxiomError.  With ``vertices`` (the vertex set of a
-    component) ``d`` is tested only against the level-j components that
-    hold one of its vertices: any component containing ``d`` holds that
-    vertex, so the hits are the same as in a scan of the whole level.
+    A set that lies in no or in several sets of the next level breaks the
+    union property and raises PersistenceAxiomError.  Each set ``d`` is
+    tested only against the level-j sets that hold one of its members: any
+    set containing ``d`` holds that member, so the hits are the same as in a
+    scan of the whole level.
     """
     succ: list[list[int]] = [[]]
     for j in range(1, len(criticals)):
-        later = level_components[j]
+        later = levels[j]
         holders: dict = defaultdict(list)
-        if vertices is not None:
-            for b, c in enumerate(later):
-                for x in vertices(c):
-                    holders[x].append(b)
+        for b, c in enumerate(later):
+            for x in c:
+                holders[x].append(b)
         row = []
-        for a, d in enumerate(level_components[j - 1]):
-            x = next(iter(vertices(d)), None) if vertices is not None else None
-            candidates = range(len(later)) if x is None else holders[x]
-            hits = [b for b in candidates if contains(d, later[b])]
+        for a, d in enumerate(levels[j - 1]):
+            hits = [b for b in holders.get(next(iter(d)), ()) if d <= later[b]]
             if len(hits) != 1:
                 raise PersistenceAxiomError(
                     f"component {a} of the level at {criticals[j - 1]!r} lies in "
@@ -189,26 +189,19 @@ def _successor_maps(
     return succ
 
 
-def tabulate_persistence(
-    criticals: Sequence[float],
-    level_components,
-    contains: Callable,
-) -> PersistenceFunction:
-    """Tabulate p over the grid given per-level component lists.
+def tabulate_persistence(criticals: Sequence[float], levels) -> PersistenceFunction:
+    """Tabulate p over the grid given per-level components.
 
-    ``level_components[j]`` lists the maximal components of the level at
-    ``criticals[j]``; ``contains`` is as in ``successor_diagram``.
+    ``levels[j]`` lists the maximal components of the level at
+    ``criticals[j]`` as frozensets; inclusion is subset.
     """
-    return _tabulate(criticals, level_components, _successor_maps(criticals, level_components, contains))
-
-
-def _tabulate(criticals: Sequence[float], level_components, succ: list[list[int]]) -> PersistenceFunction:
     m = len(criticals)
     if m == 0:
         raise ValueError("a filtration needs at least one critical value")
+    succ = _successor_maps(criticals, levels)
     rows = []
     for i in range(m):
-        image = set(range(len(level_components[i])))
+        image = set(range(len(levels[i])))
         row = [len(image)]
         for j in range(i + 1, m):
             image = {succ[j][a] for a in image}
@@ -218,23 +211,10 @@ def _tabulate(criticals: Sequence[float], level_components, succ: list[list[int]
     return PersistenceFunction(tuple(criticals), tuple(rows), inf_column)
 
 
-def _graph_contains(d, c) -> bool:
-    return c.includes(d)
-
-
 def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
-    """Tabulate the persistence function of a graph filtration under a property.
-
-    Each level's maximal components come from the connectivity provider
-    for ``spec``; component inclusion is subgraph inclusion.
-    """
-    return _tabulate(filt.criticals, *_graph_levels(filt, spec))
-
-
-def _graph_levels(filt: Filtration, spec) -> tuple[list, list[list[int]]]:
-    """Per-level components of a graph filtration and their successor maps."""
-    levels = [property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
-    return levels, _successor_maps(filt.criticals, levels, _graph_contains, attrgetter("vertices"))
+    """Tabulate the persistence function of a graph filtration under a
+    property, on the levels of ``connectivity.block_levels``."""
+    return tabulate_persistence(filt.criticals, block_levels(*_indexed(filt), spec))
 
 
 def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]) -> Diagram:
@@ -263,24 +243,15 @@ def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]
     return Diagram(tuple(Cornerpoint(b, d, n) for (b, d), n in sorted(bars.items())))
 
 
-def successor_diagram(criticals: Sequence[float], level_components, contains: Callable) -> Diagram:
-    """Diagram of per-level component lists by the elder rule on their
-    successor forest.
-
-    ``level_components[j]`` lists the maximal components of the level at
-    ``criticals[j]``; ``contains(d, c)`` decides whether component ``d`` of
-    level j - 1 is included in component ``c`` of level j.  Each level-j
-    component is born at c_j and joins, at c_j, the level-(j-1) components
-    that map into it.  No levels give the empty diagram.
-    """
-    return _forest_diagram(criticals, level_components, _successor_maps(criticals, level_components, contains))
-
-
-def _forest_diagram(criticals: Sequence[float], level_components, succ: list[list[int]]) -> Diagram:
+def _forest_diagram(criticals: Sequence[float], levels) -> Diagram:
+    """Diagram of per-level components by the elder rule on their successor
+    forest: each level-j component is born at c_j and joins, at c_j, the
+    level-(j-1) components inside it."""
+    succ = _successor_maps(criticals, levels)
     births: list[float] = []
     merges: list[tuple[int, int, float]] = []
     prev = 0
-    for j, comps in enumerate(level_components):
+    for j, comps in enumerate(levels):
         start = len(births)
         births += [criticals[j]] * len(comps)
         merges += ((prev + a, start + b, criticals[j]) for a, b in enumerate(succ[j]))
@@ -384,9 +355,7 @@ def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, sp
     values: blocks at k >= 3 take their levels there.
     """
     if spec.kind in ("vertex_block", "edge_block") and spec.k > 2:
-        levels = block_levels(criticals, births, edges, spec)
-        succ = _successor_maps(criticals, levels, frozenset.issubset, lambda s: s)
-        return _forest_diagram(criticals, levels, succ)
+        return _forest_diagram(criticals, block_levels(criticals, births, edges, spec))
     edges = sorted(edges, key=itemgetter(2))
     if spec.kind == "clique":
         _, clique_births, merges = clique_percolation(edges, spec.k)
@@ -398,13 +367,19 @@ def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, sp
     return elder_rule([w for _, _, w in edges], _block_merges(len(births), edges))
 
 
-def graph_diagram(filt: Filtration, spec) -> Diagram:
-    """Persistence diagram of a graph filtration under a property: the
-    weighted graph on vertex indices, swept by ``index_diagram``."""
+def _indexed(filt: Filtration) -> tuple[Sequence[float], list[float], list[tuple[int, int, float]]]:
+    """The critical values of a graph filtration, and its weighted graph on
+    vertex indices: the vertex births and the (u, v, w) edges."""
     wg = filt.source
     index = {v: i for i, v in enumerate(wg.vertex_weights)}
     edges = [(index[u], index[v], w) for (u, v), w in wg.edge_weights.items()]
-    return index_diagram(filt.criticals, list(wg.vertex_weights.values()), edges, spec)
+    return filt.criticals, list(wg.vertex_weights.values()), edges
+
+
+def graph_diagram(filt: Filtration, spec) -> Diagram:
+    """Persistence diagram of a graph filtration under a property: the
+    weighted graph on vertex indices, swept by ``index_diagram``."""
+    return index_diagram(*_indexed(filt), spec)
 
 
 def check_axioms(pf: PersistenceFunction) -> str | None:

@@ -124,9 +124,6 @@ class Poset:
         above = self._above_masks()
         return [e for i, e in enumerate(self._elements) if above[i] == 1 << i]
 
-    def minimal_elements(self) -> list:
-        return [e for i, e in enumerate(self._elements) if self._below[i] == 1 << i]
-
     def restrict(self, keep: Iterable) -> "Poset":
         """Induced sub-poset on a subset of elements."""
         keep_set = set(keep)
@@ -356,6 +353,9 @@ def poset_persistence(pf: PosetFiltration) -> PersistenceFunction:
     at level j is level j's order.  Every element that is maximal at some
     level must lie below exactly one maximal element of each later level;
     a failure means the level is not weakly directed and raises PosetError.
+    Each maximal element is passed as its down-set: d <= c at level j iff
+    d's down-set at level j - 1 lies in c's at level j, as relations only
+    grow.
     """
     m = len(pf.criticals)
     if m == 0:
@@ -371,10 +371,11 @@ def poset_persistence(pf: PosetFiltration) -> PersistenceFunction:
                     f"maximal element {d!r} has {len(ups)} maximal successors at "
                     f"level {pf.criticals[j]!r}; the level is not weakly directed"
                 )
-    comps = [[(j, e) for e in maximals[j]] for j in range(m)]
-    return tabulate_persistence(
-        pf.criticals, comps, lambda d, c: pf.levels[c[0]].leq(d[1], c[1])
-    )
+    downsets = [
+        [frozenset(x for x in level.elements if level.leq(x, c)) for c in tops]
+        for level, tops in zip(pf.levels, maximals)
+    ]
+    return tabulate_persistence(pf.criticals, downsets)
 
 
 def _single_infinite_birth(d: Diagram) -> float:

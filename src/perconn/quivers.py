@@ -299,7 +299,7 @@ def gq_persistence_function(gq: GQuiver, cls: EquivariantClass) -> PersistenceFu
     if not gq.quiver.vertices:
         return None
     _, _, criticals, *graph = _orbit_graph(gq, cls)
-    return tabulate_persistence(criticals, block_levels(criticals, *graph), frozenset.issubset)
+    return tabulate_persistence(criticals, block_levels(criticals, *graph))
 
 
 def gq_persistence(gq: GQuiver, cls: EquivariantClass) -> Diagram:

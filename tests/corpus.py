@@ -259,6 +259,25 @@ def k4_star(arms: int) -> list[tuple[str, str]]:
     return edges
 
 
+def covered_k4() -> pc.WeightedGraph:
+    """A K4 on w, x, y, z at weight 1 whose six edges another clique:4
+    community covers at weight 2.
+
+    Each edge {a, b} of the K4 gets a 4-clique {a, b, p, q} with fresh p, q;
+    consecutive covers are chained by the 4-vertex windows of
+    [a, b, p, q, r, s, p', q', a', b'] with fresh r, s.  26 vertices, 96 edges.
+    """
+    k4 = ["w", "x", "y", "z"]
+    edges = {e: 1.0 for e in combinations(k4, 2)}
+    covers = [[a, b, f"p{i}", f"q{i}"] for i, (a, b) in enumerate(combinations(k4, 2))]
+    chains = [c + [f"r{i}", f"s{i}"] + d[2:] + d[:2] for i, (c, d) in enumerate(zip(covers, covers[1:]))]
+    for seq in covers + chains:
+        for start in range(len(seq) - 3):
+            for e in combinations(seq[start : start + 4], 2):
+                edges.setdefault(tuple(sorted(e)), 2.0)
+    return pc.weighted_graph(edges)
+
+
 def _weight(rng: random.Random, tied: bool) -> float:
     """From 1-8 in halves (tied) or uniform on [0, 1) (distinct)."""
     return rng.randint(2, 16) / 2 if tied else rng.random()

@@ -6,7 +6,8 @@ enumerations; a vertex cut below k is found by trying every vertex subset,
 and by the max-flow search that probes every pair a minimum cut must
 separate, without the sweeps that certify pairs; the bottleneck oracle enumerates every admissible matching;
 the pseudodistance oracle enumerates every vertex bijection, and the poset
-isomorphism oracle every element bijection.  The orbit
+isomorphism oracle every element bijection.  Successor forests are found
+by scanning every component pair of adjacent levels.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
 subquivers, and its persistence is read from their components.
 """
@@ -416,7 +417,7 @@ def strict_edge_deletion_connected(g: pc.SimpleGraph, k: int) -> bool:
     """Alternative edge-block reading where a deletion may drop vertices too,
     as long as fewer than k edges are lost.  Under it an isolated vertex is
     never k-edge-connected; the providers use the spanning-subgraph reading."""
-    if g.is_empty:
+    if not g.vertices:
         return False
     vs = g.sorted_vertices()
     for r in range(0, len(vs) + 1):
@@ -448,6 +449,27 @@ def oracle_table(criticals, level_components, contains) -> pc.PersistenceFunctio
             rows[i][j - i] = sum(1 for c in comps_j if any(contains(d, c) for d in comps_i))
     inf_column = tuple(rows[i][m - 1 - i] for i in range(m))
     return pc.PersistenceFunction(tuple(criticals), tuple(tuple(r) for r in rows), inf_column)
+
+
+def oracle_successor_diagram(criticals, level_components, contains) -> pc.Diagram:
+    """The diagram of per-level components by the elder rule on their
+    successor forest, each successor found by a scan over every component
+    of the next level: ``contains(d, c)`` decides inclusion of a level-(j-1)
+    component d in a level-j component c.  Each level-j component is born at
+    c_j and joins, at c_j, the level-(j-1) components inside it."""
+    births: list[float] = []
+    merges: list[tuple[int, int, float]] = []
+    prev = 0
+    for j, comps in enumerate(level_components):
+        start = len(births)
+        births += [criticals[j]] * len(comps)
+        for a, d in enumerate(level_components[j - 1] if j else ()):
+            hits = [b for b, c in enumerate(comps) if contains(d, c)]
+            if len(hits) != 1:
+                raise pc.PersistenceAxiomError(f"component {a} of level {j - 1} lies in {len(hits)} components")
+            merges.append((prev + a, start + hits[0], criticals[j]))
+        prev = start
+    return pc.elder_rule(births, merges)
 
 
 def oracle_check_axioms(pf: pc.PersistenceFunction) -> str | None:
@@ -549,4 +571,4 @@ def oracle_gq_persistence_function(gq: pc.GQuiver, cls: pc.EquivariantClass) -> 
 def oracle_gq_persistence(gq: pc.GQuiver, cls: pc.EquivariantClass) -> pc.Diagram:
     """The diagram of the per-level filtration by the elder rule on the
     successor forest of its components."""
-    return pc.successor_diagram(*gq_levels(gq, cls), gq_contains)
+    return oracle_successor_diagram(*gq_levels(gq, cls), gq_contains)

@@ -373,10 +373,11 @@ def test_vertex_block_diagram_probe_count(monkeypatch):
 
 def test_block_levels_match_the_providers_level_by_level(seed=67):
     # one adjacency grown over integer vertices gives every level's maximal
-    # vertex sets, as the providers do on each sublevel graph
+    # vertex sets, and one clique sweep every level's communities, as the
+    # providers do on each sublevel graph
     specs = [pc.PropertySpec("components")] + [
         pc.PropertySpec(kind, k) for kind in ("vertex_block", "edge_block") for k in (1, 2, 3, 4)
-    ]
+    ] + [pc.PropertySpec("clique", k) for k in (2, 3, 4)]
     rng = random.Random(seed)
     cases = [
         (random_weighted_graph(rng, max_vertices=10, max_criticals=5, edge_prob=(0.3, 0.8)), specs)
@@ -401,8 +402,20 @@ def test_block_levels_match_the_providers_level_by_level(seed=67):
             levels = block_levels(filt.criticals, list(wg.vertex_weights.values()), edges, spec)
             assert len(levels) == len(filt.criticals)
             for i, sets in enumerate(levels):
-                got = sorted(sorted(names[x] for x in s) for s in sets)
-                assert got == _vertex_sets(pc.property_components(filt.sublevel_at(i), spec)), spec
+                comps = pc.property_components(filt.sublevel_at(i), spec)
+                if spec.kind == "clique":
+                    # a community is the set of its cliques; compare union graphs
+                    got = sorted(_clique_union(names, cs) for cs in sets)
+                    assert got == sorted((sorted(c.vertices), sorted(c.edges)) for c in comps), spec
+                else:
+                    assert sorted(sorted(names[x] for x in s) for s in sets) == _vertex_sets(comps), spec
+
+
+def _clique_union(names, cliques):
+    """Sorted vertices and edges of the union of integer cliques, by name."""
+    vs = {names[x] for c in cliques for x in c}
+    es = {tuple(sorted((names[a], names[b]))) for c in cliques for a, b in combinations(c, 2)}
+    return sorted(vs), sorted(es)
 
 
 def _networkx_level_sets(nx, wg, crit, kind, k):

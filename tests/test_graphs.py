@@ -79,7 +79,7 @@ def test_sublevel_examples():
         {e: 1.0 for e in [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"), ("d", "e")]}
     )
     f = pc.build_filtration(bow)
-    assert f.sublevel(0.0).is_empty
+    assert not f.sublevel(0.0).vertices
     assert f.sublevel(math.inf) == bow.graph
     two = pc.parse_weighted_graph("e a b 1\ne b c 2\n")
     g = pc.build_filtration(two).sublevel(1.5)

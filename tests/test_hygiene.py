@@ -1,5 +1,6 @@
 """Source hygiene of the perconn modules: every imported name is used, every
-import sits at module level, and no function recurses on input size."""
+import sits at module level, no function recurses on input size, and every
+function is referenced."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,29 @@ def test_no_private_names_cross_modules():
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 crossing += [f"{path.name}:{node.lineno}: {name}" for name in private]
     assert crossing == []
+
+
+# Defined but used only by the tests: the per-level oracle path reads
+# sublevel graphs and finite cornerpoints through these.
+UNREFERENCED_ALLOWED = {"sublevel_at", "finite_points"}
+
+
+def test_every_function_is_referenced():
+    # a function no module calls and the package does not export is dead code
+    defined, referenced = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    referenced |= set(_imported(ast.parse((SRC / "__init__.py").read_text())))
+    dead = [
+        f"{where}: {name}"
+        for name, where in sorted(defined.items())
+        if name not in referenced | UNREFERENCED_ALLOWED and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert dead == []

@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 import perconn as pc
+from perconn import cli
 from corpus import (
+    covered_k4,
     cycles_at_one_vertex,
     k4_star,
     path_with_chords,
@@ -76,7 +78,7 @@ def test_sweep_matches_grid_and_oracle(seed=71):
         filt = pc.build_filtration(wg)
         for spec in specs:
             levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
-            grid = pc.extract_diagram(pc.tabulate_persistence(filt.criticals, levels, contains))
+            grid = pc.extract_diagram(pc.persistence_function(filt, spec))
             oracle = pc.extract_diagram(oracles.oracle_table(filt.criticals, levels, contains))
             swept = pc.graph_diagram(filt, spec)
             assert swept == grid == oracle, (spec.label(), pc.serialize_weighted_graph(wg))
@@ -90,7 +92,7 @@ def _per_level_diagram(filt, spec):
     """The diagram from every level's provider components, by a successor
     scan over all component pairs of adjacent levels."""
     levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
-    return pc.successor_diagram(filt.criticals, levels, lambda d, c: c.includes(d))
+    return oracles.oracle_successor_diagram(filt.criticals, levels, lambda d, c: c.includes(d))
 
 
 def _check_k2_sweeps(wg):
@@ -376,7 +378,27 @@ def test_engine_matches_grid_oracle_on_gquivers(seed=61):
 def test_engine_rejects_broken_union_property(levels):
     criticals = [float(i) for i in range(len(levels))]
     with pytest.raises(pc.PersistenceAxiomError, match="union property"):
-        pc.tabulate_persistence(criticals, levels, lambda d, c: d <= c)
+        pc.tabulate_persistence(criticals, levels)
+
+
+def test_clique_levels_give_a_covered_k4_one_successor(tmp_path, capsys):
+    # At clique:4 the K4 born at 1 is its own community at 2 as well, and
+    # the union graph of the community that chains its six covers holds all
+    # of its edges: subgraph inclusion finds two successors, its cliques one.
+    wg = covered_k4()
+    filt = pc.build_filtration(wg)
+    spec = pc.PropertySpec("clique", 4)
+    swept = pc.graph_diagram(filt, spec)
+    assert pc.extract_diagram(pc.persistence_function(filt, spec)) == swept
+    assert pc.serialize_diagram(swept) == "1 inf 1\n2 inf 1\n"
+    src = tmp_path / "g.txt"
+    src.write_text(pc.serialize_weighted_graph(wg))
+    assert cli.main(["verify", "--property", "clique", "--k", "4", str(src)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS axioms: monotonicity and jump superadditivity hold",
+        "PASS reconstruction: diagram reproduces the function off-grid",
+        "SKIP weak directedness: graph exceeds the poset cap (26 > 7)",
+    ]
 
 
 def test_extract_rejects_negative_multiplicity():
@@ -402,7 +424,9 @@ def test_restriction_formulation_matches_containment(seed=47):
                     count = sum(
                         1
                         for c in comps
-                        if pc.contains_property_subgraph(c.intersection(level_i), spec)
+                        if pc.contains_property_subgraph(
+                            pc.SimpleGraph(c.vertices & level_i.vertices, c.edges & level_i.edges), spec
+                        )
                     )
                     assert count == pf.value(i, j), (spec, i, j)
 

@@ -190,6 +190,45 @@ def test_poset_persistence_rejects_non_weakly_directed():
         pc.poset_persistence(pc.PosetFiltration((0.0, 1.0, 2.0), (l0, l1, l2)))
 
 
+def _random_forest_filtration(rng):
+    """Levels of a growing forest poset: new elements appear, and old
+    maximal elements are hung under new or existing ones."""
+    elements, parent, levels = [], {}, []
+    for j in range(rng.randint(1, 6)):
+        elements += [f"e{len(elements) + i}" for i in range(rng.randint(0 if j else 1, 3))]
+        roots = [e for e in elements if e not in parent]
+        for e in rng.sample(roots, rng.randint(0, len(roots) // 2)):
+            below, frontier = {e}, [e]
+            while frontier:
+                frontier = [x for x in parent if parent[x] in frontier]
+                below.update(frontier)
+            choices = [x for x in elements if x not in below]
+            if choices:
+                parent[e] = rng.choice(choices)
+        levels.append(pc.Poset(list(elements), list(parent.items())))
+    return pc.PosetFiltration(tuple(float(j) for j in range(len(levels))), tuple(levels))
+
+
+def _containment_oracle(pf):
+    # a level-i maximal element d lies in a level-j one c when d <= c in level j's order
+    comps = [[(j, e) for e in level.maximal_elements()] for j, level in enumerate(pf.levels)]
+    return oracles.oracle_table(pf.criticals, comps, lambda d, c: pf.levels[c[0]].leq(d[1], c[1]))
+
+
+def test_poset_persistence_matches_containment_oracle(seed=107):
+    rng = random.Random(seed)
+    merged = 0
+    for _ in range(300):
+        pf = _random_forest_filtration(rng)
+        got = pc.poset_persistence(pf)
+        assert got == _containment_oracle(pf), [pc.serialize_poset(lvl) for lvl in pf.levels]
+        merged += any(row[0] > row[-1] for row in got.rows)
+    for _ in range(60):
+        for pf in pc.build_universal_pair(*random_universal_diagram_pair(rng)):
+            assert pc.poset_persistence(pf) == _containment_oracle(pf)
+    assert merged > 100, merged
+
+
 def test_universal_pair_trivial():
     d = pc.diagram([pc.Cornerpoint(0.0, math.inf)])
     h, hp = pc.build_universal_pair(d, d)
