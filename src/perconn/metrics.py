@@ -4,17 +4,23 @@ The bottleneck distance is exact: candidate values are the finitely many
 pairwise L-infinity costs and diagonal costs, and each threshold is decided
 by a perfect-matching test on a bipartite graph built as adjacency lists and
 matched by an iterative Hopcroft-Karp (Efrat-Itai-Katz 2001;
-Kerber-Morozov-Nigmetov 2017).  The diagonal slots of two points join only
-where the points themselves may pair: the k point pairs of a perfect matching
-free exactly the k slots of those points on each side, which pair along the
-same k edges, so this sparse slot block loses no matching.  Every point pays
-at least the smaller of its half persistence and its cheapest cost to the
-other diagram; the largest such value is a candidate at or below the
-distance and is decided first.  Only when it fails are the other candidates
-sorted and searched, each threshold seeded with the maximum matching of the
-last infeasible one.  Cornerpoints at infinity may only match each other (at
-the difference of births, optimally in sorted order); the distance is
-infinite when the counts of infinite points differ.
+Kerber-Morozov-Nigmetov 2017).  Two points within h of each other have
+births within h, and the points are sorted by birth, so each point's
+neighbours at h lie in a window of the other diagram's births that slides
+right as its own birth grows (a one-dimensional neighbour search); no
+threshold reads all n1 * n2 pairs.  The diagonal slots of two points join
+only where the points themselves may pair: the k point pairs of a perfect
+matching free exactly the k slots of those points on each side, which pair
+along the same k edges, so this sparse slot block loses no matching.  Every
+point pays at least the smaller of its half persistence and its cheapest
+cost to the other diagram; the largest such value, found by scans outwards
+from each birth, is a candidate at or below the distance and is decided
+first, and no cost matrix is built while it holds.  Only when it fails are
+the n1 * n2 costs built, once, as the candidate set, which is sorted and
+searched, each threshold seeded with the maximum matching of the last
+infeasible one.  Cornerpoints at infinity may only match each other (at the
+difference of births, optimally in sorted order); the distance is infinite
+when the counts of infinite points differ.
 
 The natural pseudodistance between two weighted graphs is the minimum over
 isomorphisms of their underlying final graphs of the largest weight
@@ -51,11 +57,13 @@ Point = tuple[float, float]
 MatchPair = tuple[Optional[Point], Optional[Point]]
 
 
-# Matching work grows with n1 * n2, at most 6.25M pairs under this cap.  A
-# 2,000 + 2,000 point pair takes 2.9-3.3 s and peaks at 127-191 MiB
-# (tracemalloc); at the cap, a perturbed pair whose lower bound fails took
-# 14.6 s and 461 MiB.  Multiplicities count, since every unit becomes its own
-# point.
+# Only a search whose lower bound fails builds the n1 * n2 costs, at most
+# 6.25M under this cap.  On a 2-core Xeon with CPython 3.11, a 2,000 + 2,000
+# point pair decided at its lower bound takes 0.1 s and peaks at 5.4 MiB
+# (tracemalloc) against a perturbed copy, and 0.3 s and 51 MiB against an
+# independent diagram; at the cap, a perturbed pair whose lower bound fails
+# takes 5.9-7.3 s and 474 MiB, and that peak grows with n1 * n2.
+# Multiplicities count, since every unit becomes its own point.
 POINT_CAP = 5000
 
 
@@ -68,6 +76,7 @@ def _expand(d: Diagram) -> tuple[list[Point], list[float]]:
                 inf_births.append(p.birth)
             else:
                 finite.append((p.birth, p.death))
+    finite.sort()  # a no-op on canonical diagrams; the birth windows need it
     return finite, inf_births
 
 
@@ -144,35 +153,58 @@ def _hopcroft_karp(adj: list[list[int]], match_right: list[int]) -> bool:
 def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[MatchPair]]:
     """Smallest candidate threshold h admitting a perfect matching where
     points pair up at L-inf cost <= h or retire to the diagonal at half
-    persistence <= h, with such a matching.
+    persistence <= h, with such a matching.  Both point lists are sorted by
+    (birth, death).
 
     Left nodes are the points of f1, then one diagonal slot per point of f2;
     right nodes are symmetric.  The slot of f2[j] joins the slot of f1[i]
     only where f1[i]-f2[j] is a point edge: a perfect matching with k point
     pairs leaves exactly the k slots of those points free on each side, and
     they pair up along the same k point edges, so this sparse slot block
-    admits a perfect matching exactly when the complete one does.
+    admits a perfect matching exactly when the complete one does.  An edge
+    f1[i]-f2[j] at h needs a birth gap <= h, so point i's edges lie in the
+    window of f2's points whose births are within h of its own.  The window
+    ends only move right along f1, and are placed by the computed gaps, as
+    the float bounds b - h and b + h may round inwards.  Each window is
+    filtered by cost <= h in index order, so the adjacency lists, and the
+    matchings, are those of the full cost matrix.
 
     Every point pays at least the smaller of its half persistence and its
     cheapest edge to the other diagram, so the largest such value is a
-    candidate at or below the answer; it is decided first, and is the answer
-    unless its matching is imperfect.  Only then is the candidate set built,
-    and a binary search runs over the candidates above it.  The edges only
-    grow with h, so the maximum matching of the last infeasible threshold
-    seeds the next one.
+    candidate at or below the answer; it is found by scans outwards from
+    each birth (``_raise_bound``) and decided first, and is the answer unless
+    its matching is imperfect.  Only then are the n1 * n2 cost rows built,
+    once, for the candidate set, and a binary search runs over the
+    candidates above the bound, each probe reading the costs in its windows.
+    The edges only grow with h, so the maximum matching of the last
+    infeasible threshold seeds the next one.
     """
     if not f1 and not f2:
         return 0.0, []
     n1, n2 = len(f1), len(f2)
-    rows = [[max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in f2] for b1, d1 in f1]
+    births1 = [b for b, _ in f1]
+    births2 = [b for b, _ in f2]
+    deaths2 = [d for _, d in f2]
     half1 = [_diag_cost(p) for p in f1]
     half2 = [_diag_cost(q) for q in f2]
-    cheapest = [min(row, default=math.inf) for row in rows]
-    cheapest += [min(col) for col in zip(*rows)] if rows else [math.inf] * n2
-    lb = max(map(min, half1 + half2, cheapest))
+    # the cost is symmetric bit for bit: fl(a - b) == -fl(b - a)
+    lb = _raise_bound(_raise_bound(-math.inf, f1, half1, f2, births2), f2, half2, f1, births1)
+    rows: Optional[list[list[float]]] = None
 
     def matched(h: float, seed: list[int]) -> tuple[bool, list[int]]:
-        points = [[j for j, c in enumerate(row) if c <= h] for row in rows]
+        points: list[list[int]] = []
+        lo = hi = 0
+        for i, (b1, d1) in enumerate(f1):
+            # computed gaps are monotone in sorted births, so [lo, hi) holds
+            # exactly the births within h of b1
+            while lo < n2 and b1 - births2[lo] > h:
+                lo += 1
+            while hi < n2 and births2[hi] - b1 <= h:
+                hi += 1
+            if rows is None:
+                points.append([j for j in range(lo, hi) if abs(d1 - deaths2[j]) <= h])
+            else:
+                points.append([j for j, c in enumerate(rows[i][lo:hi], lo) if c <= h])
         slots: list[list[int]] = [[j] if half2[j] <= h else [] for j in range(n2)]
         for i, cols in enumerate(points):
             for j in cols:
@@ -185,6 +217,7 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     h = lb
     perfect, best = matched(lb, [-1] * (n1 + n2))
     if not perfect:
+        rows = [[max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in f2] for b1, d1 in f1]
         ordered = sorted({c for c in chain(half1, half2, *rows) if c > lb})
         seed = best
         lo, hi = 0, len(ordered) - 1
@@ -209,6 +242,34 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
         if left is not None or right is not None:
             pairs.append((left, right))
     return h, pairs
+
+
+def _raise_bound(
+    lb: float, points: list[Point], halves: list[float], other: list[Point], births: list[float]
+) -> float:
+    """Raise lb to min(half persistence, cheapest cost to ``other``) of each
+    point where that is larger.
+
+    ``births`` are the sorted births of ``other``.  A point's scan walks out
+    both ways from its bisected birth and stops once the birth gap alone
+    reaches its best value so far, since the cost is at least the birth gap.
+    A point whose half persistence is at or below lb is skipped.
+    """
+    for (b, d), best in zip(points, halves):
+        if best <= lb:
+            continue
+        pos = bisect_left(births, b)
+        for scan in (range(pos, len(other)), range(pos - 1, -1, -1)):
+            for j in scan:
+                b2, d2 = other[j]
+                gap = abs(b - b2)
+                if gap >= best:
+                    break
+                cost = abs(d - d2)
+                if cost < best:
+                    best = max(cost, gap)
+        lb = max(lb, best)
+    return lb
 
 
 def bottleneck_distance(d1: Diagram, d2: Diagram) -> float:

@@ -238,8 +238,18 @@ def _comparability_graph(p: Poset) -> WeightedGraph:
     return weighted_graph(edges, {str(i): float(mask.bit_count()) for i, mask in enumerate(p._below)})
 
 
+# Clique subobject posets are enumerated whole and compared pairwise, so the
+# work grows with the square of their size: K5 at clique:2 has 968 states and
+# its poset and weak-directedness test take 0.4 s, K6 minus an edge at
+# clique:3 has 1,933 and takes 1.6 s, K6 at clique:3 has 5,549 and takes
+# 16 s, and K6 at clique:2 does not finish.  Past this many states the
+# enumeration stops with CapExceeded.
+STATE_CAP = 2000
+
+
 def _clique_state_graphs(g: SimpleGraph, k: int) -> list[SimpleGraph]:
-    """All subgraphs that are unions of chains of adjacent k-cliques."""
+    """All subgraphs that are unions of chains of adjacent k-cliques; raises
+    CapExceeded past ``STATE_CAP`` of them."""
     cliques, _, _ = clique_percolation([(u, v, 0.0) for u, v in sorted(g.edges)], k)
     clique_graphs = [simple_graph(c, combinations(c, 2)) for c in sorted(cliques)]
     adjacent: list[list[int]] = [[] for _ in clique_graphs]
@@ -256,6 +266,8 @@ def _clique_state_graphs(g: SimpleGraph, k: int) -> list[SimpleGraph]:
             for j in adjacent[i]:
                 nxt = u.union(clique_graphs[j])
                 if nxt not in states:
+                    if len(states) >= STATE_CAP:
+                        raise CapExceeded(f"clique subobject poset limited to {STATE_CAP} elements")
                     states[nxt] = None
                     frontier.append(nxt)
     return sorted(states, key=lambda s: (len(s.vertices), len(s.edges), s.sorted_vertices()))

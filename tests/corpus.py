@@ -195,6 +195,48 @@ def random_gquiver(
     return pc.gquiver(names, arrows, gens)
 
 
+def random_s3_gquiver(rng: random.Random) -> pc.GQuiver:
+    """Random quiver under S3, which permutes the indices 0-2.  It fixes z,
+    swaps w0 and w1 by the sign, and acts on x0-x2 and on y0-y2 naturally.
+
+    Arrows come as whole orbits of (source, target) pairs, each orbit zero
+    to two times, so parallel arrow orbits are common.  Between two vertex
+    orbits there may be arrow orbits of different sizes: x_i -> y_i has 3
+    arrows, x_i -> y_j for i != j has 6, and w_s -> x_i has 6."""
+    names = ["z", "w0", "w1", "x0", "x1", "x2", "y0", "y1", "y2"]
+
+    def vmap(perm, sign):
+        m = {f"{c}{i}": f"{c}{perm[i]}" for c in "xy" for i in range(3)}
+        return {**m, "w0": "w1", "w1": "w0"} if sign else m
+
+    vmaps = [vmap((1, 0, 2), True), vmap((1, 2, 0), False)]  # a transposition, a 3-cycle
+    seen: set[tuple[str, str]] = set()
+    pair_orbits = []
+    for pair in [(s, t) for s in names for t in names]:
+        if pair in seen:
+            continue
+        orbit, frontier = {pair}, [pair]
+        while frontier:
+            s, t = frontier.pop()
+            for m in vmaps:
+                img = (m.get(s, s), m.get(t, t))
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        seen |= orbit
+        pair_orbits.append(sorted(orbit))
+    arrows = []
+    gens: list[tuple[dict[str, str], dict[str, str]]] = [(m, {}) for m in vmaps]
+    for o, orbit in enumerate(pair_orbits):
+        if rng.random() < 0.3:
+            for c in range(rng.randint(1, 2)):
+                name = f"a{o}_{c}_{{}}_{{}}".format
+                arrows += [(name(s, t), s, t) for s, t in orbit]
+                for m, amap in gens:
+                    amap.update({name(s, t): name(m.get(s, s), m.get(t, t)) for s, t in orbit})
+    return pc.gquiver(names, arrows, gens)
+
+
 def relabeled_copy(rng: random.Random, wg: pc.WeightedGraph) -> pc.WeightedGraph:
     """Isomorphic weighted graph with shuffled vertex names."""
     names = sorted(wg.graph.vertices)

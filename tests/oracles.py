@@ -1,11 +1,13 @@
 """Brute-force oracles, independent of the library's algorithmic paths.
 
 Connectivity here is plain DFS; property membership is literal deletion
-enumeration; components are maximality filtering over exhaustive candidate
-enumerations; a vertex cut below k is found by trying every vertex subset,
-and by the max-flow search that probes every pair a minimum cut must
-separate, without the sweeps that certify pairs; the bottleneck oracle enumerates every admissible matching;
-the pseudodistance oracle enumerates every vertex bijection, and the poset
+enumeration; components are maximality filtering over exhaustive
+candidate enumerations; a vertex cut below k is found by trying every
+vertex subset, and by the max-flow search that probes every pair a
+minimum cut must separate, without the sweeps that certify pairs; the
+bottleneck oracle enumerates every admissible matching, and the dense
+bottleneck oracle filters the full cost matrix at every threshold; the
+pseudodistance oracle enumerates every vertex bijection, and the poset
 isomorphism oracle every element bijection.  Successor forests are found
 by scanning every component pair of adjacent levels.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import perconn as pc
+from perconn.metrics import _expand, _hopcroft_karp
 
 
 def dfs_connected(vertices: frozenset[str], edges) -> bool:
@@ -247,6 +250,75 @@ def oracle_bottleneck(d1: pc.Diagram, d2: pc.Diagram) -> float:
 
     assign(0, set(), 0.0)
     return max(best_inf, best[0])
+
+
+def oracle_dense_bottleneck(d1: pc.Diagram, d2: pc.Diagram) -> tuple[float, list]:
+    """``optimal_matching`` by the dense kernel it replaced: every threshold's
+    adjacency filters the full n1 * n2 cost matrix, and the lower bound is
+    read from the matrix rows and columns.  The same candidates, probe
+    sequence and seeds, so the same distance and the same pairs."""
+    f1, i1 = _expand(d1)
+    f2, i2 = _expand(d2)
+    if len(i1) != len(i2):
+        raise ValueError("no admissible matching: different numbers of infinite cornerpoints")
+    inf_pairs = []
+    inf_cost = 0.0
+    for b1, b2 in zip(sorted(i1), sorted(i2)):
+        inf_cost = max(inf_cost, abs(b1 - b2))
+        inf_pairs.append(((b1, math.inf), (b2, math.inf)))
+    fin_cost, fin_pairs = _dense_finite_bottleneck(f1, f2)
+    return max(inf_cost, fin_cost), inf_pairs + fin_pairs
+
+
+def _dense_finite_bottleneck(f1, f2):
+    if not f1 and not f2:
+        return 0.0, []
+    n1, n2 = len(f1), len(f2)
+    rows = [[max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in f2] for b1, d1 in f1]
+    half1 = [(p[1] - p[0]) / 2.0 for p in f1]
+    half2 = [(q[1] - q[0]) / 2.0 for q in f2]
+    cheapest = [min(row, default=math.inf) for row in rows]
+    cheapest += [min(col) for col in zip(*rows)] if rows else [math.inf] * n2
+    lb = max(map(min, half1 + half2, cheapest))
+
+    def matched(h, seed):
+        points = [[j for j, c in enumerate(row) if c <= h] for row in rows]
+        slots = [[j] if half2[j] <= h else [] for j in range(n2)]
+        for i, cols in enumerate(points):
+            for j in cols:
+                slots[j].append(n2 + i)
+            if half1[i] <= h:
+                cols.append(n2 + i)
+        match_right = list(seed)
+        return _hopcroft_karp(points + slots, match_right), match_right
+
+    h = lb
+    perfect, best = matched(lb, [-1] * (n1 + n2))
+    if not perfect:
+        ordered = sorted({c for c in chain(half1, half2, *rows) if c > lb})
+        seed = best
+        lo, hi = 0, len(ordered) - 1
+        best = None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            perfect, match_right = matched(ordered[mid], seed)
+            if perfect:
+                best = match_right
+                hi = mid
+            else:
+                seed = match_right
+                lo = mid + 1
+        if best is None:
+            perfect, best = matched(ordered[lo], seed)
+            assert perfect
+        h = ordered[lo]
+    pairs = []
+    for b, a in enumerate(best):
+        left = f1[a] if a < n1 else None
+        right = f2[b] if b < n2 else None
+        if left is not None or right is not None:
+            pairs.append((left, right))
+    return h, pairs
 
 
 def oracle_pseudodistance(w1: pc.WeightedGraph, w2: pc.WeightedGraph) -> float:

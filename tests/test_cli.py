@@ -236,6 +236,33 @@ def test_verify_skips_poset_check_over_cap(tmp_path):
     assert "SKIP weak directedness" in res.stdout
 
 
+def _complete_graph_text(n):
+    return "".join(f"e v{i} v{j} {i + j + 1}\n" for i in range(n) for j in range(i + 1, n))
+
+
+def test_verify_refuses_a_clique_poset_past_its_state_cap(tmp_path):
+    # K6 at clique:2 has far more states than STATE_CAP; its enumeration
+    # ran unbounded before the cap
+    src = tmp_path / "k6.txt"
+    src.write_text(_complete_graph_text(6))
+    start = time.perf_counter()
+    res = run_cli("verify", "--property", "clique", "--k", "2", str(src))
+    assert time.perf_counter() - start < 5.0
+    assert res.returncode == 2
+    assert res.stderr == "error: clique subobject poset limited to 2000 elements\n"
+    assert "SKIP" not in res.stdout and "weak directedness" not in res.stdout
+
+
+def test_verify_k5_clique_poset_under_the_state_cap(tmp_path):
+    # 968 states, under the cap
+    src = tmp_path / "k5.txt"
+    src.write_text(_complete_graph_text(5))
+    res = run_cli("verify", "--property", "clique", "--k", "2", str(src))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.count("PASS") == 3
+    assert "PASS weak directedness" in res.stdout
+
+
 def test_quiver_diagram(tmp_path):
     src = tmp_path / "q.txt"
     src.write_text(

@@ -3,12 +3,14 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import perconn as pc
 import oracles
 from corpus import random_diagram, random_weighted_graph, relabeled_copy
+from perconn import metrics
 from perconn.metrics import isomorphic_within
 
 
@@ -175,10 +177,9 @@ def test_bottleneck_above_the_lower_bound():
     _check_witness(d2, d1, dist, pairs)
 
 
-def test_bottleneck_perturbed_600_point_pair_is_fast(seed=101):
-    rng = random.Random(seed)
+def _perturbed_pair(rng, n):
     points = []
-    for _ in range(600):
+    for _ in range(n):
         birth = round(rng.uniform(0.0, 10.0), 3)
         points.append((birth, round(birth + rng.expovariate(1.0) + 0.01, 3)))
     moved = []
@@ -187,11 +188,106 @@ def test_bottleneck_perturbed_600_point_pair_is_fast(seed=101):
         moved.append((nb, round(max(nb + 0.01, d + rng.uniform(-0.3, 0.3)), 3)))
     d1 = pc.diagram(pc.Cornerpoint(b, d) for b, d in points)
     d2 = pc.diagram(pc.Cornerpoint(b, d) for b, d in moved)
+    return d1, d2
+
+
+def test_bottleneck_perturbed_600_point_pair_is_fast(seed=101):
+    d1, d2 = _perturbed_pair(random.Random(seed), 600)
     start = time.perf_counter()
     dist, pairs = pc.optimal_matching(d1, d2)
     assert time.perf_counter() - start < 1.5
     assert dist <= 0.3 + 1e-3
     _check_witness(d1, d2, dist, pairs)
+
+
+def test_bottleneck_at_the_lower_bound_builds_no_cost_matrix(monkeypatch, seed=1):
+    # the n1 * n2 costs of this pair are 6.25M floats, about 200 MiB as lists
+    d1, d2 = _perturbed_pair(random.Random(seed), 2500)
+    probes = []
+    real = metrics._hopcroft_karp
+
+    def counted(adj, match_right):
+        probes.append(len(adj))
+        return real(adj, match_right)
+
+    monkeypatch.setattr(metrics, "_hopcroft_karp", counted)
+    tracemalloc.start()
+    try:
+        dist, pairs = pc.optimal_matching(d1, d2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probes == [5000]  # the first probe, at the lower bound, is perfect
+    assert peak < 16 * 2**20  # measured at 7.9 MiB
+    assert dist <= 0.3 + 1e-3
+    _check_witness(d1, d2, dist, pairs)
+
+
+def _differential_diagram(rng, digits, infinite):
+    max_multiplicity = rng.choice((1, 1, 3))
+    points = []
+    for _ in range(rng.randint(0, 30)):
+        birth = rng.uniform(0.0, 10.0)
+        death = birth + rng.expovariate(0.7) + 0.01
+        if digits is not None:
+            birth, death = round(birth, digits), round(death, digits)
+        if death <= birth:
+            death = birth + 1.0
+        points.append(pc.Cornerpoint(birth, death, rng.randint(1, max_multiplicity)))
+    if infinite:
+        points.append(pc.Cornerpoint(round(rng.uniform(0.0, 1.0), 3), math.inf))
+    return pc.diagram(points)
+
+
+def _moved(rng, d, eps, digits):
+    points = []
+    for p in d.points:
+        birth = p.birth + rng.uniform(-eps, eps)
+        death = p.death if p.is_infinite else p.death + rng.uniform(-eps, eps)
+        if digits is not None:
+            birth, death = round(birth, digits), round(death, digits)
+        if death <= birth:
+            death = birth + 0.5
+        points.append(pc.Cornerpoint(birth, death, p.multiplicity))
+    return pc.diagram(points)
+
+
+def test_optimal_matching_equals_the_dense_kernel(seed=157):
+    # same distance and same pairs: the birth windows must give every probe
+    # the adjacency lists of the full cost matrix.  Digits 0 give integer
+    # coordinates, so ties and equal births; None leaves them unrounded.
+    rng = random.Random(seed)
+    kinds = [("perturbed", eps) for eps in (0.0, 0.1, 0.3, 1.0, 5.0)]
+    kinds += [("independent", 0.0), ("empty", 0.0)]
+    for trial in range(3150):
+        kind, eps = kinds[trial % len(kinds)]
+        digits = (0, 1, 3, None)[trial // len(kinds) % 4]
+        infinite = rng.random() < 0.5
+        d1 = _differential_diagram(rng, digits, infinite)
+        if kind == "perturbed":
+            d2 = _moved(rng, d1, eps, digits)
+        elif kind == "independent":
+            d2 = _differential_diagram(rng, digits, infinite)
+        else:
+            d2 = pc.diagram(p for p in d1.points if p.is_infinite)
+        if trial % 2:
+            d1, d2 = d2, d1
+        expected = oracles.oracle_dense_bottleneck(d1, d2)
+        assert pc.optimal_matching(d1, d2) == expected, (trial, kind, eps, digits)
+
+
+def test_bottleneck_where_birth_windows_round_inwards():
+    # at h = 8 - 3.4, 8 - h rounds to 3.4000000000000004, and at
+    # h = 7.3 - 2.6, 2.6 + h rounds to 7.299999999999999: a window placed by
+    # the float bounds b - h and b + h would miss the only point pair within h
+    for b1, b2 in ((8.0, 3.4), (2.6, 7.3)):
+        d1 = pc.diagram([pc.Cornerpoint(b1, 30.0)])
+        d2 = pc.diagram([pc.Cornerpoint(b2, 29.0)])
+        for first, second in ((d1, d2), (d2, d1)):
+            (p,), (q,) = first.points, second.points
+            expected = (abs(b1 - b2), [((p.birth, p.death), (q.birth, q.death))])
+            assert pc.optimal_matching(first, second) == expected
+            assert oracles.oracle_dense_bottleneck(first, second) == expected
 
 
 def _check_witness(d1, d2, dist, pairs):

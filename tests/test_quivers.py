@@ -4,7 +4,7 @@ import pytest
 
 import perconn as pc
 import oracles
-from corpus import random_gquiver
+from corpus import random_gquiver, random_s3_gquiver
 
 ISO = pc.EquivariantClass("isomorphisms")
 
@@ -258,6 +258,26 @@ def test_gq_components_match_subquiver_oracle(seed=131):
         checked += 1
         for cls in classes:
             assert pc.gq_components(gq, cls) == oracles.oracle_gq_components(gq, cls)
+
+
+def test_s3_parallel_arrow_orbits_match_the_level_oracle(seed=151):
+    # two vertex orbits joined by arrow orbits of different sizes are joined
+    # at the least entry; the oracle builds every level's invariant subquiver
+    rng = random.Random(seed)
+    mixed = 0
+    for _ in range(150):
+        gq = random_s3_gquiver(rng)
+        vorbs, aorbs = pc.orbits(gq)
+        where = {v: i for i, orb in enumerate(vorbs) for v in orb}
+        am = gq.quiver.arrow_map()
+        sizes = {}
+        for orb in aorbs:
+            ends = tuple(sorted(where[v] for v in am[min(orb)]))
+            sizes.setdefault(ends, set()).add(len(orb))
+        mixed += any(a != b and len(s) > 1 for (a, b), s in sizes.items())
+        for cls in DELETION_CLASSES:
+            assert pc.gq_persistence(gq, cls) == oracles.oracle_gq_persistence(gq, cls), cls
+    assert mixed >= 30
 
 
 def test_fixed_vertex_deletion_twin_cases():
