@@ -16,7 +16,7 @@ point pays at least the smaller of its half persistence and its cheapest
 cost to the other diagram; the largest such value, found by scans outwards
 from each birth, is a candidate at or below the distance and is decided
 first, and no cost matrix is built while it holds.  Only when it fails are
-the n1 * n2 costs built, once, as the candidate set, which is sorted and
+the n1 * n2 costs computed, once, into the candidate set, which is sorted and
 searched, each threshold seeded with the maximum matching of the last
 infeasible one.  Cornerpoints at infinity may only match each other (at the
 difference of births, optimally in sorted order); the distance is infinite
@@ -57,12 +57,12 @@ Point = tuple[float, float]
 MatchPair = tuple[Optional[Point], Optional[Point]]
 
 
-# Only a search whose lower bound fails builds the n1 * n2 costs, at most
+# Only a search whose lower bound fails computes the n1 * n2 costs, at most
 # 6.25M under this cap.  On a 2-core Xeon with CPython 3.11, a 2,000 + 2,000
-# point pair decided at its lower bound takes 0.1 s and peaks at 5.4 MiB
-# (tracemalloc) against a perturbed copy, and 0.3 s and 51 MiB against an
+# point pair decided at its lower bound takes 0.13 s and peaks at 5.4 MiB
+# (tracemalloc) against a perturbed copy, and 0.27 s and 51 MiB against an
 # independent diagram; at the cap, a perturbed pair whose lower bound fails
-# takes 5.9-7.3 s and 474 MiB, and that peak grows with n1 * n2.
+# takes 4.7-6.1 s and 297 MiB, the candidate set, which grows with n1 * n2.
 # Multiplicities count, since every unit becomes its own point.
 POINT_CAP = 5000
 
@@ -165,19 +165,20 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     f1[i]-f2[j] at h needs a birth gap <= h, so point i's edges lie in the
     window of f2's points whose births are within h of its own.  The window
     ends only move right along f1, and are placed by the computed gaps, as
-    the float bounds b - h and b + h may round inwards.  Each window is
-    filtered by cost <= h in index order, so the adjacency lists, and the
+    the float bounds b - h and b + h may round inwards.  Inside a window the
+    birth gap is at most h, so cost <= h is the death gap <= h; each window
+    is filtered by it in index order, so the adjacency lists, and the
     matchings, are those of the full cost matrix.
 
     Every point pays at least the smaller of its half persistence and its
     cheapest edge to the other diagram, so the largest such value is a
     candidate at or below the answer; it is found by scans outwards from
     each birth (``_raise_bound``) and decided first, and is the answer unless
-    its matching is imperfect.  Only then are the n1 * n2 cost rows built,
-    once, for the candidate set, and a binary search runs over the
-    candidates above the bound, each probe reading the costs in its windows.
-    The edges only grow with h, so the maximum matching of the last
-    infeasible threshold seeds the next one.
+    its matching is imperfect.  Only then are the n1 * n2 costs computed,
+    once, into the candidate set (no cost rows are kept), and a binary
+    search runs over the candidates above the bound, each probe reading
+    only its windows.  The edges only grow with h, so the maximum matching
+    of the last infeasible threshold seeds the next one.
     """
     if not f1 and not f2:
         return 0.0, []
@@ -189,22 +190,19 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     half2 = [_diag_cost(q) for q in f2]
     # the cost is symmetric bit for bit: fl(a - b) == -fl(b - a)
     lb = _raise_bound(_raise_bound(-math.inf, f1, half1, f2, births2), f2, half2, f1, births1)
-    rows: Optional[list[list[float]]] = None
 
     def matched(h: float, seed: list[int]) -> tuple[bool, list[int]]:
         points: list[list[int]] = []
         lo = hi = 0
-        for i, (b1, d1) in enumerate(f1):
+        for b1, d1 in f1:
             # computed gaps are monotone in sorted births, so [lo, hi) holds
-            # exactly the births within h of b1
+            # exactly the births within h of b1, and there cost <= h is the
+            # death gap <= h
             while lo < n2 and b1 - births2[lo] > h:
                 lo += 1
             while hi < n2 and births2[hi] - b1 <= h:
                 hi += 1
-            if rows is None:
-                points.append([j for j in range(lo, hi) if abs(d1 - deaths2[j]) <= h])
-            else:
-                points.append([j for j, c in enumerate(rows[i][lo:hi], lo) if c <= h])
+            points.append([j for j in range(lo, hi) if abs(d1 - deaths2[j]) <= h])
         slots: list[list[int]] = [[j] if half2[j] <= h else [] for j in range(n2)]
         for i, cols in enumerate(points):
             for j in cols:
@@ -217,8 +215,11 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     h = lb
     perfect, best = matched(lb, [-1] * (n1 + n2))
     if not perfect:
-        rows = [[max(abs(b1 - b2), abs(d1 - d2)) for b2, d2 in f2] for b1, d1 in f1]
-        ordered = sorted({c for c in chain(half1, half2, *rows) if c > lb})
+        ordered = sorted(
+            {c for b1, d1 in f1 for b2, d2 in f2 if (c := max(abs(b1 - b2), abs(d1 - d2))) > lb}.union(
+                c for c in chain(half1, half2) if c > lb
+            )
+        )
         seed = best
         lo, hi = 0, len(ordered) - 1
         best = None

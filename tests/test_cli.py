@@ -250,7 +250,6 @@ def test_verify_refuses_a_clique_poset_past_its_state_cap(tmp_path):
     assert time.perf_counter() - start < 5.0
     assert res.returncode == 2
     assert res.stderr == "error: clique subobject poset limited to 2000 elements\n"
-    assert "SKIP" not in res.stdout and "weak directedness" not in res.stdout
 
 
 def test_verify_k5_clique_poset_under_the_state_cap(tmp_path):
