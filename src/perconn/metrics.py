@@ -15,10 +15,7 @@ along the same k edges, so this sparse slot block loses no matching.  Every
 point pays at least the smaller of its half persistence and its cheapest
 cost to the other diagram; the largest such value, found by scans outwards
 from each birth, is a candidate at or below the distance and is decided
-first, and no cost matrix is built while it holds.  Only when it fails are
-the n1 * n2 costs computed, once, into the candidate set, which is sorted and
-searched, each threshold seeded with the maximum matching of the last
-infeasible one.  Cornerpoints at infinity may only match each other (at the
+first.  Cornerpoints at infinity may only match each other (at the
 difference of births, optimally in sorted order); the distance is infinite
 when the counts of infinite points differ.
 
@@ -28,12 +25,19 @@ difference across matched vertices and edges.  An isomorphism pairs the
 vertex weights and the edge weights one to one, and in one dimension the
 sorted pairing has the least largest gap, so the larger of the two sorted
 gaps is a lower bound; it is tried first, and a success there also proves the
-graphs isomorphic.  Otherwise a binary search runs over the weight
-differences above it, with a backtracking isomorphism search constrained to
-each threshold (``isomorphic_within``), so the result is the exact minimum.
-The search runs on an explicit stack and requires the images of twin
-vertices to increase along its visit order, which loses no isomorphism's
-cost.
+graphs isomorphic.  Each threshold is decided by a backtracking isomorphism
+search constrained to it (``isomorphic_within``), whose set-up is built once
+per pair.  The search runs on an explicit stack and requires the images of
+twin vertices to increase along its visit order, which loses no
+isomorphism's cost.
+
+When a lower bound fails, both searches climb from it (``_climb``): they
+probe thresholds at the tops of bands that double in width, and list and
+bisect the candidates of the first band whose top is feasible, so the answer
+is still the least feasible candidate.  The bottleneck search reads that
+band's costs from the birth windows at its top, so it never builds the
+n1 * n2 candidate set, and seeds each threshold with the maximum matching of
+the last infeasible one.
 
 The same search decides poset isomorphism (``posets.poset_isomorphic``) at
 h = 0 on comparability graphs, each element weighted by the size of its
@@ -48,7 +52,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .graphs import CapExceeded, WeightedGraph, weighted_graph
 from .persistence import Diagram
@@ -57,12 +61,13 @@ Point = tuple[float, float]
 MatchPair = tuple[Optional[Point], Optional[Point]]
 
 
-# Only a search whose lower bound fails computes the n1 * n2 costs, at most
-# 6.25M under this cap.  On a 2-core Xeon with CPython 3.11, a 2,000 + 2,000
-# point pair decided at its lower bound takes 0.13 s and peaks at 5.4 MiB
-# (tracemalloc) against a perturbed copy, and 0.27 s and 51 MiB against an
+# No search builds the n1 * n2 candidate set; each probe holds only the edges
+# within its threshold.  On a 2-core Xeon with CPython 3.11, a 2,000 + 2,000
+# point pair decided at its lower bound takes 0.08-0.12 s and peaks at 5.4 MiB
+# (tracemalloc) against a perturbed copy, and 0.19-0.28 s and 51 MiB against an
 # independent diagram; at the cap, a perturbed pair whose lower bound fails
-# takes 4.7-6.1 s and 297 MiB, the candidate set, which grows with n1 * n2.
+# takes 1.1-1.3 s and 22 MiB.  The edges grow with the distance: an
+# independent 2,000 + 2,000 pair whose bound fails takes 6-8 s and 119 MiB.
 # Multiplicities count, since every unit becomes its own point.
 POINT_CAP = 5000
 
@@ -174,11 +179,13 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     cheapest edge to the other diagram, so the largest such value is a
     candidate at or below the answer; it is found by scans outwards from
     each birth (``_raise_bound``) and decided first, and is the answer unless
-    its matching is imperfect.  Only then are the n1 * n2 costs computed,
-    once, into the candidate set (no cost rows are kept), and a binary
-    search runs over the candidates above the bound, each probe reading
-    only its windows.  The edges only grow with h, so the maximum matching
-    of the last infeasible threshold seeds the next one.
+    its matching is imperfect.  Otherwise ``_climb`` probes bands above it,
+    up to the largest half persistence, where every point may retire; the
+    candidates of the first feasible band, its costs and half persistences,
+    are read from the same windows at the band's top, so no n1 * n2 set is
+    built.  The edges only grow with h, so the maximum matching of the last
+    infeasible threshold seeds the next one, and the matching returned is
+    that of the last feasible threshold, which has the answer's edges.
     """
     if not f1 and not f2:
         return 0.0, []
@@ -191,18 +198,31 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     # the cost is symmetric bit for bit: fl(a - b) == -fl(b - a)
     lb = _raise_bound(_raise_bound(-math.inf, f1, half1, f2, births2), f2, half2, f1, births1)
 
-    def matched(h: float, seed: list[int]) -> tuple[bool, list[int]]:
+    def edges(h: float) -> list[list[int]]:
+        # point i's neighbours in f2 at h, in index order; computed gaps are
+        # monotone in sorted births, so [lo, hi) holds exactly the births
+        # within h of b1, and there cost <= h is the death gap <= h
         points: list[list[int]] = []
         lo = hi = 0
         for b1, d1 in f1:
-            # computed gaps are monotone in sorted births, so [lo, hi) holds
-            # exactly the births within h of b1, and there cost <= h is the
-            # death gap <= h
             while lo < n2 and b1 - births2[lo] > h:
                 lo += 1
             while hi < n2 and births2[hi] - b1 <= h:
                 hi += 1
             points.append([j for j in range(lo, hi) if abs(d1 - deaths2[j]) <= h])
+        return points
+
+    def band(lo: float, hi: float) -> list[float]:
+        found = {c for c in chain(half1, half2) if lo < c <= hi}
+        for (b1, d1), cols in zip(f1, edges(hi)):
+            found.update(c for j in cols if (c := max(abs(b1 - births2[j]), abs(d1 - deaths2[j]))) > lo)
+        return sorted(found)
+
+    seed = best = [-1] * (n1 + n2)
+
+    def feasible(h: float) -> bool:
+        nonlocal seed, best
+        points = edges(h)
         slots: list[list[int]] = [[j] if half2[j] <= h else [] for j in range(n2)]
         for i, cols in enumerate(points):
             for j in cols:
@@ -210,32 +230,17 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
             if half1[i] <= h:
                 cols.append(n2 + i)
         match_right = list(seed)
-        return _hopcroft_karp(points + slots, match_right), match_right
+        perfect = _hopcroft_karp(points + slots, match_right)
+        if perfect:
+            best = match_right
+        else:
+            seed = match_right
+        return perfect
 
-    h = lb
-    perfect, best = matched(lb, [-1] * (n1 + n2))
-    if not perfect:
-        ordered = sorted(
-            {c for b1, d1 in f1 for b2, d2 in f2 if (c := max(abs(b1 - b2), abs(d1 - d2))) > lb}.union(
-                c for c in chain(half1, half2) if c > lb
-            )
-        )
-        seed = best
-        lo, hi = 0, len(ordered) - 1
-        best = None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            perfect, match_right = matched(ordered[mid], seed)
-            if perfect:
-                best = match_right
-                hi = mid
-            else:
-                seed = match_right
-                lo = mid + 1
-        if best is None:
-            perfect, best = matched(ordered[lo], seed)
-            assert perfect  # the largest candidate always admits a matching
-        h = ordered[lo]
+    h: Optional[float] = lb
+    if not feasible(lb):
+        h = _climb(lb, max(chain(half1, half2)), band, feasible)
+        assert h is not None  # at the largest half persistence every point may retire
     pairs: list[MatchPair] = []
     for b, a in enumerate(best):
         left = f1[a] if a < n1 else None
@@ -243,6 +248,39 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
         if left is not None or right is not None:
             pairs.append((left, right))
     return h, pairs
+
+
+def _climb(
+    lb: float, top: float, band: Callable[[float, float], list[float]], feasible: Callable[[float], bool]
+) -> Optional[float]:
+    """Least candidate above ``lb`` at which ``feasible`` holds, or None when
+    it fails at ``top``, the largest candidate that matters.
+
+    ``feasible`` fails at lb, only grows with the threshold and changes only
+    at candidates, and ``band(lo, hi)`` lists the candidates in (lo, hi] in
+    increasing order.  The thresholds climb in bands that double in width,
+    (lb, lb + w], (lb + w, lb + 3w], ..., from w = max(lb, top / 64), since
+    answers tend to lie just above their lower bound.  Only the band whose
+    top is the first feasible one is listed; its largest candidate decides
+    like its top, and the others are bisected.
+    """
+    lo, width = lb, max(lb, top / 64) or top
+    while True:
+        hi = min(lo + width, top)
+        if feasible(hi):
+            break
+        if hi == top:
+            return None
+        lo, width = hi, 2 * width
+    cands = band(lo, hi)
+    first, last = 0, len(cands) - 1
+    while first < last:
+        mid = (first + last) // 2
+        if feasible(cands[mid]):
+            last = mid
+        else:
+            first = mid + 1
+    return cands[first]
 
 
 def _raise_bound(
@@ -311,15 +349,6 @@ def _bottleneck(d1: Diagram, d2: Diagram) -> tuple[float, list[MatchPair] | None
     return max(inf_cost, fin_cost), inf_pairs + fin_pairs
 
 
-def _same_degrees(wg1: WeightedGraph, wg2: WeightedGraph) -> bool:
-    g1, g2 = wg1.graph, wg2.graph
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    deg1 = sorted(len(n) for n in g1.adjacency().values())
-    deg2 = sorted(len(n) for n in g2.adjacency().values())
-    return deg1 == deg2
-
-
 def _sorted_gap(ws1: Iterable[float], ws2: Iterable[float]) -> float:
     """Largest gap of the sorted pairing of two equal-size multisets: the
     least possible largest gap of any bijection between them."""
@@ -328,12 +357,25 @@ def _sorted_gap(ws1: Iterable[float], ws2: Iterable[float]) -> float:
 
 def isomorphic_within(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
     """Is there an isomorphism with every matched weight difference <= h?"""
+    search = _isomorphism_search(wg1, wg2)
+    return search is not None and search(h)
+
+
+def _isomorphism_search(wg1: WeightedGraph, wg2: WeightedGraph) -> Optional[Callable[[float], bool]]:
+    """The test ``isomorphic_within(wg1, wg2, h)`` as a function of h, or None
+    when the vertex counts, edge counts or degree sequences differ.
+
+    Everything that does not depend on h is built once: both adjacencies,
+    the visit order, g2's vertices by degree and by weight, and the twin
+    classes.  Each threshold then slices the candidate lists and runs the
+    backtracking search.
+    """
     g1, g2 = wg1.graph, wg2.graph
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    if not g1.vertices:
-        return True
+        return None
     adj1, adj2 = g1.adjacency(), g2.adjacency()
+    if sorted(map(len, adj1.values())) != sorted(map(len, adj2.values())):
+        return None
     vw1, vw2 = wg1.vertex_weights, wg2.vertex_weights
     ew1, ew2 = wg1.edge_weights, wg2.edge_weights
 
@@ -361,59 +403,66 @@ def isomorphic_within(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
         ws, names = by_degree.setdefault(len(adj2[v]), ([], []))
         ws.append(vw2[v])
         names.append(v)
-    candidates: dict[str, list[str]] = {}
-    for u in order:
-        ws, names = by_degree.get(len(adj1[u]), ([], []))
-        a = vw1[u]
-        lo, hi = bisect_left(ws, a - h), bisect_right(ws, a + h)
-        while lo > 0 and abs(a - ws[lo - 1]) <= h:
-            lo -= 1
-        while hi < len(ws) and abs(a - ws[hi]) <= h:
-            hi += 1
-        candidates[u] = sorted(names[k] for k in range(lo, hi) if abs(a - ws[k]) <= h)
-    if any(not c for c in candidates.values()):
-        return False
+    buckets = [(u, vw1[u], *by_degree[len(adj1[u])]) for u in order]
     twin_before = _previous_twins(wg1, adj1, order)
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
 
-    def fits(u: str, v: str) -> bool:
-        # u's mapped neighbours go to neighbours of v within h; as the mapping
-        # is injective, v then has no other mapped neighbour iff the counts agree
-        mapped = 0
-        for u2 in adj1[u]:
-            v2 = mapping.get(u2)
-            if v2 is None:
-                continue
-            if v2 not in adj2[v] or abs(_edge_w(ew1, u, u2) - _edge_w(ew2, v, v2)) > h:
-                return False
-            mapped += 1
-        return mapped == sum(v2 in used for v2 in adj2[v])
-
-    # depth-first over positions of ``order``; resume[pos] is the index of the
-    # next candidate to try for order[pos]
-    resume = [0] * len(order)
-    pos = 0
-    while True:
-        u = order[pos]
-        cands = candidates[u]
-        i = resume[pos]
-        while i < len(cands) and (cands[i] in used or not fits(u, cands[i])):
-            i += 1
-        if i == len(cands):
-            if pos == 0:
-                return False
-            pos -= 1
-            used.remove(mapping.pop(order[pos]))
-            continue
-        resume[pos] = i + 1
-        mapping[u] = cands[i]
-        used.add(cands[i])
-        pos += 1
-        if pos == len(order):
+    def within(h: float) -> bool:
+        if not order:
             return True
-        twin = twin_before.get(order[pos])
-        resume[pos] = 0 if twin is None else bisect_right(candidates[order[pos]], mapping[twin])
+        candidates: dict[str, list[str]] = {}
+        for u, a, ws, names in buckets:
+            lo, hi = bisect_left(ws, a - h), bisect_right(ws, a + h)
+            while lo > 0 and abs(a - ws[lo - 1]) <= h:
+                lo -= 1
+            while hi < len(ws) and abs(a - ws[hi]) <= h:
+                hi += 1
+            cands = sorted(names[k] for k in range(lo, hi) if abs(a - ws[k]) <= h)
+            if not cands:
+                return False
+            candidates[u] = cands
+        mapping: dict[str, str] = {}
+        used: set[str] = set()
+
+        def fits(u: str, v: str) -> bool:
+            # u's mapped neighbours go to neighbours of v within h; as the
+            # mapping is injective, v then has no other mapped neighbour iff
+            # the counts agree
+            mapped = 0
+            for u2 in adj1[u]:
+                v2 = mapping.get(u2)
+                if v2 is None:
+                    continue
+                if v2 not in adj2[v] or abs(_edge_w(ew1, u, u2) - _edge_w(ew2, v, v2)) > h:
+                    return False
+                mapped += 1
+            return mapped == sum(v2 in used for v2 in adj2[v])
+
+        # depth-first over positions of ``order``; resume[pos] is the index
+        # of the next candidate to try for order[pos]
+        resume = [0] * len(order)
+        pos = 0
+        while True:
+            u = order[pos]
+            cands = candidates[u]
+            i = resume[pos]
+            while i < len(cands) and (cands[i] in used or not fits(u, cands[i])):
+                i += 1
+            if i == len(cands):
+                if pos == 0:
+                    return False
+                pos -= 1
+                used.remove(mapping.pop(order[pos]))
+                continue
+            resume[pos] = i + 1
+            mapping[u] = cands[i]
+            used.add(cands[i])
+            pos += 1
+            if pos == len(order):
+                return True
+            twin = twin_before.get(order[pos])
+            resume[pos] = 0 if twin is None else bisect_right(candidates[order[pos]], mapping[twin])
+
+    return within
 
 
 def _edge_w(ew: dict[tuple[str, str], float], a: str, b: str) -> float:
@@ -452,13 +501,19 @@ def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: i
 
     Returns inf when the underlying graphs are not isomorphic.  Raises
     CapExceeded when either graph has more than ``vertex_cap`` vertices.
+
+    The isomorphism search is set up once for the pair.  The larger sorted
+    weight gap is decided first; when it fails, ``_climb`` probes bands of
+    the weight differences above it, and the largest difference failing
+    too means no isomorphism exists.
     """
     n1, n2 = len(wg1.graph.vertices), len(wg2.graph.vertices)
     if n1 > vertex_cap or n2 > vertex_cap:
         raise CapExceeded(
             f"pseudodistance limited to {vertex_cap} vertices, got {max(n1, n2)}"
         )
-    if not _same_degrees(wg1, wg2):
+    search = _isomorphism_search(wg1, wg2)
+    if search is None:
         return math.inf
     # an isomorphism pairs the vertex weights and the edge weights one to one
     pools = (
@@ -466,20 +521,14 @@ def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: i
         (wg1.edge_weights.values(), wg2.edge_weights.values()),
     )
     lb = max(_sorted_gap(ws1, ws2) for ws1, ws2 in pools)
-    if isomorphic_within(wg1, wg2, lb):
+    if search(lb):
         return lb
-    diffs = {abs(w1 - w2) for ws1, ws2 in pools for w1 in ws1 for w2 in ws2}
-    cands = sorted(d for d in diffs if d > lb)
-    if not cands or not isomorphic_within(wg1, wg2, cands[-1]):
+    # weights repeat, so the differences are taken between distinct values
+    diffs = sorted({d for ws1, ws2 in pools for w1 in set(ws1) for w2 in set(ws2) if (d := abs(w1 - w2)) > lb})
+    if not diffs:
         return math.inf
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if isomorphic_within(wg1, wg2, cands[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return cands[lo]
+    h = _climb(lb, diffs[-1], lambda lo, hi: diffs[bisect_right(diffs, lo) : bisect_right(diffs, hi)], search)
+    return math.inf if h is None else h
 
 
 def perturb(wg: WeightedGraph, epsilon: float, seed: int) -> WeightedGraph:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 
 import perconn as pc
-from perconn.metrics import _expand, _hopcroft_karp
+from perconn.metrics import _climb, _expand, _hopcroft_karp
 
 
 def dfs_connected(vertices: frozenset[str], edges) -> bool:
@@ -253,10 +253,11 @@ def oracle_bottleneck(d1: pc.Diagram, d2: pc.Diagram) -> float:
 
 
 def oracle_dense_bottleneck(d1: pc.Diagram, d2: pc.Diagram) -> tuple[float, list]:
-    """``optimal_matching`` by the dense kernel it replaced: every threshold's
-    adjacency filters the full n1 * n2 cost matrix, and the lower bound is
-    read from the matrix rows and columns.  The same candidates, probe
-    sequence and seeds, so the same distance and the same pairs."""
+    """``optimal_matching`` by the dense kernel: every threshold's adjacency
+    filters the full n1 * n2 cost matrix, the lower bound is read from the
+    matrix rows and columns, and each band's candidates from all n1 * n2
+    costs.  The same climb, probe sequence and seeds, so the same distance
+    and the same pairs."""
     f1, i1 = _expand(d1)
     f2, i2 = _expand(d2)
     if len(i1) != len(i2):
@@ -280,8 +281,10 @@ def _dense_finite_bottleneck(f1, f2):
     cheapest = [min(row, default=math.inf) for row in rows]
     cheapest += [min(col) for col in zip(*rows)] if rows else [math.inf] * n2
     lb = max(map(min, half1 + half2, cheapest))
+    seed = best = [-1] * (n1 + n2)
 
-    def matched(h, seed):
+    def feasible(h):
+        nonlocal seed, best
         points = [[j for j, c in enumerate(row) if c <= h] for row in rows]
         slots = [[j] if half2[j] <= h else [] for j in range(n2)]
         for i, cols in enumerate(points):
@@ -290,28 +293,19 @@ def _dense_finite_bottleneck(f1, f2):
             if half1[i] <= h:
                 cols.append(n2 + i)
         match_right = list(seed)
-        return _hopcroft_karp(points + slots, match_right), match_right
+        perfect = _hopcroft_karp(points + slots, match_right)
+        if perfect:
+            best = match_right
+        else:
+            seed = match_right
+        return perfect
+
+    def band(lo, hi):
+        return sorted({c for c in chain(half1, half2, *rows) if lo < c <= hi})
 
     h = lb
-    perfect, best = matched(lb, [-1] * (n1 + n2))
-    if not perfect:
-        ordered = sorted({c for c in chain(half1, half2, *rows) if c > lb})
-        seed = best
-        lo, hi = 0, len(ordered) - 1
-        best = None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            perfect, match_right = matched(ordered[mid], seed)
-            if perfect:
-                best = match_right
-                hi = mid
-            else:
-                seed = match_right
-                lo = mid + 1
-        if best is None:
-            perfect, best = matched(ordered[lo], seed)
-            assert perfect
-        h = ordered[lo]
+    if not feasible(lb):
+        h = _climb(lb, max(chain(half1, half2)), band, feasible)
     pairs = []
     for b, a in enumerate(best):
         left = f1[a] if a < n1 else None

@@ -223,6 +223,44 @@ def test_bottleneck_at_the_lower_bound_builds_no_cost_matrix(monkeypatch, seed=1
     _check_witness(d1, d2, dist, pairs)
 
 
+def test_bottleneck_above_the_lower_bound_builds_no_candidate_set(monkeypatch, seed=3):
+    # the lower bound of this pair fails, and its n1 * n2 candidate costs,
+    # 1M floats, peaked at 41 MiB when they were collected into one set
+    d1, d2 = _perturbed_pair(random.Random(seed), 1000)
+    probes = []
+    real = metrics._hopcroft_karp
+
+    def counted(adj, match_right):
+        perfect = real(adj, match_right)
+        probes.append(perfect)
+        return perfect
+
+    monkeypatch.setattr(metrics, "_hopcroft_karp", counted)
+    tracemalloc.start()
+    try:
+        dist, pairs = pc.optimal_matching(d1, d2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probes[0] is False  # the first probe, at the lower bound, is imperfect
+    assert peak < 8 * 2**20  # measured at 3.9 MiB
+    assert dist <= 0.3 + 1e-3
+    _check_witness(d1, d2, dist, pairs)
+
+
+def test_bottleneck_climbs_from_a_zero_lower_bound():
+    # every point has a free twin in the other diagram, so the bound is 0,
+    # but one of the two copies of (0, 4) must retire at half persistence 2
+    d1 = pc.diagram([pc.Cornerpoint(0.0, 4.0, 2)])
+    d2 = pc.diagram([pc.Cornerpoint(0.0, 4.0)])
+    assert pc.bottleneck_distance(d1, d2) == oracles.oracle_bottleneck(d1, d2) == 2.0
+    for first, second in ((d1, d2), (d2, d1)):
+        dist, pairs = pc.optimal_matching(first, second)
+        assert dist == 2.0
+        _check_witness(first, second, dist, pairs)
+        assert oracles.oracle_dense_bottleneck(first, second) == (dist, pairs)
+
+
 def _differential_diagram(rng, digits, infinite):
     max_multiplicity = rng.choice((1, 1, 3))
     points = []
@@ -328,6 +366,18 @@ def test_pseudodistance_identity_and_non_isomorphic():
     tri = pc.parse_weighted_graph("e a b 1\ne b c 1\ne a c 1\n")
     path = pc.parse_weighted_graph("e a b 1\ne b c 1\n")
     assert math.isinf(pc.natural_pseudodistance(tri, path))
+
+
+def test_pseudodistance_with_equal_degrees_but_no_isomorphism():
+    # a hexagon and two triangles: every vertex has degree 2, so only the
+    # search, climbing to the largest weight difference, finds no isomorphism
+    ring = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("a", "f")]
+    c6 = pc.weighted_graph({e: 1.0 + k / 4 for k, e in enumerate(ring)})
+    triangles = [("p", "q"), ("q", "r"), ("p", "r"), ("s", "t"), ("t", "u"), ("s", "u")]
+    two_k3 = pc.weighted_graph({e: 1.5 - k / 8 for k, e in enumerate(triangles)})
+    assert pc.natural_pseudodistance(c6, two_k3) == oracles.oracle_pseudodistance(c6, two_k3) == math.inf
+    assert pc.natural_pseudodistance(two_k3, c6) == math.inf
+    assert not any(isomorphic_within(c6, two_k3, h) for h in (0.0, 1.0, 100.0))
 
 
 def test_isomorphic_within_rejects_an_embedding():
