@@ -23,17 +23,11 @@ Four property kinds are supported:
   biconnected components, peels off vertices of degree below k (such a
   vertex lies in one block at most, its closed neighbourhood when that is a
   k-clique), and splits the rest along vertex cuts smaller than k, followed
-  by a maximality filter.  A cut is found by max-flow on the split network
-  (Menger), probing only the vertices that two sweeps leave unsettled
-  (after Wen et al., ICDE 2016).  A vertex is settled once no cut below k
-  can separate it from a fixed vertex v0; v0 and its neighbours start
-  settled, and the rest are probed in BFS order.  A vertex with k settled
-  neighbours is settled, as a cut below k misses one of them.  Every member
-  of a previous level's block is settled once v0 or k of its members are:
-  the block keeps its property at the next level, so a cut below k leaves
-  it connected and misses one of those members.  Non-adjacent neighbour
-  pairs of v0 inside one such block are not probed, for the same reason.
-  ``block_levels`` hands each level's blocks to the next level's search.
+  by a maximality filter.  The maximal sets are unique, so the result does
+  not depend on which cut a split takes.  Cuts come from
+  ``cuts.vertex_cut_below``, which settles most vertices by sweeps and
+  probes the rest by local flows; a search may hand it blocks of a
+  subgraph, such as the previous level's, as groups no cut splits.
 * ``edge_block`` — deleting any fewer than k edges (spanning) leaves a
   connected graph.  A single vertex passes for every k, so maximal
   components partition the vertex set.  For k = 2 they are the connected
@@ -44,12 +38,38 @@ Four property kinds are supported:
   left.
 
 ``vertex_blocks`` and ``edge_blocks`` search a bare adjacency dict for
-vertex sets; ``property_components`` wraps them in induced subgraphs, and
-``block_levels`` runs them on every level of a filtered graph on integer
-vertices.  The diagram engine (``persistence.index_diagram``) needs those
-levels only for blocks at k >= 3, as it sweeps the other properties in one
-pass over the edges in weight order; ``verify`` tabulates every property on
-them.
+vertex sets; ``property_components`` wraps them in induced subgraphs.
+``block_levels`` gives the maximal components of every level of a filtered
+graph on integer vertices, for ``verify`` and the quiver tables, and the
+diagram engine (``persistence.index_diagram``) needs levels only for
+vertex blocks at k >= 3.  Components and blocks at k <= 2 run a provider on
+each level, independent of the engine's sweeps.  Blocks at k >= 3 change
+only where an edge enters: a block of level j that is neither a block of
+level j - 1 nor a vertex born at c_j holds both ends of an edge entering at
+c_j (else its induced subgraph, and with it the property, is the same at
+level j - 1, where it lies in a block that lies in a block of level j), so
+each sweep searches only what an entering edge touches.
+
+* Edge blocks, ``edge_block_merges``.  A block of level j - 1 keeps its
+  property at level j and shares a vertex with some block of level j,
+  whose union with it passes too, so every level's blocks are unions of
+  the previous level's.  One partition of the vertices holds them.  At
+  c_j the 2-edge-connected classes that gained an edge (from the merges of
+  ``cuts.bridge_merges``, as a block with k >= 2 lies in one) are searched
+  again on their contracted multigraph: each current block is a
+  super-vertex, and two are joined by the number of edges between them.
+  No cut below k splits a super-vertex, so the cuts of the contracted
+  graph are those of the class.  Every block found merges its
+  super-vertices at c_j, and the diagram is the elder rule over the
+  vertex births and these merges.
+* Vertex blocks, ``block_levels``.  The biconnected blocks of every level,
+  with their vertex sets, come from replaying the edge merges of
+  ``cuts.block_merges`` on a partition of the edges, so no level runs
+  ``biconnected_components``.  A block with k >= 3 vertices lies in one
+  biconnected block.  A biconnected block that gained no edge at c_j was a
+  biconnected block of level j - 1 with the same induced subgraph, so it
+  keeps its blocks, the very same sets.  Only the biconnected blocks that
+  gained an edge are searched, with their previous blocks as groups.
 """
 
 from __future__ import annotations
@@ -59,8 +79,11 @@ from itertools import chain, combinations
 from operator import itemgetter
 
 from .cuts import (
+    Partition,
     UnionFind,
     biconnected_components,
+    block_merges,
+    bridge_merges,
     clique_percolation,
     connected_vertex_sets,
     edge_cut_below,
@@ -133,12 +156,18 @@ def vertex_blocks(adj: dict, k: int, prior=()) -> list[frozenset]:
     blocks = [frozenset(b) for b in biconnected_components(adj) if len(b) >= k]
     if k == 2:
         return blocks
+    return _split_vertex_blocks(adj, blocks, k, prior)
+
+
+def _split_vertex_blocks(adj: dict, blocks, k: int, prior) -> list[frozenset]:
+    """The maximal k-vertex-connected sets (k >= 3) inside the given
+    biconnected blocks of ``adj``, with ``prior`` as in ``vertex_blocks``."""
     prior_at: dict = {}  # each prior set under its least vertex
     for b in prior:
         prior_at.setdefault(min(b), []).append(b)
     found: set[frozenset] = set()
     seen: set[frozenset] = set()
-    stack = blocks
+    stack = list(blocks)
     while stack:
         vs = stack.pop()
         if vs in seen:
@@ -184,19 +213,91 @@ def edge_blocks(adj: dict, k: int) -> list[frozenset]:
             adj[u].discard(v)
             adj[v].discard(u)
         return [frozenset(c) for c in connected_vertex_sets(adj)]
-    out: list[frozenset] = []
-    stack = [set(adj)]
+    return [frozenset(b) for b in _split_edge_blocks({v: dict.fromkeys(nbrs, 1) for v, nbrs in adj.items()}, k)]
+
+
+def _split_edge_blocks(weights: dict, k: int) -> list[set]:
+    """Maximal vertex sets of a weighted graph (``{v: {u: weight}}``, which
+    this consumes) that edges of total weight below k never disconnect, for
+    k >= 3."""
+    out: list[set] = []
+    stack = [weights]
     while stack:
-        sub = _restrict(adj, stack.pop())
-        # a vertex of degree below k is a block of its own
-        out += (frozenset((v,)) for v, _ in _peel(sub, k))
+        sub = stack.pop()
+        # a vertex of weighted degree below k is a block of its own
+        degree = {v: sum(nbrs.values()) for v, nbrs in sub.items()}
+        low = [v for v, d in degree.items() if d < k]
+        while low:
+            v = low.pop()
+            if v in sub:
+                out.append({v})
+                for u, c in sub.pop(v).items():
+                    del sub[u][v]
+                    degree[u] -= c
+                    if degree[u] < k:
+                        low.append(u)
         for comp in connected_vertex_sets(sub):
             side = edge_cut_below({v: sub[v] for v in comp}, k)
             if side is None:
-                out.append(frozenset(comp))
-            else:
-                stack += (side, comp - side)
+                out.append(comp)
+                continue
+            for piece in (side, comp - side):
+                stack.append({v: {u: c for u, c in sub[v].items() if u in piece} for v in piece})
     return out
+
+
+def edge_block_merges(criticals, births, edges, k: int) -> list[tuple[int, int, float]]:
+    """Merges (a, b, c) of the vertices of a filtered graph into its edge
+    blocks at k >= 3, level by level: vertex i is born at ``births[i]``, an
+    (u, v, w) edge enters at the first critical value c >= w, and the blocks
+    of the level at c are the classes of the merges up to c.
+
+    Each block is a super-vertex of one contracted multigraph, which gains
+    the entering edges between blocks level by level.  A level searches only
+    the 2-edge-connected classes that such an edge lies in (see the module
+    docstring), and contracts each block it finds.
+    """
+    n = len(births)
+    edges = sorted(edges, key=itemgetter(2))
+    bridges = bridge_merges(n, edges)
+    classes = Partition(n)  # 2-edge-connected classes
+    tops = [{v} for v in range(n)]  # the blocks of each class, by label
+    blocks = Partition(n)
+    weights: list[dict[int, int]] = [{} for _ in range(n)]  # between block labels
+    merges = []
+    b = e = 0
+    for c in criticals:
+        while b < len(bridges) and bridges[b][2] <= c:
+            keep, gone = classes.join(classes.label[bridges[b][0]], classes.label[bridges[b][1]])
+            tops[keep] |= tops[gone]
+            b += 1
+        touched = set()
+        while e < len(edges) and edges[e][2] <= c:
+            u, v, _ = edges[e]
+            e += 1
+            x, y = blocks.label[u], blocks.label[v]
+            if x != y:
+                weights[x][y] = weights[x].get(y, 0) + 1
+                weights[y][x] = weights[y].get(x, 0) + 1
+                if classes.label[u] == classes.label[v]:
+                    touched.add(classes.label[u])
+        for root in touched:
+            top = tops[root]
+            graph = {t: {s: w for s, w in weights[t].items() if s in top} for t in top}
+            for found in _split_edge_blocks(graph, k):
+                first, *rest = found
+                for t in rest:
+                    keep, gone = blocks.join(blocks.label[first], t)
+                    top.discard(gone)
+                    row = weights[keep]
+                    for s, w in weights[gone].items():
+                        del weights[s][gone]
+                        if s != keep:
+                            row[s] = row.get(s, 0) + w
+                            weights[s][keep] = row[s]
+                    weights[gone] = {}
+                    merges.append((first, t, c))
+    return merges
 
 
 def _block_search(spec: PropertySpec):
@@ -206,37 +307,88 @@ def _block_search(spec: PropertySpec):
     return (edge_blocks if spec.kind == "edge_block" else vertex_blocks), spec.k
 
 
-def _clique_levels(criticals, edges, k: int) -> list[list[frozenset[tuple]]]:
-    """Clique communities of each level of a filtered graph, each the set of
-    its k-cliques as sorted tuples: one ``clique_percolation`` sweep over the
-    (u, v, w) edges, its cliques grouped per level by a union-find that
-    takes the merges as the levels grow."""
-    cliques, births, merges = clique_percolation(sorted(edges, key=itemgetter(2)), k)
-    uf = UnionFind(len(cliques))
+def _merge_levels(criticals, births, merges) -> list[list[list[int]]]:
+    """The classes of each level of a merge sweep: node i is born at
+    ``births[i]``, each (a, b, w) merge joins two classes at w, in
+    nondecreasing w, and a level at c holds the nodes born by c."""
+    order = sorted(range(len(births)), key=births.__getitem__)
+    uf = UnionFind(len(births))
     levels = []
     born = e = 0
     for c in criticals:
-        while born < len(cliques) and births[born] <= c:
+        while born < len(order) and births[order[born]] <= c:
             born += 1
         while e < len(merges) and merges[e][2] <= c:
             uf.union(merges[e][0], merges[e][1])
             e += 1
-        classes: dict[int, list[tuple]] = {}
-        for i in range(born):
-            classes.setdefault(uf.find(i), []).append(cliques[i])
-        levels.append([frozenset(cs) for cs in classes.values()])
+        classes: dict[int, list[int]] = {}
+        for i in order[:born]:
+            classes.setdefault(uf.find(i), []).append(i)
+        levels.append(list(classes.values()))
+    return levels
+
+
+def _vertex_block_levels(criticals, births, edges, k: int) -> list[list[frozenset]]:
+    """Vertex blocks (k >= 3) of each level, carried where no edge entered
+    their biconnected block (see the module docstring)."""
+    n = len(births)
+    edges = sorted(edges, key=itemgetter(2))
+    merges = block_merges(n, edges)
+    bicon = Partition(len(edges))  # biconnected blocks, as edge classes
+    verts = [{u, v} for u, v, _ in edges]  # the vertices of each, by label
+    index = {}
+    for i, (u, v, _) in enumerate(edges):
+        index[u, v] = index[v, u] = i
+    born = sorted(range(n), key=births.__getitem__)
+    adj: dict[int, set[int]] = {}
+    host: dict[frozenset, int] = {}  # each block of the last level, with an edge inside it
+    levels = []
+    i = e = m = 0
+    for c in criticals:
+        while i < n and births[born[i]] <= c:
+            adj[born[i]] = set()
+            i += 1
+        entered = e
+        while e < len(edges) and edges[e][2] <= c:
+            u, v, _ = edges[e]
+            adj[u].add(v)
+            adj[v].add(u)
+            e += 1
+        while m < len(merges) and merges[m][2] <= c:
+            x, y = bicon.label[merges[m][0]], bicon.label[merges[m][1]]
+            if x != y:
+                keep, gone = bicon.join(x, y)
+                verts[keep] |= verts[gone]
+            m += 1
+        label = bicon.label
+        touched = {label[j] for j in range(entered, e)}
+        prior = [b for b, h in host.items() if label[h] in touched]
+        host = {b: h for b, h in host.items() if label[h] not in touched}
+        searched = [frozenset(verts[r]) for r in touched if len(verts[r]) >= k]
+        for b in _split_vertex_blocks(adj, searched, k, prior):
+            x = min(b)
+            host[b] = index[x, min(adj[x] & b)]
+        levels.append(list(host))
     return levels
 
 
 def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[frozenset]]:
     """Maximal components of each level of a filtered graph: vertex i is
     born at ``births[i]``, an (u, v, w) edge enters at w.  They are clique
-    sets for ``clique:k`` and vertex sets otherwise, from one adjacency that
-    grows level by level; each level's vertex blocks are the next level's
-    ``prior``.
+    sets for ``clique:k`` and vertex sets otherwise.  Cliques come from one
+    ``clique_percolation`` sweep, grouped per level by a union-find over its
+    merges, and blocks at k >= 3 from the sweeps of the module docstring;
+    the rest run a provider on one adjacency that grows level by level.
     """
     if spec.kind == "clique":
-        return _clique_levels(criticals, edges, spec.k)
+        cliques, clique_births, merges = clique_percolation(sorted(edges, key=itemgetter(2)), spec.k)
+        levels = _merge_levels(criticals, clique_births, merges)
+        return [[frozenset(cliques[i] for i in cls) for cls in level] for level in levels]
+    if spec.kind == "edge_block" and spec.k > 2:
+        levels = _merge_levels(criticals, births, edge_block_merges(criticals, births, edges, spec.k))
+        return [[frozenset(cls) for cls in level] for level in levels]
+    if spec.kind == "vertex_block" and spec.k > 2:
+        return _vertex_block_levels(criticals, births, edges, spec.k)
     blocks, k = _block_search(spec)
     born = sorted(range(len(births)), key=births.__getitem__)
     edges = sorted(edges, key=itemgetter(2))
@@ -252,10 +404,7 @@ def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[froz
             adj[u].add(v)
             adj[v].add(u)
             e += 1
-        if spec.kind == "vertex_block":
-            levels.append(vertex_blocks(adj, k, levels[-1] if levels else ()))
-        else:
-            levels.append(blocks(adj, k))
+        levels.append(blocks(adj, k))
     return levels
 
 
@@ -274,7 +423,7 @@ def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]
     vertices; clique communities and vertex blocks may overlap.
     """
     if spec.kind == "clique":
-        (classes,) = _clique_levels((0.0,), [(u, v, 0.0) for u, v in sorted(g.edges)], spec.k)
+        (classes,) = block_levels((0.0,), (), [(u, v, 0.0) for u, v in sorted(g.edges)], spec)
         # sorted by vertex set, ties in the order of the classes' sorted cliques
         comms = [
             SimpleGraph(frozenset(chain(*cs)), frozenset(e for c in cs for e in combinations(c, 2)))

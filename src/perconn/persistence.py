@@ -17,7 +17,8 @@ w ends the younger class's bar (birth, w) and every class left at the end
 gives (birth, inf).  One engine feeds it from a filtered graph on integer
 vertices, ``index_diagram``: ``graph_diagram`` and ``quivers.gq_persistence``
 (on the weighted orbit graph of a G-quiver) both call it.  It sweeps the
-cheapest forest for each property; only blocks at k >= 3 build levels:
+cheapest forest for each property; only vertex blocks at k >= 3 build
+levels:
 
 * plain components, and blocks at k = 1: the edges in weight order over
   the vertices;
@@ -25,23 +26,33 @@ cheapest forest for each property; only blocks at k >= 3 build levels:
   clique percolation, Kumpula et al. 2008), from ``cuts.clique_percolation``;
 * blocks at k = 2: the non-tree edges of one spanning forest in weight
   order, each merging the vertices (edge blocks) or the edges (vertex
-  blocks) along its tree path, with jumps over what earlier paths joined
-  (incremental 2-edge and 2-vertex connectivity, after Westbrook and
-  Tarjan, Algorithmica 7, 1992);
-* blocks at k >= 3: the successor maps of the per-level maximal vertex
-  sets, where each set is tested only against the next level's sets that
-  hold one of its members.
+  blocks) along its tree path, from ``cuts.bridge_merges`` and
+  ``cuts.block_merges``;
+* edge blocks at k >= 3: the vertices, merged where
+  ``connectivity.edge_block_merges`` finds blocks joining.  The blocks of
+  each level are unions of the previous level's, so a block that merges
+  others at c_j ends all of them but the eldest there, exactly as in the
+  successor forest of the per-level blocks, whose earliest descendant
+  level is the earliest birth among the block's vertices;
+* vertex blocks at k >= 3: the successor maps of the per-level maximal
+  vertex sets of ``connectivity.block_levels``, which carries the blocks
+  that no entering edge touches, where each set is tested only against the
+  next level's sets that hold one of its members.
 
 Births and deaths are always critical values of the filtration.
 
 The tabulated grid serves ``verify`` (``persistence_function``),
 ``quivers.gq_persistence_function``, ``posets.poset_persistence`` and the
 test oracles.  Verify takes every property's levels from ``block_levels``,
-which runs a provider on each level for components and blocks, so it stays
-independent of the k <= 2 sweeps above.  Values are tabulated on critical
-values only, because between consecutive criticals the filtration is
-constant, and the value at (u, infinity) equals the value at (u, last
-critical) because filtrations stabilize.
+which runs a provider on each level for components and for blocks at
+k <= 2, so those stay independent of the sweeps above; blocks at k >= 3
+come from the same sweeps as the diagrams, whose per-level oracle lives in
+the tests.  ``tabulate_persistence`` counts, for each level, the
+components whose subtree in the successor forest reaches each lower
+level, in O(m^2 + N) for m critical values and N components.  Values are
+tabulated on critical values only, because between consecutive criticals
+the filtration is constant, and the value at (u, infinity) equals the
+value at (u, last critical) because filtrations stabilize.
 ``extract_diagram`` reads the cornerpoints back by inclusion-exclusion: the
 multiplicity of a proper cornerpoint (c_i, c_j) is
 
@@ -58,11 +69,12 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .connectivity import block_levels
-from .cuts import UnionFind, clique_percolation
+from .connectivity import block_levels, edge_block_merges
+from .cuts import UnionFind, block_merges, bridge_merges, clique_percolation
 from .graphs import Filtration, FormatError, format_weight
 
 
@@ -193,22 +205,30 @@ def tabulate_persistence(criticals: Sequence[float], levels) -> PersistenceFunct
     """Tabulate p over the grid given per-level components.
 
     ``levels[j]`` lists the maximal components of the level at
-    ``criticals[j]`` as frozensets; inclusion is subset.
+    ``criticals[j]`` as frozensets; inclusion is subset.  A level-j
+    component holds a level-i component (i <= j) iff its subtree in the
+    successor forest reaches down to level i, so p(c_i, c_j) counts the
+    level-j components whose earliest descendant level is at most i: one
+    pass carries each node's earliest level up the forest, and one prefix
+    count per level gives its column, O(m^2 + N) for N components in all.
     """
     m = len(criticals)
     if m == 0:
         raise ValueError("a filtration needs at least one critical value")
     succ = _successor_maps(criticals, levels)
-    rows = []
-    for i in range(m):
-        image = set(range(len(levels[i])))
-        row = [len(image)]
-        for j in range(i + 1, m):
-            image = {succ[j][a] for a in image}
-            row.append(len(image))
-        rows.append(tuple(row))
-    inf_column = tuple(r[-1] for r in rows)
-    return PersistenceFunction(tuple(criticals), tuple(rows), inf_column)
+    rows: list[list[int]] = [[] for _ in range(m)]
+    earliest: list[int] = []
+    for j in range(m):
+        first = [j] * len(levels[j])
+        for a, b in enumerate(succ[j]):
+            first[b] = min(first[b], earliest[a])
+        earliest = first
+        count = [0] * (j + 1)
+        for e in earliest:
+            count[e] += 1
+        for i, total in enumerate(accumulate(count)):
+            rows[i].append(total)
+    return PersistenceFunction(tuple(criticals), tuple(map(tuple, rows)), tuple(r[-1] for r in rows))
 
 
 def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
@@ -259,93 +279,6 @@ def _forest_diagram(criticals: Sequence[float], levels) -> Diagram:
     return elder_rule(births, merges)
 
 
-def _rooted_forest(n: int, edges) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Kruskal's spanning forest of ``edges`` over vertices 0..n-1, rooted.
-
-    ``edges`` holds (u, v, weight) in nondecreasing weight.  Returns each
-    vertex's parent (itself at a root), the index of the tree edge to its
-    parent (-1 at a root), its depth, and the indices of the non-tree edges
-    in order.  The tree path between the ends of a non-tree edge uses only
-    edges sorted before it, so it is there at the non-tree edge's weight.
-    """
-    uf = UnionFind(n)
-    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    cycles = []
-    for i, (u, v, _) in enumerate(edges):
-        if uf.find(u) == uf.find(v):
-            cycles.append(i)
-        else:
-            uf.union(u, v)
-            tree[u].append((v, i))
-            tree[v].append((u, i))
-    parent = list(range(n))
-    up = [-1] * n
-    depth = [-1] * n
-    for root in range(n):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, i in tree[x]:
-                if depth[y] < 0:
-                    parent[y], up[y], depth[y] = x, i, depth[x] + 1
-                    stack.append(y)
-    return parent, up, depth, cycles
-
-
-def _bridge_merges(n: int, edges) -> list[tuple[int, int, float]]:
-    """Merges of the vertices into 2-edge-connected classes, in weight order.
-
-    A tree edge stops being a bridge at the first non-tree edge whose path
-    covers it, which then merges its two ends.  ``jump`` finds the top of
-    the covered subtree above a vertex, so each tree edge is walked once.
-    """
-    parent, _, depth, cycles = _rooted_forest(n, edges)
-    jump = UnionFind(n)
-    merges = []
-    for i in cycles:
-        u, v, w = edges[i]
-        x, y = jump.find(u), jump.find(v)
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y = y, x
-            merges.append((x, parent[x], w))
-            jump.attach(x, parent[x])
-            x = jump.find(x)
-    return merges
-
-
-def _block_merges(n: int, edges) -> list[tuple[int, int, float]]:
-    """Merges of the edges (nodes: edge indices) into biconnected blocks, in
-    weight order.
-
-    Each non-tree edge merges with every tree edge on its path.  A walk
-    that takes the tree edge above x and then the one above parent(x)
-    joins x to parent(x) in ``jump``: a spanning tree meets each block in a
-    subtree, so the two edges lie in one block from then on, and later
-    walks skip from x to the top of its class.  A jump may pass the
-    meeting point of the two ends, but only over edges of the block the
-    walk joins anyway.
-    """
-    parent, up, depth, cycles = _rooted_forest(n, edges)
-    jump = UnionFind(n)
-    merges = []
-    for i in cycles:
-        x, y, w = edges[i]
-        tx = ty = -1  # top of the class this side took last
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y, tx, ty = y, x, ty, tx
-            merges.append((i, up[x], w))
-            if tx >= 0:
-                jump.attach(tx, x)
-            tx = jump.find(x)
-            x = parent[tx]
-    return merges
-
-
 def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, spec) -> Diagram:
     """Persistence diagram of a filtered graph on vertices 0..n-1, by one
     elder-rule sweep of the forest for ``spec`` (see the module docstring).
@@ -354,8 +287,10 @@ def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, sp
     earlier than its ends.  ``criticals`` are the filtration's critical
     values: blocks at k >= 3 take their levels there.
     """
-    if spec.kind in ("vertex_block", "edge_block") and spec.k > 2:
+    if spec.kind == "vertex_block" and spec.k > 2:
         return _forest_diagram(criticals, block_levels(criticals, births, edges, spec))
+    if spec.kind == "edge_block" and spec.k > 2:
+        return elder_rule(births, edge_block_merges(criticals, births, edges, spec.k))
     edges = sorted(edges, key=itemgetter(2))
     if spec.kind == "clique":
         _, clique_births, merges = clique_percolation(edges, spec.k)
@@ -363,8 +298,8 @@ def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, sp
     if spec.kind == "components" or spec.k == 1:
         return elder_rule(births, edges)
     if spec.kind == "edge_block":
-        return elder_rule(births, _bridge_merges(len(births), edges))
-    return elder_rule([w for _, _, w in edges], _block_merges(len(births), edges))
+        return elder_rule(births, bridge_merges(len(births), edges))
+    return elder_rule([w for _, _, w in edges], block_merges(len(births), edges))
 
 
 def _indexed(filt: Filtration) -> tuple[Sequence[float], list[float], list[tuple[int, int, float]]]:

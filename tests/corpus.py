@@ -282,6 +282,28 @@ def triangle_bridge_chain(links: int) -> list[tuple[str, str]]:
     return edges
 
 
+def k5_chain(links: int) -> list[tuple[str, str]]:
+    """K5s in a row, each joined to the next by two edges."""
+    edges = []
+    for i in range(links):
+        five = [f"k{i:04d}{x}" for x in "abcde"]
+        edges += list(combinations(five, 2))
+        if i:
+            edges += [(f"k{i - 1:04d}d", five[0]), (f"k{i - 1:04d}e", five[1])]
+    return edges
+
+
+def six_clusters(rng: random.Random) -> pc.WeightedGraph:
+    """30-60 vertices in six dense clusters joined by a few edges, with
+    weights from 1-12: cuts just below and at k are common, and the
+    previous level's vertex blocks settle most probes."""
+    clusters = [[f"c{c}v{i}" for i in range(rng.randint(5, 10))] for c in range(6)]
+    pairs = [e for vs in clusters for e in combinations(vs, 2) if rng.random() < 0.7]
+    for a, b in combinations(clusters, 2):
+        pairs += [(rng.choice(a), rng.choice(b)) for _ in range(rng.randint(0, 6) // 2)]
+    return pc.weighted_graph({e: rng.randint(1, 12) for e in pairs})
+
+
 def cycles_at_one_vertex(cycles: int, length: int) -> list[tuple[str, str]]:
     """Cycles of the given length that share the vertex 'hub' and nothing else."""
     edges = []

@@ -9,7 +9,8 @@ bottleneck oracle enumerates every admissible matching, and the dense
 bottleneck oracle filters the full cost matrix at every threshold; the
 pseudodistance oracle enumerates every vertex bijection, and the poset
 isomorphism oracle every element bijection.  Successor forests are found
-by scanning every component pair of adjacent levels.  The orbit
+by scanning every component pair of adjacent levels, and the blocks of a
+filtered graph by running a provider from scratch on every level.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
 subquivers, and its persistence is read from their components.
 """
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from itertools import chain, combinations, permutations
 
 import perconn as pc
+from perconn.connectivity import edge_blocks, vertex_blocks
 from perconn.metrics import _climb, _expand, _hopcroft_karp
 
 
@@ -536,6 +539,30 @@ def oracle_successor_diagram(criticals, level_components, contains) -> pc.Diagra
             merges.append((prev + a, start + hits[0], criticals[j]))
         prev = start
     return pc.elder_rule(births, merges)
+
+
+def oracle_block_levels(criticals, births, edges, spec: pc.PropertySpec) -> list[list[frozenset]]:
+    """Blocks of each level of a filtered graph on integer vertices (vertex
+    i born at ``births[i]``, an (u, v, w) edge entering at w): one adjacency
+    grows level by level, and ``vertex_blocks`` or ``edge_blocks`` runs on
+    all of it at every level, with no blocks carried from the level before."""
+    search = vertex_blocks if spec.kind == "vertex_block" else edge_blocks
+    born = sorted(range(len(births)), key=births.__getitem__)
+    edges = sorted(edges, key=itemgetter(2))
+    adj: dict[int, set[int]] = {}
+    levels = []
+    i = e = 0
+    for c in criticals:
+        while i < len(born) and births[born[i]] <= c:
+            adj[born[i]] = set()
+            i += 1
+        while e < len(edges) and edges[e][2] <= c:
+            u, v, _ = edges[e]
+            adj[u].add(v)
+            adj[v].add(u)
+            e += 1
+        levels.append(search(adj, spec.k))
+    return levels
 
 
 def oracle_check_axioms(pf: pc.PersistenceFunction) -> str | None:
