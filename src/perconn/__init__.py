@@ -19,6 +19,7 @@ from .graphs import (
     WeightedGraph,
     build_filtration,
     critical_values,
+    parse_indexed_graph,
     parse_weighted_graph,
     serialize_weighted_graph,
     simple_graph,

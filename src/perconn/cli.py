@@ -21,6 +21,7 @@ from .graphs import (
     FormatError,
     GraphError,
     build_filtration,
+    parse_indexed_graph,
     parse_weighted_graph,
 )
 from .metrics import bottleneck_distance, natural_pseudodistance
@@ -30,7 +31,7 @@ from .persistence import (
     check_axioms,
     check_reconstruction,
     extract_diagram,
-    graph_diagram,
+    index_diagram,
     parse_diagram,
     persistence_function,
     serialize_diagram,
@@ -155,7 +156,7 @@ def render_diagram_svg(d: Diagram, size: int = 420) -> str:
 def _cmd_diagram(args) -> int:
     spec = _property_spec(args)
     text = _read(args.input)
-    d = graph_diagram(build_filtration(parse_weighted_graph(text)), spec)
+    d = index_diagram(*parse_indexed_graph(text), spec)
     if args.format == "json":
         out = _diagram_json(d, spec.label(), _digest(text))
     else:

@@ -92,10 +92,6 @@ class UnionFind:
         self.parent[a] = b
         self.size[rb] += self.size[a]
 
-    def roots(self) -> list[int]:
-        """One member per class: its root."""
-        return [a for a, p in enumerate(self.parent) if a == p]
-
 
 class Partition:
     """Classes of 0..n-1 that only merge, each named by a label: one of its

@@ -12,6 +12,11 @@ The text format is line oriented::
     e <u> <v> <weight>
     v <u> <weight>
 
+One reader checks each record in one pass and gives two outputs:
+``parse_indexed_graph`` the engine's indexed form ``(criticals, births,
+edges)``, which ``persistence.index_diagram`` sweeps directly, and
+``parse_weighted_graph`` the WeightedGraph, for commands that need names.
+
 Serialization is canonical: explicit vertex lines sorted by vertex id,
 then edge lines sorted by endpoint pair.  Weights are rendered with the
 shortest representation that round-trips exactly.
@@ -122,9 +127,12 @@ def weighted_graph(
     """Assemble a WeightedGraph, deriving vertex weights and validating invariants.
 
     ``vertices`` may add extra vertex names; any of them without an incident
-    edge must appear in ``vertex_weights``.
+    edge must appear in ``vertex_weights``.  Errors come in input order: each
+    edge, each explicit weight, each explicit weight against its incident
+    minimum, then each extra vertex for a weight.
     """
     ew: dict[tuple[str, str], float] = {}
+    vw: dict[str, float] = {}
     items = edge_weights.items() if isinstance(edge_weights, Mapping) else edge_weights
     for (u, v), w in items:
         e = edge_key(u, v)
@@ -133,7 +141,10 @@ def weighted_graph(
             raise GraphError(f"edge {e} has non-finite weight {w!r}")
         if e in ew:
             raise GraphError(f"duplicate edge {e}")
-        ew[e] = w
+        ew[e] = w = w + 0.0  # -0.0 becomes 0.0, so equal graphs print alike
+        for x in e:
+            if w < vw.get(x, math.inf):
+                vw[x] = w
     explicit_items = vertex_weights.items() if isinstance(vertex_weights, Mapping) else vertex_weights
     explicit: dict[str, float] = {}
     for v, w in explicit_items:
@@ -142,44 +153,22 @@ def weighted_graph(
             raise GraphError(f"vertex {v!r} has non-finite weight {w!r}")
         if v in explicit:
             raise GraphError(f"duplicate vertex weight for {v!r}")
-        explicit[v] = w
-    return _assemble(ew, explicit, vertices)
-
-
-def _assemble(
-    edges: dict[tuple[str, str], float],
-    explicit: dict[str, float],
-    vertices: Iterable[str] = (),
-    lines: Mapping[str, int] | None = None,
-) -> WeightedGraph:
-    """The WeightedGraph of records that are already valid one by one.
-
-    ``edges`` holds normalized, distinct edges with finite weights and
-    ``explicit`` finite vertex weights.  This checks what needs the whole
-    graph, in input order: each explicit weight against its incident
-    minimum, then each extra vertex for a weight.  With ``lines`` (the line
-    of each explicit record) the first error is a FormatError on that line.
-    """
-    ew: dict[tuple[str, str], float] = {}
-    vw: dict[str, float] = {}
-    for e, w in edges.items():
-        w += 0.0  # -0.0 becomes 0.0, so equal graphs print alike
-        ew[e] = w
-        for x in e:
-            if w < vw.get(x, math.inf):
-                vw[x] = w
+        explicit[v] = w + 0.0
     for v, w in explicit.items():
-        w += 0.0
         derived = vw.get(v)
         if derived is not None and w > derived:
-            message = f"explicit weight {w!r} of vertex {v!r} exceeds the incident minimum {derived!r}"
-            raise GraphError(message) if lines is None else FormatError(message, lines[v])
+            raise GraphError(f"explicit weight {w!r} of vertex {v!r} exceeds the incident minimum {derived!r}")
         vw[v] = w
     for v in vertices:
         if v not in vw:
             raise GraphError(f"isolated vertex {v!r} needs an explicit weight")
-    # Every edge is normalized and its endpoints are keys of vw, so the
-    # SimpleGraph invariants hold without checking each edge again.
+    return _assemble(ew, vw, explicit)
+
+
+def _assemble(ew: dict[tuple[str, str], float], vw: dict[str, float], explicit: Iterable[str]) -> WeightedGraph:
+    """The WeightedGraph of checked edge and vertex weights.  Every edge is
+    normalized and its endpoints are keys of ``vw``, so the SimpleGraph
+    invariants hold without checking each edge again."""
     g = object.__new__(SimpleGraph)
     object.__setattr__(g, "vertices", frozenset(vw))
     object.__setattr__(g, "edges", frozenset(ew))
@@ -223,50 +212,98 @@ def format_weight(x: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def parse_weighted_graph(text: str) -> WeightedGraph:
-    """Parse the edge-list format; raises FormatError with line numbers."""
-    edges: dict[tuple[str, str], float] = {}
-    explicit: dict[str, float] = {}
-    lines: dict[str, int] = {}
+def _read_records(text: str):
+    """One pass over the graph text, checking each record where it stands.
+
+    Returns ``(index, births, edges, explicit)``: vertex name -> index, in
+    first-seen order of each normalized edge's endpoints, then the vertices
+    with only a ``v`` record; each vertex's incident minimum, lowered by its
+    explicit weight; the ``(u, v, w)`` edges on indices, normalized, in file
+    order; and name -> (weight, line) of the ``v`` records.  Weights get
+    ``+ 0.0``, so -0.0 reads as 0.0.  The per-line checks come in file
+    order, then each explicit weight against its incident minimum.
+    """
+    index: dict[str, int] = {}
+    births: list[float] = []
+    edges: list[tuple[int, int, float]] = []
+    seen: set[tuple[int, int]] = set()
+    explicit: dict[str, tuple[float, int]] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
-        if not parts or parts[0].startswith("#"):
+        if len(parts) == 4 and parts[0] == "e":
+            _, u, v, ws = parts
+        elif not parts or parts[0].startswith("#"):
             continue
-        record = parts[0]
-        if record == "e":
-            if len(parts) != 4:
-                raise FormatError("edge record must be 'e <u> <v> <weight>'", ln)
-            u, v, ws = parts[1], parts[2], parts[3]
-            try:
-                w = float(ws)
-            except ValueError:
-                raise FormatError(f"bad weight {ws!r}", ln) from None
-            if not math.isfinite(w):
-                raise FormatError(f"non-finite weight {ws!r}", ln)
-            try:
-                e = edge_key(u, v)
-            except GraphError as exc:
-                raise FormatError(str(exc), ln) from None
-            if e in edges:
-                raise FormatError(f"duplicate edge {e[0]} {e[1]}", ln)
-            edges[e] = w
-        elif record == "v":
-            if len(parts) != 3:
-                raise FormatError("vertex record must be 'v <u> <weight>'", ln)
-            u, ws = parts[1], parts[2]
-            try:
-                w = float(ws)
-            except ValueError:
-                raise FormatError(f"bad weight {ws!r}", ln) from None
-            if not math.isfinite(w):
-                raise FormatError(f"non-finite weight {ws!r}", ln)
+        elif parts[0] == "e":
+            raise FormatError("edge record must be 'e <u> <v> <weight>'", ln)
+        elif parts[0] != "v":
+            raise FormatError(f"unknown record type {parts[0]!r}", ln)
+        elif len(parts) != 3:
+            raise FormatError("vertex record must be 'v <u> <weight>'", ln)
+        else:
+            _, u, ws = parts
+            v = None
+        try:
+            w = float(ws) + 0.0
+        except ValueError:
+            raise FormatError(f"bad weight {ws!r}", ln) from None
+        if not math.isfinite(w):
+            raise FormatError(f"non-finite weight {ws!r}", ln)
+        if v is None:
             if u in explicit:
                 raise FormatError(f"duplicate vertex weight for {u!r}", ln)
-            explicit[u] = w
-            lines[u] = ln
+            explicit[u] = (w, ln)
+            continue
+        if u == v:
+            raise FormatError(f"self-loop at {u!r}", ln)
+        if v < u:
+            u, v = v, u
+        a = index.get(u)
+        if a is None:
+            a = index[u] = len(births)
+            births.append(w)
+        elif w < births[a]:
+            births[a] = w
+        b = index.get(v)
+        if b is None:
+            b = index[v] = len(births)
+            births.append(w)
+        elif w < births[b]:
+            births[b] = w
+        key = a, b
+        if key in seen:
+            raise FormatError(f"duplicate edge {u} {v}", ln)
+        seen.add(key)
+        edges.append((a, b, w))
+    for u, (w, ln) in explicit.items():
+        a = index.get(u)
+        if a is None:
+            index[u] = len(births)
+            births.append(w)
+        elif w > births[a]:
+            raise FormatError(f"explicit weight {w!r} of vertex {u!r} exceeds the incident minimum {births[a]!r}", ln)
         else:
-            raise FormatError(f"unknown record type {record!r}", ln)
-    return _assemble(edges, explicit, lines=lines)
+            births[a] = w
+    return index, births, edges, explicit
+
+
+def parse_indexed_graph(text: str) -> tuple[list[float], list[float], list[tuple[int, int, float]]]:
+    """Parse the edge-list format to ``(criticals, births, edges)``: the
+    sorted distinct weights, the vertex weights and the ``(u, v, w)`` edges
+    on vertex indices.  Raises FormatError with line numbers."""
+    _, births, edges, _ = _read_records(text)
+    weights = set(births)
+    weights.update([w for _, _, w in edges])
+    return sorted(weights), births, edges
+
+
+def parse_weighted_graph(text: str) -> WeightedGraph:
+    """Parse the edge-list format into a WeightedGraph; raises FormatError
+    with line numbers.  The records are those of ``parse_indexed_graph``."""
+    index, births, edges, explicit = _read_records(text)
+    names = list(index)
+    ew = {(names[a], names[b]): w for a, b, w in edges}
+    return _assemble(ew, dict(zip(names, births)), explicit)
 
 
 def serialize_weighted_graph(wg: WeightedGraph) -> str:

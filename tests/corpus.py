@@ -349,3 +349,61 @@ def _weight(rng: random.Random, tied: bool) -> float:
 
 def weigh(rng: random.Random, edges, tied: bool) -> pc.WeightedGraph:
     return pc.weighted_graph({e: _weight(rng, tied) for e in edges})
+
+
+# Spellings of one weight, so the reader sees signs, exponents and padding.
+_SPELLINGS = {
+    0.0: ["0", "-0", "0.0", "-0.0", "+0"],
+    0.5: ["0.5", ".5", "5e-1", "0.50"],
+    1.0: ["1", "1.0", "1e0", "+1"],
+    2.5: ["2.5", "25e-1"],
+    4.0: ["4", "4.000"],
+}
+
+
+def random_graph_text(rng: random.Random, max_vertices: int = 9) -> str:
+    """Valid edge-list text with the reader's corner cases: comments, blank
+    and padded lines, edges in either orientation, tied and -0 weights,
+    v records before and after their edges, and isolated explicit vertices."""
+    names = [f"n{i}" for i in range(rng.randint(1, max_vertices))]
+    p = rng.uniform(0.2, 0.7)
+    edges = {e: rng.choice(list(_SPELLINGS)) for e in combinations(names, 2) if rng.random() < p}
+    lowest = {}
+    for e, w in edges.items():
+        for x in e:
+            lowest[x] = min(lowest.get(x, w), w)
+    records = []
+    for (u, v), w in edges.items():
+        a, b = (u, v) if rng.random() < 0.5 else (v, u)
+        records.append(f"e {a} {b} {rng.choice(_SPELLINGS[w])}")
+    for x in names:
+        if x not in lowest or rng.random() < 0.3:
+            w = rng.choice([w for w in _SPELLINGS if w <= lowest.get(x, math.inf)])
+            records.insert(rng.randint(0, len(records)), f"v {x} {rng.choice(_SPELLINGS[w])}")
+    lines = []
+    for record in records:
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            lines.append(rng.choice(["", "   ", "# a comment", "#e x y 1", "\t# indented"]))
+        lines.append(rng.choice(["", "  ", "\t"]) + record.replace(" ", rng.choice([" ", "  ", "\t"])))
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
+
+def corrupt_graph_text(rng: random.Random, text: str) -> str:
+    """``text`` with one line replaced or added, most often by a malformed
+    record: a bad or non-finite weight, a wrong field count, a self-loop, a
+    repeated edge or v record, an unknown record type, or an explicit weight
+    above the incident minimum."""
+    lines = text.split("\n")
+    fields = [line.split() for line in lines if line.split() and not line.split()[0].startswith("#")]
+    names = sorted({x for f in fields for x in f[1:-1]}) or ["n0"]
+    u, v = rng.choice(names), rng.choice(names)
+    bad = rng.choice([
+        f"e {u} {v} nope", f"e {u} {v} inf", f"v {u} nan", f"v {u} -inf", f"e {u} {v}",
+        f"e {u} {v} 1 2", f"v {u}", f"v {u} 1 2", f"x {u} {v} 1", f"E {u} {v} 1", f"e {u} {u} 1",
+        f"v {u} 9", f"v {u} 0", f"e {v} {u} 0.5", rng.choice(lines),
+    ])
+    if rng.random() < 0.5 and lines:
+        lines[rng.randrange(len(lines))] = bad
+    else:
+        lines.insert(rng.randint(0, len(lines)), bad)
+    return "\n".join(lines)

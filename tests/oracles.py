@@ -10,7 +10,10 @@ bottleneck oracle filters the full cost matrix at every threshold; the
 pseudodistance oracle enumerates every vertex bijection, and the poset
 isomorphism oracle every element bijection.  Successor forests are found
 by scanning every component pair of adjacent levels, and the blocks of a
-filtered graph by running a provider from scratch on every level.  The orbit
+filtered graph by running a provider from scratch on every level; the elder
+rule keeps every class as an explicit vertex set.  The graph reader is the
+record-by-record loop that builds name-keyed dicts and derives the vertex
+weights in a second pass over the edges.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
 subquivers, and its persistence is read from their components.
 """
@@ -25,6 +28,88 @@ from itertools import chain, combinations, permutations
 import perconn as pc
 from perconn.connectivity import edge_blocks, vertex_blocks
 from perconn.metrics import _climb, _expand, _hopcroft_karp
+
+
+def oracle_parse_weighted_graph(text: str) -> pc.WeightedGraph:
+    """The edge-list format read into name-keyed dicts, one record at a time,
+    then assembled: vertex weights derived in a second pass over the edges,
+    explicit weights checked against them in record order."""
+    edges: dict[tuple[str, str], float] = {}
+    explicit: dict[str, float] = {}
+    lines: dict[str, int] = {}
+    for ln, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        record = parts[0]
+        if record == "e":
+            if len(parts) != 4:
+                raise pc.FormatError("edge record must be 'e <u> <v> <weight>'", ln)
+            u, v, ws = parts[1], parts[2], parts[3]
+            try:
+                w = float(ws)
+            except ValueError:
+                raise pc.FormatError(f"bad weight {ws!r}", ln) from None
+            if not math.isfinite(w):
+                raise pc.FormatError(f"non-finite weight {ws!r}", ln)
+            if u == v:
+                raise pc.FormatError(f"self-loop at {u!r}", ln)
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
+                raise pc.FormatError(f"duplicate edge {e[0]} {e[1]}", ln)
+            edges[e] = w
+        elif record == "v":
+            if len(parts) != 3:
+                raise pc.FormatError("vertex record must be 'v <u> <weight>'", ln)
+            u, ws = parts[1], parts[2]
+            try:
+                w = float(ws)
+            except ValueError:
+                raise pc.FormatError(f"bad weight {ws!r}", ln) from None
+            if not math.isfinite(w):
+                raise pc.FormatError(f"non-finite weight {ws!r}", ln)
+            if u in explicit:
+                raise pc.FormatError(f"duplicate vertex weight for {u!r}", ln)
+            explicit[u] = w
+            lines[u] = ln
+        else:
+            raise pc.FormatError(f"unknown record type {record!r}", ln)
+    ew: dict[tuple[str, str], float] = {}
+    vw: dict[str, float] = {}
+    for e, w in edges.items():
+        w += 0.0
+        ew[e] = w
+        for x in e:
+            if w < vw.get(x, math.inf):
+                vw[x] = w
+    for v, w in explicit.items():
+        w += 0.0
+        derived = vw.get(v)
+        if derived is not None and w > derived:
+            raise pc.FormatError(
+                f"explicit weight {w!r} of vertex {v!r} exceeds the incident minimum {derived!r}", lines[v]
+            )
+        vw[v] = w
+    return pc.WeightedGraph(pc.SimpleGraph(frozenset(vw), frozenset(ew)), ew, vw, frozenset(explicit))
+
+
+def oracle_elder_rule(births, merges) -> pc.Diagram:
+    """The elder rule with every class kept as an explicit set of nodes: a
+    merge of two classes ends the one whose earliest birth is later."""
+    classes = [{i} for i in range(len(births))]
+    bars = []
+    for a, b, w in merges:
+        ca = next(c for c in classes if a in c)
+        cb = next(c for c in classes if b in c)
+        if ca is cb:
+            continue
+        younger = max(min(births[i] for i in ca), min(births[i] for i in cb))
+        if younger < w:
+            bars.append(pc.Cornerpoint(younger, w))
+        classes.remove(cb)
+        ca |= cb
+    bars += [pc.Cornerpoint(min(births[i] for i in c), math.inf) for c in classes]
+    return pc.diagram(bars)
 
 
 def dfs_connected(vertices: frozenset[str], edges) -> bool:

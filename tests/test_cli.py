@@ -5,6 +5,9 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 
+from perconn import cli
+from perconn.persistence import GRID_CAP
+
 GRAPH = "e a b 1\ne c d 1\ne b c 2\n"
 
 
@@ -414,3 +417,15 @@ def test_blocks_of_long_triangle_chains(tmp_path):
     res = run_cli("components", "--property", "edge-block", "--k", "2", str(src))
     assert (res.returncode, res.stderr) == (0, "")
     assert res.stdout.splitlines() == [" ".join(sorted({v for t in triangles for v in t.split()}))]
+
+
+def test_verify_refuses_a_grid_past_its_cap(tmp_path, capsys):
+    # a path whose distinct weights give GRID_CAP + 1 critical values
+    src = tmp_path / "path.txt"
+    src.write_text("".join(f"e p{i} p{i + 1} {i + 1}\n" for i in range(GRID_CAP + 1)))
+    start = time.perf_counter()
+    code = cli.main(["verify", "--property", "components", str(src)])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: persistence grid limited to {GRID_CAP} critical values, got {GRID_CAP + 1}\n"

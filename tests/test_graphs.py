@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+import oracles
 import perconn as pc
-from corpus import random_weighted_graph
+from corpus import corrupt_graph_text, random_graph_text, random_weighted_graph
 
 
 def test_single_edge_derives_vertex_weights():
@@ -132,10 +133,11 @@ READER_ERRORS = [
 
 @pytest.mark.parametrize("text,line,message", READER_ERRORS)
 def test_reader_error_messages(text, line, message):
-    with pytest.raises(pc.FormatError) as err:
-        pc.parse_weighted_graph(text)
-    assert err.value.line == line
-    assert str(err.value) == f"line {line}: {message}"
+    for parse in (pc.parse_weighted_graph, pc.parse_indexed_graph, oracles.oracle_parse_weighted_graph):
+        with pytest.raises(pc.FormatError) as err:
+            parse(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
 
 # The same checks through the API: plain GraphErrors, reported in input order.
@@ -174,3 +176,44 @@ def test_assembled_graph_meets_the_simple_graph_invariants():
     assert all(math.copysign(1.0, w) == 1.0 for w in [*wg.edge_weights.values(), *wg.vertex_weights.values()])
     assert wg.explicit == frozenset({"z", "a"})
     assert pc.serialize_weighted_graph(wg) == "v a 1\nv z 0\ne a b 2\ne b c 0\n"
+
+
+def _same_reading(text: str) -> None:
+    """Both outputs of the reader agree with the record-by-record oracle: the
+    same FormatError, or the same graph with the same dict orders and signs
+    and the same indexed form."""
+    try:
+        want = oracles.oracle_parse_weighted_graph(text)
+    except pc.FormatError as exc:
+        for parse in (pc.parse_weighted_graph, pc.parse_indexed_graph):
+            with pytest.raises(pc.FormatError) as err:
+                parse(text)
+            assert (err.value.line, str(err.value)) == (exc.line, str(exc)), text
+        return
+    got = pc.parse_weighted_graph(text)
+    assert got == want
+    assert repr(list(got.vertex_weights.items())) == repr(list(want.vertex_weights.items()))
+    assert repr(list(got.edge_weights.items())) == repr(list(want.edge_weights.items()))
+    index = {v: i for i, v in enumerate(want.vertex_weights)}
+    criticals, births, edges = pc.parse_indexed_graph(text)
+    assert criticals == list(pc.build_filtration(want).criticals)
+    assert repr(births) == repr(list(want.vertex_weights.values()))
+    assert edges == [(index[u], index[v], w) for (u, v), w in want.edge_weights.items()]
+
+
+def test_reader_matches_the_oracle_on_random_texts(seed=23):
+    rng = random.Random(seed)
+    for _ in range(300):
+        _same_reading(random_graph_text(rng))
+
+
+def test_reader_errors_match_the_oracle_on_corrupted_texts(seed=29):
+    rng = random.Random(seed)
+    for _ in range(400):
+        _same_reading(corrupt_graph_text(rng, random_graph_text(rng)))
+
+
+def test_indexed_reader_on_empty_and_comment_only_texts():
+    for text in ["", "\n", "# nothing\n\n  \n"]:
+        assert pc.parse_indexed_graph(text) == ([], [], [])
+    assert pc.parse_indexed_graph("v z -0\ne b a 2\nv a 1\n") == ([0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [(0, 1, 2.0)])

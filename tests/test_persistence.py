@@ -7,13 +7,14 @@ import pytest
 
 import oracles
 import perconn as pc
-from perconn import cli
+from perconn import cli, persistence
 from corpus import (
     covered_k4,
     cycles_at_one_vertex,
     k4_star,
     path_with_chords,
     random_gquiver,
+    random_graph_text,
     random_weighted_graph,
     sparse_graph_edges,
     triangle_bridge_chain,
@@ -51,6 +52,68 @@ def test_elder_rule_ends_the_younger_class():
     assert d == pc.diagram(
         [pc.Cornerpoint(1.0, 3.0), pc.Cornerpoint(0.0, math.inf), pc.Cornerpoint(2.0, math.inf)]
     )
+
+
+def test_elder_rule_tied_births_repeated_bars_and_merges_at_birth():
+    # 0 and 1 tie at birth 0 and meet at 2: one of them ends, (0, 2).  Nodes
+    # 2-5, all born at 1, end four bars (1, 3) at 3, one where 4 meets 5;
+    # 6 joins at its own birth 3 and ends no bar; the last merge is inside
+    # one class
+    births = [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 3.0]
+    merges = [(0, 1, 2.0), (1, 2, 3.0), (4, 5, 3.0), (3, 0, 3.0), (6, 4, 3.0), (5, 1, 3.0), (6, 2, 4.0)]
+    want = pc.diagram([
+        pc.Cornerpoint(0.0, 2.0), pc.Cornerpoint(1.0, 3.0, 4), pc.Cornerpoint(0.0, math.inf),
+    ])
+    assert pc.elder_rule(births, merges) == want == oracles.oracle_elder_rule(births, merges)
+
+
+def test_elder_rule_matches_the_oracle(seed=41):
+    rng = random.Random(seed)
+    for _ in range(300):
+        births = [rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(rng.randint(0, 12))]
+        merges = []
+        for _ in range(rng.randint(0, 2 * len(births))):
+            a, b = rng.randrange(len(births)), rng.randrange(len(births))
+            merges.append((a, b, max(births[a], births[b]) + rng.choice([0.0, 0.0, 0.5, 1.0])))
+        merges.sort(key=lambda m: m[2])
+        assert pc.elder_rule(births, merges) == oracles.oracle_elder_rule(births, merges)
+
+
+def test_elder_rule_on_a_long_path_merged_in_reverse():
+    # merging (i, i + 1) for i = n - 2 down to 0 hangs each class under the
+    # next node born: a chain n deep, which the last merges walk from its
+    # far end.  Finds that recursed would overflow, and finds that did not
+    # shorten paths would walk the chain once per merge.
+    n = 200_000
+    births = [float(i) for i in range(n)]
+    merges = [(i, i + 1, float(n + n - 2 - i)) for i in range(n - 2, -1, -1)]
+    merges += [(n - 1 - j, 0, float(2 * n)) for j in range(n // 2)]
+    start = time.perf_counter()
+    d = pc.elder_rule(births, merges)
+    assert time.perf_counter() - start < 2.0
+    assert [(p.birth, p.death, p.multiplicity) for p in d.points] == [
+        (0.0, math.inf, 1), *((float(i + 1), float(n + n - 2 - i), 1) for i in range(n - 1)),
+    ]
+
+
+def test_indexed_reader_gives_the_filtration_diagram(seed=43):
+    # the CLI's diagram path against the WeightedGraph and Filtration path
+    rng = random.Random(seed)
+    for _ in range(60):
+        text = random_graph_text(rng)
+        filt = pc.build_filtration(pc.parse_weighted_graph(text))
+        for spec in ALL_SPECS:
+            assert pc.index_diagram(*pc.parse_indexed_graph(text), spec) == pc.graph_diagram(filt, spec), spec
+
+
+def test_persistence_function_refuses_a_grid_before_listing_levels(monkeypatch):
+    def no_levels(*args):
+        raise AssertionError("levels listed past the grid cap")
+
+    monkeypatch.setattr(persistence, "block_levels", no_levels)
+    path = pc.weighted_graph({(f"p{i}", f"p{i + 1}"): i for i in range(persistence.GRID_CAP + 1)})
+    with pytest.raises(pc.CapExceeded, match="grid limited"):
+        pc.persistence_function(pc.build_filtration(path), pc.PropertySpec("components"))
 
 
 def _sweep_corpus(seed):
