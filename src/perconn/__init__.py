@@ -75,6 +75,7 @@ from .quivers import (
     is_gq_connected,
     orbits,
     parse_gquiver,
+    parse_orbit_graph,
     quiver,
     quotient,
     restrict_gquiver,

@@ -37,7 +37,7 @@ from .persistence import (
     serialize_diagram,
 )
 from .posets import is_weakly_directed, subobject_poset
-from .quivers import EquivariantClass, gq_persistence, parse_gquiver
+from .quivers import EquivariantClass, parse_orbit_graph
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -252,8 +252,7 @@ def _cmd_verify(args) -> int:
 def _cmd_quiver_diagram(args) -> int:
     cls = EquivariantClass(args.cls.replace("-", "_"), args.k)
     text = _read(args.input)
-    gq = parse_gquiver(text)
-    d = gq_persistence(gq, cls)
+    d = index_diagram(*parse_orbit_graph(text, cls))
     if args.format == "json":
         out = _diagram_json(d, cls.label(), _digest(text))
     else:

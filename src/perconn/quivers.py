@@ -4,7 +4,9 @@ A quiver is a directed multigraph with loops; arrows carry names so
 parallel arrows stay distinct.  A group acts through a list of generator
 automorphisms (a vertex permutation plus a compatible arrow permutation).
 Everything downstream only needs orbits, which are computed by closure
-under the generators.
+under the generators.  One pass reads the text format to records, which
+become the validated ``GQuiver`` (``parse_gquiver``) or, with the same
+checks, the weighted orbit graph below (``parse_orbit_graph``).
 
 A G-quiver is connected when the group acts transitively on the weakly
 connected components of the underlying quiver (equivalently: it has no
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
 from .connectivity import PropertySpec, block_levels
-from .cuts import UnionFind
 from .graphs import FormatError, GraphError, weighted_graph
 from .persistence import Diagram, PersistenceFunction, index_diagram, tabulate_persistence
 
@@ -111,71 +112,88 @@ class GQuiver:
     action: GroupAction = field(default_factory=lambda: GroupAction(()))
 
     def __post_init__(self):
-        am = self.quiver.arrow_map()
-        for vmap, amap in self.action.maps():
-            _check_permutation(vmap, self.quiver.vertices, "vertex")
-            _check_permutation(amap, set(am), "arrow")
-            for name, (src, tgt) in am.items():
-                image = amap.get(name, name)
-                isrc, itgt = am[image]
-                if isrc != vmap.get(src, src) or itgt != vmap.get(tgt, tgt):
-                    raise QuiverError(
-                        f"generator is not an automorphism: arrow {name!r} maps to "
-                        f"{image!r} but endpoints disagree"
-                    )
+        _check_action(self.quiver.vertices, self.quiver.arrows, self.action.maps())
 
     def generator_maps(self) -> list[tuple[dict[str, str], dict[str, str]]]:
         return self.action.maps()
 
 
-def _check_permutation(mapping: dict[str, str], domain: set[str] | frozenset[str], what: str) -> None:
-    for a, b in mapping.items():
-        if a not in domain or b not in domain:
-            raise QuiverError(f"{what} map uses unknown name {a!r} -> {b!r}")
-    image = {mapping.get(x, x) for x in domain}
-    if image != set(domain):
-        raise QuiverError(f"{what} map is not a permutation")
+def _check_action(vertices, arrows, generators, error=QuiverError) -> None:
+    """Each generator maps vertices and (name-sorted) arrows by permutations
+    of their names, and every arrow onto one between its endpoints' images.
+    Per generator: the vertex map in key order, the arrow map, each arrow."""
+    ends = {name: (src, tgt) for name, src, tgt in arrows}
+    domain = set(vertices)
+    for vmap, amap in generators:
+        for mapping, known, what in ((vmap, domain, "vertex"), (amap, ends.keys(), "arrow")):
+            image = set(mapping.values())
+            if not (mapping.keys() <= known and image <= known):
+                x = next(x for x in sorted(mapping) if x not in known or mapping[x] not in known)
+                raise error(f"{what} map uses unknown name {x!r} -> {mapping[x]!r}")
+            if image != mapping.keys():
+                raise error(f"{what} map is not a permutation")
+        for name, src, tgt in arrows:
+            to = amap.get(name, name)
+            if ends[to] != (vmap.get(src, src), vmap.get(tgt, tgt)):
+                raise error(
+                    f"generator is not an automorphism: arrow {name!r} maps to "
+                    f"{to!r} but endpoints disagree"
+                )
 
 
 def gquiver(vertices=(), arrows=(), generators=()) -> GQuiver:
     return GQuiver(quiver(vertices, arrows), GroupAction.from_maps(generators))
 
 
-def _orbit_partition(items: list[str], images) -> list[frozenset[str]]:
-    idx = {x: i for i, x in enumerate(items)}
-    uf = UnionFind(len(items))
-    for mapping in images:
-        for x in items:
-            uf.union(idx[x], idx[mapping.get(x, x)])
-    classes: dict[int, set[str]] = {}
+def _orbits(items, maps) -> tuple[dict[str, int], list[list[str]]]:
+    """Each item's orbit index and each orbit's members, numbered by least
+    member (``items`` sorted): the maps are permutations, so the forward
+    closure of an item is its orbit."""
+    where: dict[str, int] = {}
+    orbs: list[list[str]] = []
     for x in items:
-        classes.setdefault(uf.find(idx[x]), set()).add(x)
-    return sorted((frozenset(c) for c in classes.values()), key=lambda c: min(c))
+        if x not in where:
+            o = where[x] = len(orbs)
+            orb = [x]
+            for y in orb:  # grows as the closure reaches new members
+                for m in maps:
+                    z = m.get(y, y)
+                    if z not in where:
+                        where[z] = o
+                        orb.append(z)
+            orbs.append(orb)
+    return where, orbs
 
 
 def orbits(gq: GQuiver) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
     """Vertex and arrow orbit partitions under the generated group."""
-    gens = gq.generator_maps()
-    vorbs = _orbit_partition(sorted(gq.quiver.vertices), [v for v, _ in gens])
-    aorbs = _orbit_partition(sorted(gq.quiver.arrow_names()), [a for _, a in gens])
-    return vorbs, aorbs
+    vertices, arrows, gens = _records(gq)
+    _, vorbs = _orbits(vertices, [v for v, _ in gens])
+    _, aorbs = _orbits([a[0] for a in arrows], [a for _, a in gens])
+    return [frozenset(o) for o in vorbs], [frozenset(o) for o in aorbs]
+
+
+def _records(gq: GQuiver):  # what _read_gquiver gives for gq's text
+    return sorted(gq.quiver.vertices), gq.quiver.arrows, gq.generator_maps()
+
+
+def _labels(orbs, what: str) -> list[str]:
+    labels = ["|".join(sorted(orb)) for orb in orbs]
+    if len(set(labels)) < len(labels):
+        label = next(x for x in labels if labels.count(x) > 1)
+        raise QuiverError(f"two {what} orbits share the label {label!r}")
+    return labels
 
 
 def quotient(gq: GQuiver) -> Quiver:
-    """Quiver of orbits; endpoints are the orbits of any representative."""
+    """Quiver of orbits, each named by its members joined with '|';
+    endpoints are the orbits of any representative."""
     vorbs, aorbs = orbits(gq)
-    vname = {}
-    for orb in vorbs:
-        label = "|".join(sorted(orb))
-        for v in orb:
-            vname[v] = label
+    vname = {v: label for orb, label in zip(vorbs, _labels(vorbs, "vertex")) for v in orb}
     am = gq.quiver.arrow_map()
-    arrows = []
-    for orb in aorbs:
-        rep = min(orb)
-        src, tgt = am[rep]
-        arrows.append(("|".join(sorted(orb)), vname[src], vname[tgt]))
-    return quiver({vname[v] for v in gq.quiver.vertices}, arrows)
+    labels = zip(aorbs, _labels(aorbs, "arrow"))
+    arrows = [(label, *(vname[v] for v in am[min(orb)])) for orb, label in labels]
+    return quiver(set(vname.values()), arrows)
 
 
 def restrict_gquiver(gq: GQuiver, vertex_set, arrow_names=None) -> GQuiver:
@@ -227,19 +245,19 @@ class EquivariantClass:
         return f"{self.kind}:{self.k}"
 
 
-def _orbit_graph(gq: GQuiver, cls: EquivariantClass):
-    """The weighted orbit graph of ``gq`` for a deletion class: the vertex
-    orbits, each graph vertex's orbit, the quiver's critical values (loops
-    and arrows inside one orbit included), the vertex births, the (u, v, w)
-    edges, and the property to sweep.  Twins are joined at their size."""
-    vorbs, aorbs = orbits(gq)
-    where = {v: i for i, orb in enumerate(vorbs) for v in orb}
+def _orbit_graph(vertices, arrows, generators, cls: EquivariantClass):
+    """The weighted orbit graph of a G-quiver's records for a deletion class:
+    the vertex orbits, each graph vertex's orbit, the quiver's critical values
+    (loops and arrows inside one orbit included), the vertex births, the
+    (u, v, w) edges, and the property to sweep.  Twins join at their size."""
+    where, vorbs = _orbits(vertices, [v for v, _ in generators])
+    ends = {name: (where[src], where[tgt]) for name, src, tgt in arrows}
+    _, aorbs = _orbits(list(ends), [a for _, a in generators])
     size = [float(len(orb)) for orb in vorbs]
-    am = gq.quiver.arrow_map()
     criticals = set(size)
     joins: dict[tuple[int, int], float] = {}
     for orb in aorbs:
-        a, b = sorted(where[v] for v in am[min(orb)])
+        a, b = sorted(ends[orb[0]])
         entry = max(float(len(orb)), size[a], size[b])
         criticals.add(entry)
         if a != b:
@@ -259,10 +277,10 @@ def _orbit_graph(gq: GQuiver, cls: EquivariantClass):
     return vorbs, owner, sorted(criticals), [size[i] for i in owner], edges, spec
 
 
-def _orbit_blocks(gq: GQuiver, cls: EquivariantClass) -> tuple[list[frozenset[str]], list[set[int]]]:
+def _orbit_blocks(gq: GQuiver, cls: EquivariantClass) -> tuple[list[list[str]], list[set[int]]]:
     """Vertex orbits and the orbit index sets of the maximal components of
     the whole quiver: the top level of its weighted orbit graph."""
-    vorbs, owner, _, *graph = _orbit_graph(gq, cls)
+    vorbs, owner, _, *graph = _orbit_graph(*_records(gq), cls)
     (top,) = block_levels((math.inf,), *graph)
     return vorbs, [{owner[t] for t in block} for block in top]
 
@@ -298,14 +316,14 @@ def gq_persistence_function(gq: GQuiver, cls: EquivariantClass) -> PersistenceFu
     critical values; None for the empty quiver."""
     if not gq.quiver.vertices:
         return None
-    _, _, criticals, *graph = _orbit_graph(gq, cls)
+    _, _, criticals, *graph = _orbit_graph(*_records(gq), cls)
     return tabulate_persistence(criticals, block_levels(criticals, *graph))
 
 
 def gq_persistence(gq: GQuiver, cls: EquivariantClass) -> Diagram:
     """Diagram of the orbit filtration: the graph diagram of its weighted
     orbit graph."""
-    _, _, *graph = _orbit_graph(gq, cls)
+    _, _, *graph = _orbit_graph(*_records(gq), cls)
     return index_diagram(*graph)
 
 
@@ -313,57 +331,69 @@ def underlying_weighted_graph(q: Quiver, weight: float = 1.0):
     """Simple graph shadow of a quiver (drop loops, directions, parallels),
     every vertex and edge at the given weight."""
     edges = {}
-    explicit = {}
     for _, src, tgt in q.arrows:
         if src == tgt:
             continue
         key = (src, tgt) if src < tgt else (tgt, src)
         edges[key] = weight
-    for v in q.vertices:
-        if not any(v in e for e in edges):
-            explicit[v] = weight
+    ends = {x for e in edges for x in e}
+    explicit = {v: weight for v in q.vertices if v not in ends}
     return weighted_graph(edges, explicit)
+
+
+def _read_gquiver(text: str):
+    """One pass over the text, each record checked where it stands: the
+    sorted vertex names ('v' records and arrow endpoints), the arrows sorted
+    by name, and each generator's ``(vmap, amap)``, the action unchecked."""
+    vertices: set[str] = set()
+    arrows: dict[str, tuple[str, str, str]] = {}
+    generators: list[tuple[dict[str, str], dict[str, str]]] = []
+    current: tuple[dict[str, str], dict[str, str]] | None = None
+    for ln, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split() or ["#"]  # a blank line reads as a comment
+        record, n = parts[0], len(parts)
+        if record == "map" and n == 4:
+            _, kind, x, y = parts
+            if current is None:
+                raise FormatError("map record before any 'g' generator header", ln)
+            if kind not in ("v", "a"):
+                raise FormatError(f"map kind must be 'v' or 'a', got {kind!r}", ln)
+            mapping = current[kind == "a"]
+            if x in mapping:
+                what = "vertex" if kind == "v" else "arrow"
+                raise FormatError(f"{what} {x!r} is mapped twice in one generator", ln)
+            mapping[x] = y
+        elif record == "a" and n == 4:
+            _, name, src, tgt = parts
+            if name in arrows:
+                raise FormatError(f"duplicate arrow name {name!r}", ln)
+            arrows[name] = (name, src, tgt)
+            vertices.update((src, tgt))
+        elif record == "v" and n == 2:
+            vertices.add(parts[1])
+        elif record == "g" and n == 1:
+            current = ({}, {})
+            generators.append(current)
+        elif not record.startswith("#"):
+            raise FormatError(f"bad quiver record {raw.strip()!r}", ln)
+    return sorted(vertices), sorted(arrows.values()), generators
 
 
 def parse_gquiver(text: str) -> GQuiver:
     """Text format: 'v', 'a' records, then one 'g' block per generator with
     'map v <x> <y>' and 'map a <x> <y>' lines.  Unmapped items are fixed."""
-    vertices: list[str] = []
-    arrows: list[tuple[str, str, str]] = []
-    names: set[str] = set()
-    generators: list[tuple[dict[str, str], dict[str, str]]] = []
-    current: tuple[dict[str, str], dict[str, str]] | None = None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "v" and len(parts) == 2:
-            vertices.append(parts[1])
-        elif parts[0] == "a" and len(parts) == 4:
-            if parts[1] in names:
-                raise FormatError(f"duplicate arrow name {parts[1]!r}", ln)
-            names.add(parts[1])
-            arrows.append((parts[1], parts[2], parts[3]))
-        elif parts[0] == "g" and len(parts) == 1:
-            current = ({}, {})
-            generators.append(current)
-        elif parts[0] == "map" and len(parts) == 4:
-            if current is None:
-                raise FormatError("map record before any 'g' generator header", ln)
-            kind, x, y = parts[1], parts[2], parts[3]
-            if kind not in ("v", "a"):
-                raise FormatError(f"map kind must be 'v' or 'a', got {kind!r}", ln)
-            what, mapping = ("vertex", current[0]) if kind == "v" else ("arrow", current[1])
-            if x in mapping:
-                raise FormatError(f"{what} {x!r} is mapped twice in one generator", ln)
-            mapping[x] = y
-        else:
-            raise FormatError(f"bad quiver record {line!r}", ln)
     try:
-        return gquiver(vertices, arrows, generators)
+        return gquiver(*_read_gquiver(text))
     except QuiverError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def parse_orbit_graph(text: str, cls: EquivariantClass):
+    """The text read straight to ``(criticals, births, edges, spec)`` of its
+    weighted orbit graph for ``index_diagram``; errors as ``parse_gquiver``."""
+    records = _read_gquiver(text)
+    _check_action(*records, FormatError)
+    return _orbit_graph(*records, cls)[2:]
 
 
 def serialize_gquiver(gq: GQuiver) -> str:

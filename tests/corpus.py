@@ -407,3 +407,74 @@ def corrupt_graph_text(rng: random.Random, text: str) -> str:
     else:
         lines.insert(rng.randint(0, len(lines)), bad)
     return "\n".join(lines)
+
+
+_PADDING = ["", "   ", "# a comment", "#v x", "\t# indented"]
+
+
+def random_gquiver_text(rng: random.Random) -> str:
+    """A serialized ``random_gquiver`` or ``random_s3_gquiver`` with the
+    reader's corner cases: comments, blank and padded lines, v and a records
+    shuffled and scattered between the generator blocks, endpoints without a
+    v record, identity map lines, unmapped items and map lines in any order
+    within their block."""
+    if rng.random() < 0.25:
+        gq = random_s3_gquiver(rng)
+    else:
+        gq = random_gquiver(rng, max_vertices=8, max_arrows=8)
+    q = gq.quiver
+    ends = {x for _, s, t in q.arrows for x in (s, t)}
+    records = [f"v {v}" for v in sorted(q.vertices) if v not in ends or rng.random() < 0.5]
+    records += [f"a {n} {s} {t}" for n, s, t in q.arrows]
+    rng.shuffle(records)
+    blocks = []
+    for vmap, amap in gq.generator_maps():
+        maps = [f"map v {x} {y}" for x, y in vmap.items()]
+        maps += [f"map v {x} {x}" for x in sorted(q.vertices) if x not in vmap and rng.random() < 0.3]
+        maps += [f"map a {x} {y}" for x, y in amap.items() if x != y or rng.random() < 0.5]
+        rng.shuffle(maps)
+        blocks += ["g", *maps]
+    lines = blocks
+    for record in records:
+        lines.insert(rng.randint(0, len(lines)), record)
+    padded = []
+    for line in lines:
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            padded.append(rng.choice(_PADDING))
+        padded.append(rng.choice(["", "  ", "\t"]) + line.replace(" ", rng.choice([" ", "  ", "\t"])))
+    return "\n".join(padded) + rng.choice(["", "\n", "\n\n"])
+
+
+def corrupt_gquiver_text(rng: random.Random, text: str) -> str:
+    """``text`` with one fault: a line dropped, repeated elsewhere or
+    garbled, or one more generator that maps to an unknown name, is not a
+    permutation, or swaps two vertices with no arrow map, which breaks the
+    automorphism unless their arrows are symmetric."""
+    lines = text.split("\n")
+    fields = [line.split() for line in lines]
+    named = {f[1] for f in fields if f[:1] == ["v"]}
+    vertices = sorted(named.union(*(f[2:] for f in fields if f[:1] == ["a"])))
+    arrows = sorted({f[1] for f in fields if len(f) > 1 and f[0] == "a"})
+    u, v = rng.choice(vertices or ["q0"]), rng.choice(vertices or ["q0"])
+    fault = rng.choice(["drop", "repeat", "garble", "unknown", "not a permutation", "swap"])
+    if fault == "drop":
+        del lines[rng.randrange(len(lines))]
+    elif fault == "repeat":
+        lines.insert(rng.randint(0, len(lines)), rng.choice(lines))
+    elif fault == "garble":
+        bad = rng.choice([
+            "zzz", f"v {u} {v}", "v", f"a x{u} {u}", f"a x {u} {v} w", "g g", "G", f"map v {u}",
+            f"map q {u} {v}", f"map v {u} {v} {u}", f"Map v {u} {v}", f"vv {u}",
+        ])
+        lines[rng.randrange(len(lines))] = bad
+    elif fault == "unknown":
+        kind, x = rng.choice([("v", u), ("a", rng.choice(arrows or ["e"]))])
+        lines += ["g", rng.choice([f"map {kind} {x} nowhere", f"map {kind} nowhere {x}"])]
+    elif fault == "not a permutation":
+        if arrows and rng.random() < 0.5:
+            lines += ["g", f"map a {arrows[0]} {arrows[-1]}"]
+        else:
+            lines += ["g", f"map v {u} {max(vertices, default=u)}"]
+    else:
+        lines += ["g", f"map v {u} {v}", f"map v {v} {u}"]
+    return "\n".join(lines)

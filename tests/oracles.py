@@ -15,7 +15,10 @@ rule keeps every class as an explicit vertex set.  The graph reader is the
 record-by-record loop that builds name-keyed dicts and derives the vertex
 weights in a second pass over the edges.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
-subquivers, and its persistence is read from their components.
+subquivers, and its persistence is read from their components.  The
+G-quiver reader is the record-by-record loop that builds a Quiver and a
+GroupAction and checks each generator map against the whole domain; its
+orbits come from a union-find, and its weighted orbit graph from those.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from itertools import chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 
 import perconn as pc
 from perconn.connectivity import edge_blocks, vertex_blocks
+from perconn.cuts import UnionFind
 from perconn.metrics import _climb, _expand, _hopcroft_karp
 
 
@@ -750,3 +754,125 @@ def oracle_gq_persistence(gq: pc.GQuiver, cls: pc.EquivariantClass) -> pc.Diagra
     """The diagram of the per-level filtration by the elder rule on the
     successor forest of its components."""
     return oracle_successor_diagram(*gq_levels(gq, cls), gq_contains)
+
+
+def _oracle_check_permutation(mapping: dict[str, str], domain, what: str) -> None:
+    for a, b in mapping.items():
+        if a not in domain or b not in domain:
+            raise pc.QuiverError(f"{what} map uses unknown name {a!r} -> {b!r}")
+    image = {mapping.get(x, x) for x in domain}
+    if image != set(domain):
+        raise pc.QuiverError(f"{what} map is not a permutation")
+
+
+def oracle_check_action(q: pc.Quiver, action: pc.GroupAction) -> None:
+    """Every generator, its maps in sorted key order, is a pair of
+    permutations, and every arrow, in name order, maps onto an arrow between
+    its endpoints' images."""
+    am = q.arrow_map()
+    for vmap, amap in action.maps():
+        _oracle_check_permutation(vmap, q.vertices, "vertex")
+        _oracle_check_permutation(amap, set(am), "arrow")
+        for name, (src, tgt) in am.items():
+            image = amap.get(name, name)
+            isrc, itgt = am[image]
+            if isrc != vmap.get(src, src) or itgt != vmap.get(tgt, tgt):
+                raise pc.QuiverError(
+                    f"generator is not an automorphism: arrow {name!r} maps to "
+                    f"{image!r} but endpoints disagree"
+                )
+
+
+def oracle_parse_gquiver(text: str) -> pc.GQuiver:
+    """The G-quiver format read record by record into lists, then built as a
+    Quiver and a GroupAction and checked by ``oracle_check_action``."""
+    vertices: list[str] = []
+    arrows: list[tuple[str, str, str]] = []
+    names: set[str] = set()
+    generators: list[tuple[dict[str, str], dict[str, str]]] = []
+    current: tuple[dict[str, str], dict[str, str]] | None = None
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "v" and len(parts) == 2:
+            vertices.append(parts[1])
+        elif parts[0] == "a" and len(parts) == 4:
+            if parts[1] in names:
+                raise pc.FormatError(f"duplicate arrow name {parts[1]!r}", ln)
+            names.add(parts[1])
+            arrows.append((parts[1], parts[2], parts[3]))
+        elif parts[0] == "g" and len(parts) == 1:
+            current = ({}, {})
+            generators.append(current)
+        elif parts[0] == "map" and len(parts) == 4:
+            if current is None:
+                raise pc.FormatError("map record before any 'g' generator header", ln)
+            kind, x, y = parts[1], parts[2], parts[3]
+            if kind not in ("v", "a"):
+                raise pc.FormatError(f"map kind must be 'v' or 'a', got {kind!r}", ln)
+            what, mapping = ("vertex", current[0]) if kind == "v" else ("arrow", current[1])
+            if x in mapping:
+                raise pc.FormatError(f"{what} {x!r} is mapped twice in one generator", ln)
+            mapping[x] = y
+        else:
+            raise pc.FormatError(f"bad quiver record {line!r}", ln)
+    q = pc.Quiver(frozenset(vertices).union(*((s, t) for _, s, t in arrows)), tuple(sorted(arrows)))
+    action = pc.GroupAction.from_maps(generators)
+    try:
+        oracle_check_action(q, action)
+    except pc.QuiverError as exc:
+        raise pc.FormatError(str(exc)) from exc
+    return pc.GQuiver(q, action)
+
+
+def oracle_orbit_partition(items: list[str], images) -> list[frozenset[str]]:
+    """Orbits as the classes of a union-find that joins each item with its
+    image under every map, sorted by least member."""
+    idx = {x: i for i, x in enumerate(items)}
+    uf = UnionFind(len(items))
+    for mapping in images:
+        for x in items:
+            uf.union(idx[x], idx[mapping.get(x, x)])
+    classes: dict[int, set[str]] = {}
+    for x in items:
+        classes.setdefault(uf.find(idx[x]), set()).add(x)
+    return sorted((frozenset(c) for c in classes.values()), key=lambda c: min(c))
+
+
+def oracle_orbits(gq: pc.GQuiver) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
+    gens = gq.generator_maps()
+    vorbs = oracle_orbit_partition(sorted(gq.quiver.vertices), [v for v, _ in gens])
+    aorbs = oracle_orbit_partition(sorted(gq.quiver.arrow_names()), [a for _, a in gens])
+    return vorbs, aorbs
+
+
+def oracle_orbit_graph(gq: pc.GQuiver, cls: pc.EquivariantClass):
+    """``(criticals, births, edges, spec)`` of the weighted orbit graph, built
+    on the GQuiver from its union-find orbits: each orbit born at its size,
+    adjacent orbits joined at the least entry of the arrow orbits between
+    them, each multi-vertex orbit k twins for ``fixed_vertex_deletion:k``."""
+    vorbs, aorbs = oracle_orbits(gq)
+    where = {v: i for i, orb in enumerate(vorbs) for v in orb}
+    size = [float(len(orb)) for orb in vorbs]
+    am = gq.quiver.arrow_map()
+    criticals = set(size)
+    joins: dict[tuple[int, int], float] = {}
+    for orb in aorbs:
+        a, b = sorted(where[v] for v in am[min(orb)])
+        entry = max(float(len(orb)), size[a], size[b])
+        criticals.add(entry)
+        if a != b:
+            joins[a, b] = min(joins.get((a, b), entry), entry)
+    k = 1 if cls.kind == "isomorphisms" else cls.k
+    copies = [1] * len(vorbs)
+    if cls.kind == "fixed_vertex_deletion":
+        k = min(k, size.count(1.0) + 1)
+        copies = [1 if n == 1.0 else k for n in size]
+    twins = [range(end - c, end) for c, end in zip(copies, accumulate(copies))]
+    owner = [i for i, ts in enumerate(twins) for _ in ts]
+    edges = [(s, t, size[i]) for i, ts in enumerate(twins) for s, t in combinations(ts, 2)]
+    edges += [(s, t, w) for (a, b), w in joins.items() for s in twins[a] for t in twins[b]]
+    spec = pc.PropertySpec("components") if k == 1 else pc.PropertySpec("vertex_block", k)
+    return sorted(criticals), [size[i] for i in owner], edges, spec

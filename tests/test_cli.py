@@ -5,7 +5,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 
-from perconn import cli
+from perconn import cli, quivers
 from perconn.persistence import GRID_CAP
 
 GRAPH = "e a b 1\ne c d 1\ne b c 2\n"
@@ -291,6 +291,37 @@ def test_quiver_reader_errors_name_the_second_record(tmp_path):
         src.write_text(text)
         res = run_cli("quiver-diagram", "--class", "isomorphisms", str(src))
         assert (res.returncode, res.stdout, res.stderr) == (1, "", want)
+
+
+def test_quiver_diagram_builds_no_quiver_objects(tmp_path, capsys, monkeypatch):
+    # the text goes straight to the weighted orbit graph: no Quiver,
+    # GroupAction or GQuiver, no frozenset orbit lists, no union-find
+    src = tmp_path / "q.txt"
+    src.write_text("a p x c\na q y c\na r c c\nv z\ng\nmap v x y\nmap v y x\nmap a p q\nmap a q p\n")
+    runs = [
+        [*cls, "--k", k, "--format", fmt, str(src)]
+        for cls in (["--class", "isomorphisms"], ["--class", "orbit-deletion"], ["--class", "fixed-vertex-deletion"])
+        for k in ("1", "2", "3")
+        for fmt in ("text", "json")
+    ]
+    want = []
+    for argv in runs:
+        assert cli.main(["quiver-diagram", *argv]) == 0
+        want.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quiver-diagram path built a quiver object")
+
+    for name in ("Quiver", "GroupAction", "GQuiver"):
+        monkeypatch.setattr(getattr(quivers, name), "__init__", refuse)
+    monkeypatch.setattr(quivers, "orbits", refuse)
+    assert "UnionFind" not in vars(quivers)
+    for argv, out in zip(runs, want):
+        assert cli.main(["quiver-diagram", *argv]) == 0, argv
+        assert capsys.readouterr() == (out, ""), argv
+    src.write_text("a e x y\ng\nmap v x y\n")
+    assert cli.main(["quiver-diagram", "--class", "isomorphisms", str(src)]) == 1
+    assert capsys.readouterr().err == "error: vertex map is not a permutation\n"
 
 
 def test_quiver_deletion_classes_past_sixteen_orbits(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 import perconn as pc
 import oracles
-from corpus import random_gquiver, random_s3_gquiver
+from corpus import corrupt_gquiver_text, random_gquiver, random_gquiver_text, random_s3_gquiver
 
 ISO = pc.EquivariantClass("isomorphisms")
 
@@ -383,3 +383,50 @@ def test_quiver_parse_errors():
         with pytest.raises(pc.FormatError) as info:
             pc.parse_gquiver(text)
         assert str(info.value) == message
+
+
+def _same_quiver_reading(text: str) -> bool:
+    """Both outputs of the reader agree with the record-by-record oracle:
+    the same FormatError, or the same GQuiver, the same orbits as the
+    union-find partition, and the same weighted orbit graph for every class.
+    True when the text reads."""
+    try:
+        want = oracles.oracle_parse_gquiver(text)
+    except pc.FormatError as exc:
+        for parse in (pc.parse_gquiver, lambda t: pc.parse_orbit_graph(t, ISO)):
+            with pytest.raises(pc.FormatError) as err:
+                parse(text)
+            assert (err.value.line, str(err.value)) == (exc.line, str(exc)), text
+        return False
+    assert pc.parse_gquiver(text) == want
+    assert pc.orbits(want) == oracles.oracle_orbits(want)
+    for cls in DELETION_CLASSES:
+        assert pc.parse_orbit_graph(text, cls) == oracles.oracle_orbit_graph(want, cls), (text, cls)
+    return True
+
+
+def test_quiver_reader_matches_the_oracle_on_random_texts(seed=157):
+    rng = random.Random(seed)
+    for _ in range(300):
+        assert _same_quiver_reading(random_gquiver_text(rng))
+
+
+def test_quiver_reader_errors_match_the_oracle_on_corrupted_texts(seed=163):
+    rng = random.Random(seed)
+    failed = sum(not _same_quiver_reading(corrupt_gquiver_text(rng, random_gquiver_text(rng))) for _ in range(400))
+    assert failed >= 300
+
+
+def test_quotient_refuses_colliding_orbit_labels():
+    # the orbit {a, b} is labelled 'a|b', as is the fixed vertex named 'a|b'
+    gq = pc.gquiver(
+        ["a", "b", "a|b"],
+        [("x", "a", "a|b"), ("y", "b", "a|b")],
+        [({"a": "b", "b": "a"}, {"x": "y", "y": "x"})],
+    )
+    with pytest.raises(pc.QuiverError, match=r"^two vertex orbits share the label 'a\|b'$"):
+        pc.quotient(gq)
+    # the swapped parallel arrows x, y and the fixed arrow 'x|y'
+    gq = pc.gquiver(["p", "q"], [("x", "p", "q"), ("y", "p", "q"), ("x|y", "p", "q")], [({}, {"x": "y", "y": "x"})])
+    with pytest.raises(pc.QuiverError, match=r"^two arrow orbits share the label 'x\|y'$"):
+        pc.quotient(gq)
