@@ -208,8 +208,7 @@ def _corrupted(pf: PersistenceFunction, spec_text: str) -> PersistenceFunction:
 
 def _cmd_verify(args) -> int:
     spec = _property_spec(args)
-    wg = parse_weighted_graph(_read(args.input))
-    filt = build_filtration(wg)
+    filt = build_filtration(parse_weighted_graph(_read(args.input)))
     if not filt.criticals:
         print("PASS empty filtration: nothing to verify")
         return EXIT_OK
@@ -232,10 +231,7 @@ def _cmd_verify(args) -> int:
     else:
         print(f"FAIL reconstruction: {message}")
         failures.append(message)
-    n = len(wg.graph.vertices)
     try:
-        if n > args.poset_cap:
-            raise CapExceeded(f"graph exceeds the poset cap ({n} > {args.poset_cap})")
         poset = subobject_poset(filt.limit(), spec, size_cap=args.poset_cap)
     except CapExceeded as exc:  # over --poset-cap, or a clique poset past posets.STATE_CAP
         print(f"SKIP weak directedness: {exc}")

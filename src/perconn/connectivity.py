@@ -8,10 +8,10 @@ Four property kinds are supported:
   sharing k-1 vertices).  Maximal components are the classical clique
   percolation communities; they may overlap and are unions of their member
   cliques rather than induced subgraphs.  A graph's communities come from
-  ``cuts.clique_percolation``, the sweep the diagram engine runs: a
-  union-find over its merges groups the cliques.  A level of
-  ``block_levels`` is a list of communities, each the set of its k-cliques,
-  so inclusion between levels is inclusion of clique sets.  For k >= 4 the
+  ``cuts.clique_percolation``, the sweep the diagram engine runs: the
+  classes of its merges group the cliques.  A level of ``block_levels`` is
+  a list of communities, each the set of its k-cliques, so inclusion
+  between levels is inclusion of clique sets.  For k >= 4 the
   union graph of one community may hold every edge of another (a K4 whose
   six edges each lie in some K4 of one other class), so subgraph inclusion
   may give a community two successors where its cliques give one.
@@ -38,17 +38,35 @@ Four property kinds are supported:
   left.
 
 ``vertex_blocks`` and ``edge_blocks`` search a bare adjacency dict for
-vertex sets; ``property_components`` wraps them in induced subgraphs.
-``block_levels`` gives the maximal components of every level of a filtered
-graph on integer vertices, for ``verify`` and the quiver tables, and the
-diagram engine (``persistence.index_diagram``) needs levels only for
-vertex blocks at k >= 3.  Components and blocks at k <= 2 run a provider on
-each level, independent of the engine's sweeps.  Blocks at k >= 3 change
-only where an edge enters: a block of level j that is neither a block of
-level j - 1 nor a vertex born at c_j holds both ends of an edge entering at
-c_j (else its induced subgraph, and with it the property, is the same at
-level j - 1, where it lies in a block that lies in a block of level j), so
-each sweep searches only what an entering edge touches.
+vertex sets; ``property_components`` wraps them in induced subgraphs.  A
+filtered graph on integer vertices is swept instead.  By the union
+property the maximal components of all its levels form a forest, and
+``merge_forest`` picks the nodes and merges that build it:
+
+* components and blocks at k = 1: the vertices, merged by the edges in
+  weight order (Kruskal);
+* edge blocks at k = 2: the vertices, merged into 2-edge-connected classes
+  by ``cuts.bridge_merges``;
+* edge blocks at k >= 3: the vertices, merged by ``edge_block_merges``;
+* vertex blocks at k = 2: the edges, merged into biconnected blocks by
+  ``cuts.block_merges``; a block stands for the ends of its edges;
+* clique communities: the k-cliques, merged by
+  ``cuts.clique_percolation``.
+
+The classes of the merges up to c among the nodes born by c are the
+maximal components of the level at c.  The diagram engine
+(``persistence.index_diagram``) runs the elder rule on these merges, and
+``block_levels`` reads every level's classes off the same merges, for
+``verify`` and the quiver tables.  Vertex blocks at k >= 3 fit no such
+forest, as two of them may share an edge: ``block_levels`` lists their
+levels by a sweep of its own, and the engine takes its forest from those.
+
+Blocks at k >= 3 change only where an edge enters: a block of level j
+that is neither a block of level j - 1 nor a vertex born at c_j holds both
+ends of an edge entering at c_j (else its induced subgraph, and with it
+the property, is the same at level j - 1, where it lies in a block that
+lies in a block of level j), so each sweep searches only what an entering
+edge touches.
 
 * Edge blocks, ``edge_block_merges``.  A block of level j - 1 keeps its
   property at level j and shares a vertex with some block of level j,
@@ -80,7 +98,6 @@ from operator import itemgetter
 
 from .cuts import (
     Partition,
-    UnionFind,
     biconnected_components,
     block_merges,
     bridge_merges,
@@ -300,31 +317,60 @@ def edge_block_merges(criticals, births, edges, k: int) -> list[tuple[int, int, 
     return merges
 
 
-def _block_search(spec: PropertySpec):
-    """The maximal-vertex-set search for components or a block kind, and its k."""
-    if spec.kind == "components":
-        return vertex_blocks, 1
-    return (edge_blocks if spec.kind == "edge_block" else vertex_blocks), spec.k
+def merge_forest(criticals, births, edges, spec: PropertySpec):
+    """The merge forest of ``spec`` over a filtered graph on vertices
+    0..n-1 (vertex i born at ``births[i]``, an (u, v, w) edge entering at
+    w, criticals as in ``edge_block_merges``), for every property but
+    vertex blocks at k >= 3.
+
+    Returns the node births, the merges (a, b, w) of nodes in nondecreasing
+    w, and what the nodes stand for: a function that reads a class of nodes
+    as the set a level lists, its vertices, or its k-cliques for
+    ``clique:k``.  The classes of the merges up to c among the nodes born
+    by c are the maximal components of the level at c (see the module
+    docstring).
+    """
+    if spec.kind == "edge_block" and spec.k > 2:
+        return births, edge_block_merges(criticals, births, edges, spec.k), frozenset
+    edges = sorted(edges, key=itemgetter(2))
+    if spec.kind == "clique":
+        cliques, clique_births, merges = clique_percolation(edges, spec.k)
+        return clique_births, merges, lambda nodes: frozenset(map(cliques.__getitem__, nodes))
+    if spec.kind == "components" or spec.k == 1:
+        return births, edges, frozenset
+    if spec.kind == "edge_block":
+        return births, bridge_merges(len(births), edges), frozenset
+    if spec.k > 2:
+        raise ValueError("vertex blocks at k >= 3 have no merge forest; block_levels sweeps them")
+    # an edge stands for its two ends, a biconnected block for their union
+    return (
+        [w for _, _, w in edges],
+        block_merges(len(births), edges),
+        lambda nodes: frozenset(chain.from_iterable(edges[i][:2] for i in nodes)),
+    )
 
 
-def _merge_levels(criticals, births, merges) -> list[list[list[int]]]:
-    """The classes of each level of a merge sweep: node i is born at
-    ``births[i]``, each (a, b, w) merge joins two classes at w, in
-    nondecreasing w, and a level at c holds the nodes born by c."""
+def _merge_levels(criticals, births, merges, read) -> list[list[frozenset]]:
+    """The classes of each level of a forest from ``merge_forest``, each
+    turned into the level's set by ``read``: a level at c holds the nodes
+    born by c, joined by the merges up to c, and a Partition keeps the
+    members of every class."""
     order = sorted(range(len(births)), key=births.__getitem__)
-    uf = UnionFind(len(births))
+    classes = Partition(len(births))
+    label, members = classes.label, classes.members
+    live: dict[int, None] = {}  # the labels of the classes born so far
     levels = []
     born = e = 0
     for c in criticals:
         while born < len(order) and births[order[born]] <= c:
+            live[order[born]] = None
             born += 1
         while e < len(merges) and merges[e][2] <= c:
-            uf.union(merges[e][0], merges[e][1])
+            x, y = label[merges[e][0]], label[merges[e][1]]
+            if x != y:
+                del live[classes.join(x, y)[1]]
             e += 1
-        classes: dict[int, list[int]] = {}
-        for i in order[:born]:
-            classes.setdefault(uf.find(i), []).append(i)
-        levels.append(list(classes.values()))
+        levels.append([read(members[x]) for x in live])
     return levels
 
 
@@ -375,37 +421,13 @@ def _vertex_block_levels(criticals, births, edges, k: int) -> list[list[frozense
 def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[frozenset]]:
     """Maximal components of each level of a filtered graph: vertex i is
     born at ``births[i]``, an (u, v, w) edge enters at w.  They are clique
-    sets for ``clique:k`` and vertex sets otherwise.  Cliques come from one
-    ``clique_percolation`` sweep, grouped per level by a union-find over its
-    merges, and blocks at k >= 3 from the sweeps of the module docstring;
-    the rest run a provider on one adjacency that grows level by level.
+    sets for ``clique:k`` and vertex sets otherwise, read off the forest of
+    ``merge_forest``; vertex blocks at k >= 3 come from their own sweep
+    (see the module docstring).
     """
-    if spec.kind == "clique":
-        cliques, clique_births, merges = clique_percolation(sorted(edges, key=itemgetter(2)), spec.k)
-        levels = _merge_levels(criticals, clique_births, merges)
-        return [[frozenset(cliques[i] for i in cls) for cls in level] for level in levels]
-    if spec.kind == "edge_block" and spec.k > 2:
-        levels = _merge_levels(criticals, births, edge_block_merges(criticals, births, edges, spec.k))
-        return [[frozenset(cls) for cls in level] for level in levels]
     if spec.kind == "vertex_block" and spec.k > 2:
         return _vertex_block_levels(criticals, births, edges, spec.k)
-    blocks, k = _block_search(spec)
-    born = sorted(range(len(births)), key=births.__getitem__)
-    edges = sorted(edges, key=itemgetter(2))
-    adj: dict[int, set[int]] = {}
-    levels = []
-    i = e = 0
-    for c in criticals:
-        while i < len(born) and births[born[i]] <= c:
-            adj[born[i]] = set()
-            i += 1
-        while e < len(edges) and edges[e][2] <= c:
-            u, v, _ = edges[e]
-            adj[u].add(v)
-            adj[v].add(u)
-            e += 1
-        levels.append(blocks(adj, k))
-    return levels
+    return _merge_levels(criticals, *merge_forest(criticals, births, edges, spec))
 
 
 def _induced_sorted(adj: dict[str, set[str]], vertex_sets) -> list[SimpleGraph]:
@@ -430,9 +452,9 @@ def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]
             for cs in sorted(sorted(cs) for cs in classes)
         ]
         return sorted(comms, key=lambda h: sorted(h.vertices))
-    blocks, k = _block_search(spec)
+    search = edge_blocks if spec.kind == "edge_block" else vertex_blocks
     adj = g.adjacency()
-    return _induced_sorted(adj, blocks(adj, k))
+    return _induced_sorted(adj, search(adj, 1 if spec.kind == "components" else spec.k))
 
 
 def contains_property_subgraph(g: SimpleGraph, spec: PropertySpec) -> bool:

@@ -387,13 +387,12 @@ def _isomorphism_search(wg1: WeightedGraph, wg2: WeightedGraph) -> Optional[Call
             continue
         queue = [seed]
         seen.add(seed)
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
+        for u in queue:
             for w in sorted(adj1[u], key=lambda v: (-len(adj1[v]), v)):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
+        order += queue
 
     # g2's vertices by degree, sorted by weight: each candidate list is one
     # bisected slice, widened while the exact test still holds (the float

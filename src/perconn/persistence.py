@@ -18,41 +18,30 @@ gives (birth, inf).  One engine feeds it from a filtered graph on integer
 vertices, ``index_diagram``: the CLI calls it on the indexed form that
 ``graphs.parse_indexed_graph`` reads straight from the text, and
 ``graph_diagram`` (on a Filtration) and ``quivers.gq_persistence`` (on the
-weighted orbit graph of a G-quiver) call it too.  It sweeps the
-cheapest forest for each property; only vertex blocks at k >= 3 build
-levels:
-
-* plain components, and blocks at k = 1: the edges in weight order over
-  the vertices;
-* clique communities: the k-cliques each new edge closes (sequential
-  clique percolation, Kumpula et al. 2008), from ``cuts.clique_percolation``;
-* blocks at k = 2: the non-tree edges of one spanning forest in weight
-  order, each merging the vertices (edge blocks) or the edges (vertex
-  blocks) along its tree path, from ``cuts.bridge_merges`` and
-  ``cuts.block_merges``;
-* edge blocks at k >= 3: the vertices, merged where
-  ``connectivity.edge_block_merges`` finds blocks joining.  The blocks of
-  each level are unions of the previous level's, so a block that merges
-  others at c_j ends all of them but the eldest there, exactly as in the
-  successor forest of the per-level blocks, whose earliest descendant
-  level is the earliest birth among the block's vertices;
-* vertex blocks at k >= 3: the successor maps of the per-level maximal
-  vertex sets of ``connectivity.block_levels``, which carries the blocks
-  that no entering edge touches, where each set is tested only against the
-  next level's sets that hold one of its members.
+weighted orbit graph of a G-quiver) call it too.  It sweeps the merge
+forest that ``connectivity.merge_forest`` picks for each property: the
+vertices, the edges or the k-cliques (sequential clique percolation,
+Kumpula et al. 2008), merged in weight order.  For edge blocks at k >= 3
+the merges come from ``connectivity.edge_block_merges``: the blocks of
+each level are unions of the previous level's, so a block that merges
+others at c_j ends all of them but the eldest there, exactly as in the
+successor forest of the per-level blocks, whose earliest descendant level
+is the earliest birth among the block's vertices.  Only vertex blocks at
+k >= 3 build levels: the successor maps of the per-level maximal vertex
+sets of ``connectivity.block_levels``, which carries the blocks that no
+entering edge touches, where each set is tested only against the next
+level's sets that hold one of its members.
 
 Births and deaths are always critical values of the filtration.
 
 The tabulated grid serves ``verify`` (``persistence_function``),
 ``quivers.gq_persistence_function``, ``posets.poset_persistence`` and the
 test oracles.  Verify takes every property's levels from ``block_levels``,
-which runs a provider on each level for components and for blocks at
-k <= 2, so those stay independent of the sweeps above; blocks at k >= 3
-come from the same sweeps as the diagrams, whose per-level oracle lives in
-the tests.  ``tabulate_persistence`` counts, for each level, the
-components whose subtree in the successor forest reaches each lower
-level, in O(m^2 + N) for m critical values and N components.  Values are
-tabulated on critical values only, because between consecutive criticals
+which reads them off the same forest as the diagrams; the per-level
+providers stay in the tests as oracles.  ``tabulate_persistence`` counts,
+for each level, the components whose subtree in the successor forest
+reaches each lower level, in O(m^2 + N) for m critical values and N
+components.  Values are tabulated on critical values only, because between consecutive criticals
 the filtration is constant, and the value at (u, infinity) equals the
 value at (u, last critical) because filtrations stabilize.  The grid holds
 about m^2/2 values, so ``persistence_function`` refuses a filtration with
@@ -74,11 +63,9 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .connectivity import block_levels, edge_block_merges
-from .cuts import block_merges, bridge_merges, clique_percolation
+from .connectivity import block_levels, merge_forest
 from .graphs import CapExceeded, Filtration, FormatError, format_weight
 
 
@@ -301,7 +288,8 @@ def _forest_diagram(criticals: Sequence[float], levels) -> Diagram:
 
 def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, spec) -> Diagram:
     """Persistence diagram of a filtered graph on vertices 0..n-1, by one
-    elder-rule sweep of the forest for ``spec`` (see the module docstring).
+    elder-rule sweep of ``connectivity.merge_forest`` for ``spec`` (see the
+    module docstring).
 
     Vertex i is born at ``births[i]``; each (u, v, w) edge enters at w, no
     earlier than its ends.  ``criticals`` are the filtration's critical
@@ -309,17 +297,8 @@ def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, sp
     """
     if spec.kind == "vertex_block" and spec.k > 2:
         return _forest_diagram(criticals, block_levels(criticals, births, edges, spec))
-    if spec.kind == "edge_block" and spec.k > 2:
-        return elder_rule(births, edge_block_merges(criticals, births, edges, spec.k))
-    edges = sorted(edges, key=itemgetter(2))
-    if spec.kind == "clique":
-        _, clique_births, merges = clique_percolation(edges, spec.k)
-        return elder_rule(clique_births, merges)
-    if spec.kind == "components" or spec.k == 1:
-        return elder_rule(births, edges)
-    if spec.kind == "edge_block":
-        return elder_rule(births, bridge_merges(len(births), edges))
-    return elder_rule([w for _, _, w in edges], block_merges(len(births), edges))
+    node_births, merges, _ = merge_forest(criticals, births, edges, spec)
+    return elder_rule(node_births, merges)
 
 
 def _indexed(filt: Filtration) -> tuple[Sequence[float], list[float], list[tuple[int, int, float]]]:

@@ -393,6 +393,10 @@ def test_block_levels_match_the_providers_level_by_level(seed=67):
         for _ in range(25)
     ]
     cases += [(six_clusters(rng), [s for s in specs if s.k >= 3]) for _ in range(8)]
+    # the specs read off one merge forest, on tied and distinct weights, K5
+    # chains and triangle-bridge chains
+    forest_specs = [s for s in specs if s.kind in ("components", "clique") or s.k <= 2]
+    cases += [(wg, forest_specs) for wg in _sweep_corpus(seed)]
     for wg, case_specs in cases:
         filt = pc.build_filtration(wg)
         names = list(wg.vertex_weights)

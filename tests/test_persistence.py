@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import perconn as pc
-from perconn import cli, persistence
+from perconn import cli, connectivity, cuts, persistence
 from corpus import (
     covered_k4,
     cycles_at_one_vertex,
@@ -149,6 +149,29 @@ def test_sweep_matches_grid_and_oracle(seed=71):
             assert pc.serialize_diagram(swept) == pc.serialize_diagram(grid)
             finite[spec.label()] += len(swept.finite_points())
     assert min(finite.values()) > 5, finite
+
+
+def test_tables_below_k3_run_no_provider(monkeypatch, seed=73):
+    # verify reads the levels of components and k = 2 blocks off the merge
+    # forest of the diagrams: no level runs a block search, as the per-level
+    # providers do
+    rng = random.Random(seed)
+    graphs = [random_weighted_graph(rng, max_vertices=10, max_criticals=5, edge_prob=(0.3, 0.8)) for _ in range(20)]
+    graphs += [weigh(rng, triangle_bridge_chain(6), tied) for tied in (True, False)]
+    cases = []
+    for wg in graphs:
+        filt = pc.build_filtration(wg)
+        for spec in [pc.PropertySpec("components"), *K2_BLOCKS]:
+            levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+            cases.append((filt, spec, oracles.oracle_table(filt.criticals, levels, lambda d, c: c.includes(d))))
+
+    def refuse(*args):
+        raise AssertionError("a level ran a block search")
+
+    for module, name in ((connectivity, "vertex_blocks"), (connectivity, "edge_blocks"), (cuts, "biconnected_components")):
+        monkeypatch.setattr(module, name, refuse)
+    for filt, spec, table in cases:
+        assert pc.persistence_function(filt, spec) == table, spec.label()
 
 
 def _per_level_diagram(filt, spec):
@@ -460,7 +483,7 @@ def test_clique_levels_give_a_covered_k4_one_successor(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "PASS axioms: monotonicity and jump superadditivity hold",
         "PASS reconstruction: diagram reproduces the function off-grid",
-        "SKIP weak directedness: graph exceeds the poset cap (26 > 7)",
+        "SKIP weak directedness: subobject poset limited to 7 vertices, got 26",
     ]
 
 
