@@ -264,8 +264,9 @@ def _cmd_plot(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and shared by every later call.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and each command's subparser by name, built on first
+    use and shared by every later call.
 
     parse_args keeps no state between calls: each makes a fresh namespace
     and looks up stdout, stderr and the terminal width when it prints.
@@ -335,12 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.set_defaults(func=_cmd_plot)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  An argv that starts with a command name goes
+    straight to that command's subparser, whose leftovers become the top
+    parser's 'unrecognized arguments' error, just as the top parser would
+    report them; any other argv goes through the top parser."""
+    parser, commands = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
     except FormatError as exc:

@@ -267,7 +267,10 @@ def edge_block_merges(criticals, births, edges, k: int) -> list[tuple[int, int, 
     """Merges (a, b, c) of the vertices of a filtered graph into its edge
     blocks at k >= 3, level by level: vertex i is born at ``births[i]``, an
     (u, v, w) edge enters at the first critical value c >= w, and the blocks
-    of the level at c are the classes of the merges up to c.
+    of the level at c are the classes of the merges up to c.  The critical
+    values must reach every edge weight: ``index_diagram`` passes the
+    distinct edge weights, so each edge enters at its own weight, and
+    ``block_levels`` every critical value it tabulates.
 
     Each block is a super-vertex of one contracted multigraph, which gains
     the entering edges between blocks level by level.  A level searches only
@@ -320,8 +323,9 @@ def edge_block_merges(criticals, births, edges, k: int) -> list[tuple[int, int, 
 def merge_forest(criticals, births, edges, spec: PropertySpec):
     """The merge forest of ``spec`` over a filtered graph on vertices
     0..n-1 (vertex i born at ``births[i]``, an (u, v, w) edge entering at
-    w, criticals as in ``edge_block_merges``), for every property but
-    vertex blocks at k >= 3.
+    w), for every property but vertex blocks at k >= 3.  Only edge blocks
+    at k >= 3 read ``criticals``, as in ``edge_block_merges``; every other
+    forest merges at the edge weights themselves.
 
     Returns the node births, the merges (a, b, w) of nodes in nondecreasing
     w, and what the nodes stand for: a function that reads a class of nodes

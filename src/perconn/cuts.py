@@ -139,14 +139,17 @@ def cliques_within(adj: dict[str, set[str]], cand, r: int) -> list[tuple[str, ..
 
     Ordered extension on an explicit stack: a partial clique grows only by
     later candidates adjacent to all of its members, so each clique is
-    built once.
+    built once.  A partial clique one short of r is closed by each of its
+    candidates, last candidate first, with no list of later ones.
     """
+    if r == 0:
+        return [()]
     out: list[tuple[str, ...]] = []
     stack: list[tuple[tuple[str, ...], list[str]]] = [((), sorted(cand))]
     while stack:
         base, rest = stack.pop()
-        if len(base) == r:
-            out.append(base)
+        if len(base) + 1 == r:
+            out += [base + (v,) for v in reversed(rest)]
             continue
         for i, v in enumerate(rest):
             later = [u for u in rest[i + 1 :] if u in adj[v]]
@@ -172,14 +175,18 @@ def clique_percolation(edges, k: int) -> tuple[list[tuple], list[float], list[tu
     merges: list[tuple[int, int, float]] = []
     owner: dict[tuple, int] = {}
     for u, v, w in edges:
-        for rest in cliques_within(adj, adj[u] & adj[v], k - 2):
-            q = len(cliques)
-            cliques.append(tuple(sorted((u, v, *rest))))
-            births.append(w)
-            for facet in combinations(cliques[q], k - 1):
-                first = owner.setdefault(facet, q)
-                if first != q:
-                    merges.append((q, first, w))
+        common = adj[u] & adj[v]
+        # every edge is a 2-clique; above k = 2 an edge with no common
+        # neighbour closes none
+        if common or k == 2:
+            for rest in cliques_within(adj, common, k - 2):
+                q = len(cliques)
+                cliques.append(tuple(sorted((u, v, *rest))))
+                births.append(w)
+                for facet in combinations(cliques[q], k - 1):
+                    first = owner.setdefault(facet, q)
+                    if first != q:
+                        merges.append((q, first, w))
         adj[u].add(v)
         adj[v].add(u)
     return cliques, births, merges

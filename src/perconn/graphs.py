@@ -13,9 +13,10 @@ The text format is line oriented::
     v <u> <weight>
 
 One reader checks each record in one pass and gives two outputs:
-``parse_indexed_graph`` the engine's indexed form ``(criticals, births,
-edges)``, which ``persistence.index_diagram`` sweeps directly, and
-``parse_weighted_graph`` the WeightedGraph, for commands that need names.
+``parse_indexed_graph`` the engine's indexed form ``(births, edges)``,
+which ``persistence.index_diagram`` sweeps directly with no list of
+critical values, and ``parse_weighted_graph`` the WeightedGraph, for
+commands that need names or tabulate every critical value.
 
 Serialization is canonical: explicit vertex lines sorted by vertex id,
 then edge lines sorted by endpoint pair.  Weights are rendered with the
@@ -207,8 +208,9 @@ def build_filtration(wg: WeightedGraph) -> Filtration:
 
 
 def format_weight(x: float) -> str:
-    """Shortest decimal string that parses back to exactly ``x``."""
-    s = repr(float(x))
+    """Shortest decimal string that parses back to exactly ``x``; -0.0
+    prints as 0, as every reader reads it, so equal values print alike."""
+    s = repr(float(x) + 0.0)
     return s[:-2] if s.endswith(".0") else s
 
 
@@ -287,14 +289,12 @@ def _read_records(text: str):
     return index, births, edges, explicit
 
 
-def parse_indexed_graph(text: str) -> tuple[list[float], list[float], list[tuple[int, int, float]]]:
-    """Parse the edge-list format to ``(criticals, births, edges)``: the
-    sorted distinct weights, the vertex weights and the ``(u, v, w)`` edges
-    on vertex indices.  Raises FormatError with line numbers."""
+def parse_indexed_graph(text: str) -> tuple[list[float], list[tuple[int, int, float]]]:
+    """Parse the edge-list format to ``(births, edges)``: the vertex weights
+    and the ``(u, v, w)`` edges on vertex indices.  Raises FormatError with
+    line numbers."""
     _, births, edges, _ = _read_records(text)
-    weights = set(births)
-    weights.update([w for _, _, w in edges])
-    return sorted(weights), births, edges
+    return births, edges
 
 
 def parse_weighted_graph(text: str) -> WeightedGraph:

@@ -15,7 +15,8 @@ Diagrams come from one elder-rule sweep over such a forest: a union-find
 whose root is the eldest node of its class, where a union at value
 w ends the younger class's bar (birth, w) and every class left at the end
 gives (birth, inf).  One engine feeds it from a filtered graph on integer
-vertices, ``index_diagram``: the CLI calls it on the indexed form that
+vertices, ``index_diagram``: the CLI calls it on the indexed form, vertex
+births and weighted edges with no list of critical values, that
 ``graphs.parse_indexed_graph`` reads straight from the text, and
 ``graph_diagram`` (on a Filtration) and ``quivers.gq_persistence`` (on the
 weighted orbit graph of a G-quiver) call it too.  It sweeps the merge
@@ -26,11 +27,13 @@ the merges come from ``connectivity.edge_block_merges``: the blocks of
 each level are unions of the previous level's, so a block that merges
 others at c_j ends all of them but the eldest there, exactly as in the
 successor forest of the per-level blocks, whose earliest descendant level
-is the earliest birth among the block's vertices.  Only vertex blocks at
-k >= 3 build levels: the successor maps of the per-level maximal vertex
-sets of ``connectivity.block_levels``, which carries the blocks that no
-entering edge touches, where each set is tested only against the next
-level's sets that hold one of its members.
+is the earliest birth among the block's vertices.  Blocks at k >= 3 take
+their levels at the distinct edge weights alone, as a value where no edge
+enters changes no block.  Only vertex blocks at k >= 3 build levels: the
+successor maps of the per-level maximal vertex sets of
+``connectivity.block_levels``, which carries the blocks that no entering
+edge touches, where each set is tested only against the next level's sets
+that hold one of its members.
 
 Births and deaths are always critical values of the filtration.
 
@@ -234,7 +237,7 @@ def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
     before any level is listed, past GRID_CAP critical values."""
     if len(filt.criticals) > GRID_CAP:
         raise CapExceeded(f"persistence grid limited to {GRID_CAP} critical values, got {len(filt.criticals)}")
-    return tabulate_persistence(filt.criticals, block_levels(*_indexed(filt), spec))
+    return tabulate_persistence(filt.criticals, block_levels(filt.criticals, *_indexed(filt), spec))
 
 
 def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]) -> Diagram:
@@ -286,28 +289,35 @@ def _forest_diagram(criticals: Sequence[float], levels) -> Diagram:
     return elder_rule(births, merges)
 
 
-def index_diagram(criticals: Sequence[float], births: Sequence[float], edges, spec) -> Diagram:
+def index_diagram(births: Sequence[float], edges, spec) -> Diagram:
     """Persistence diagram of a filtered graph on vertices 0..n-1, by one
     elder-rule sweep of ``connectivity.merge_forest`` for ``spec`` (see the
     module docstring).
 
     Vertex i is born at ``births[i]``; each (u, v, w) edge enters at w, no
-    earlier than its ends.  ``criticals`` are the filtration's critical
-    values: blocks at k >= 3 take their levels there.
+    earlier than its ends.  Blocks at k >= 3 take their levels at the
+    distinct edge weights: a level where no edge enters changes no block
+    (the locality lemma in the ``connectivity`` docstring), so a critical
+    value that only a vertex reaches would add only zero-length bars, which
+    the elder rule drops.  The other forests merge at the edge weights and
+    read no levels.
     """
-    if spec.kind == "vertex_block" and spec.k > 2:
-        return _forest_diagram(criticals, block_levels(criticals, births, edges, spec))
-    node_births, merges, _ = merge_forest(criticals, births, edges, spec)
+    levels = ()
+    if spec.kind in ("vertex_block", "edge_block") and spec.k > 2:
+        levels = sorted({w for _, _, w in edges})
+        if spec.kind == "vertex_block":
+            return _forest_diagram(levels, block_levels(levels, births, edges, spec))
+    node_births, merges, _ = merge_forest(levels, births, edges, spec)
     return elder_rule(node_births, merges)
 
 
-def _indexed(filt: Filtration) -> tuple[Sequence[float], list[float], list[tuple[int, int, float]]]:
-    """The critical values of a graph filtration, and its weighted graph on
-    vertex indices: the vertex births and the (u, v, w) edges."""
+def _indexed(filt: Filtration) -> tuple[list[float], list[tuple[int, int, float]]]:
+    """The weighted graph of a filtration on vertex indices: the vertex
+    births and the (u, v, w) edges."""
     wg = filt.source
     index = {v: i for i, v in enumerate(wg.vertex_weights)}
     edges = [(index[u], index[v], w) for (u, v), w in wg.edge_weights.items()]
-    return filt.criticals, list(wg.vertex_weights.values()), edges
+    return list(wg.vertex_weights.values()), edges
 
 
 def graph_diagram(filt: Filtration, spec) -> Diagram:
@@ -441,7 +451,7 @@ def serialize_diagram(d: Diagram) -> str:
 def parse_diagram(text: str) -> Diagram:
     """Parse 'birth death multiplicity' records; raises FormatError with line
     numbers.  Each record is checked once, and repeated (birth, death) pairs
-    add up their multiplicities."""
+    add up their multiplicities; -0 reads as 0, whatever the line order."""
     acc: dict[tuple[float, float], int] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -451,8 +461,8 @@ def parse_diagram(text: str) -> Diagram:
         if len(parts) != 3:
             raise FormatError("diagram record must be '<birth> <death> <multiplicity>'", ln)
         try:
-            birth = float(parts[0])
-            death = math.inf if parts[1] == "inf" else float(parts[1])
+            birth = float(parts[0]) + 0.0  # -0.0 becomes 0.0, so one key holds both zeros
+            death = math.inf if parts[1] == "inf" else float(parts[1]) + 0.0
             mult = int(parts[2])
         except ValueError:
             raise FormatError(f"bad diagram record {line!r}", ln) from None

@@ -323,8 +323,7 @@ def gq_persistence_function(gq: GQuiver, cls: EquivariantClass) -> PersistenceFu
 def gq_persistence(gq: GQuiver, cls: EquivariantClass) -> Diagram:
     """Diagram of the orbit filtration: the graph diagram of its weighted
     orbit graph."""
-    _, _, *graph = _orbit_graph(*_records(gq), cls)
-    return index_diagram(*graph)
+    return index_diagram(*_orbit_graph(*_records(gq), cls)[3:])
 
 
 def underlying_weighted_graph(q: Quiver, weight: float = 1.0):
@@ -389,11 +388,12 @@ def parse_gquiver(text: str) -> GQuiver:
 
 
 def parse_orbit_graph(text: str, cls: EquivariantClass):
-    """The text read straight to ``(criticals, births, edges, spec)`` of its
-    weighted orbit graph for ``index_diagram``; errors as ``parse_gquiver``."""
+    """The text read straight to ``(births, edges, spec)`` of its weighted
+    orbit graph for ``index_diagram``, which needs no critical values;
+    errors as ``parse_gquiver``."""
     records = _read_gquiver(text)
     _check_action(*records, FormatError)
-    return _orbit_graph(*records, cls)[2:]
+    return _orbit_graph(*records, cls)[3:]
 
 
 def serialize_gquiver(gq: GQuiver) -> str:

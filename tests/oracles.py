@@ -11,7 +11,9 @@ pseudodistance oracle enumerates every vertex bijection, and the poset
 isomorphism oracle every element bijection.  Successor forests are found
 by scanning every component pair of adjacent levels, and the blocks of a
 filtered graph by running a provider from scratch on every level; the elder
-rule keeps every class as an explicit vertex set.  The graph reader is the
+rule keeps every class as an explicit vertex set.  Cliques are listed by
+ordered extension with every partial clique's later candidates, and clique
+percolation lists them on every edge.  The graph reader is the
 record-by-record loop that builds name-keyed dicts and derives the vertex
 weights in a second pass over the edges.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
@@ -24,6 +26,7 @@ orbits come from a union-find, and its weighted orbit graph from those.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from itertools import accumulate, chain, combinations, permutations
@@ -175,6 +178,45 @@ def _all_k_cliques(g: pc.SimpleGraph, k: int) -> list[frozenset[str]]:
         if all(tuple(sorted((a, b))) in es for a, b in combinations(combo, 2)):
             out.append(frozenset(combo))
     return out
+
+
+def oracle_cliques_within(adj, cand, r: int) -> list[tuple]:
+    """All r-cliques inside the vertex set cand, as sorted tuples, in the
+    order the library lists them: ordered extension on an explicit stack,
+    where every partial clique, one short of r too, gets its list of later
+    candidates adjacent to all of its members."""
+    out = []
+    stack = [((), sorted(cand))]
+    while stack:
+        base, rest = stack.pop()
+        if len(base) == r:
+            out.append(base)
+            continue
+        for i, v in enumerate(rest):
+            later = [u for u in rest[i + 1 :] if u in adj[v]]
+            if len(base) + 1 + len(later) >= r:
+                stack.append((base + (v,), later))
+    return out
+
+
+def oracle_clique_percolation(edges, k: int):
+    """Sequential clique percolation as ``cuts.clique_percolation`` runs it,
+    with ``oracle_cliques_within`` called on every edge, common neighbours
+    or not."""
+    adj = defaultdict(set)
+    cliques, births, merges, owner = [], [], [], {}
+    for u, v, w in edges:
+        for rest in oracle_cliques_within(adj, adj[u] & adj[v], k - 2):
+            q = len(cliques)
+            cliques.append(tuple(sorted((u, v, *rest))))
+            births.append(w)
+            for facet in combinations(cliques[q], k - 1):
+                first = owner.setdefault(facet, q)
+                if first != q:
+                    merges.append((q, first, w))
+        adj[u].add(v)
+        adj[v].add(u)
+    return cliques, births, merges
 
 
 def _cliques_chained(cliques: list[frozenset[str]], k: int) -> bool:
@@ -849,7 +891,7 @@ def oracle_orbits(gq: pc.GQuiver) -> tuple[list[frozenset[str]], list[frozenset[
 
 
 def oracle_orbit_graph(gq: pc.GQuiver, cls: pc.EquivariantClass):
-    """``(criticals, births, edges, spec)`` of the weighted orbit graph, built
+    """``(births, edges, spec)`` of the weighted orbit graph, built
     on the GQuiver from its union-find orbits: each orbit born at its size,
     adjacent orbits joined at the least entry of the arrow orbits between
     them, each multi-vertex orbit k twins for ``fixed_vertex_deletion:k``."""
@@ -857,12 +899,10 @@ def oracle_orbit_graph(gq: pc.GQuiver, cls: pc.EquivariantClass):
     where = {v: i for i, orb in enumerate(vorbs) for v in orb}
     size = [float(len(orb)) for orb in vorbs]
     am = gq.quiver.arrow_map()
-    criticals = set(size)
     joins: dict[tuple[int, int], float] = {}
     for orb in aorbs:
         a, b = sorted(where[v] for v in am[min(orb)])
         entry = max(float(len(orb)), size[a], size[b])
-        criticals.add(entry)
         if a != b:
             joins[a, b] = min(joins.get((a, b), entry), entry)
     k = 1 if cls.kind == "isomorphisms" else cls.k
@@ -875,4 +915,4 @@ def oracle_orbit_graph(gq: pc.GQuiver, cls: pc.EquivariantClass):
     edges = [(s, t, size[i]) for i, ts in enumerate(twins) for s, t in combinations(ts, 2)]
     edges += [(s, t, w) for (a, b), w in joins.items() for s in twins[a] for t in twins[b]]
     spec = pc.PropertySpec("components") if k == 1 else pc.PropertySpec("vertex_block", k)
-    return sorted(criticals), [size[i] for i in owner], edges, spec
+    return [size[i] for i in owner], edges, spec

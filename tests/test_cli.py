@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -60,6 +61,11 @@ def test_one_parser_serves_every_call_alike(tmp_path):
         ["--help"],
         ["diagram", "--help"],
         ["distance", str(good)],
+        ["diagram", "--property", "components", str(good), "extra"],
+        ["diagram", "--property", "components", "--", str(good)],
+        ["frobnicate", str(good)],
+        [],
+        ["diagram", "-h"],
         ["diagram", "--property", "components", str(good)],
     ]
     res = subprocess.run(
@@ -69,8 +75,49 @@ def test_one_parser_serves_every_call_alike(tmp_path):
     shared = json.loads(res.stdout)
     fresh = [[r.stdout, r.stderr, r.returncode] for r in (run_cli(*argv) for argv in argvs)]
     assert shared == fresh
-    assert [code for _, _, code in shared] == [0, 2, 1, 0, 0, 2, 0]
-    assert shared[0] == shared[-1] == ["1 2 1\n1 inf 1\n", "", 0]
+    assert [code for _, _, code in shared] == [0, 2, 1, 0, 0, 2, 2, 0, 2, 2, 0, 0]
+    assert shared[0] == shared[7] == shared[-1] == ["1 2 1\n1 inf 1\n", "", 0]
+    assert shared[6][1].endswith("perconn: error: unrecognized arguments: extra\n")
+    assert "invalid choice: 'frobnicate'" in shared[8][1]
+    assert shared[9][1].endswith("perconn: error: the following arguments are required: command\n")
+    assert shared[10][0] == shared[4][0] and shared[10][0].startswith("usage: perconn diagram [-h]")
+
+
+# What the top parser prints for leftovers after a command's own arguments,
+# at 80 columns.
+UNRECOGNIZED = """\
+usage: perconn [-h]
+               {diagram,components,distance,pseudodistance,verify,quiver-diagram,plot}
+               ...
+perconn: error: unrecognized arguments: extra1 --bogus
+"""
+
+
+def test_leftovers_after_a_command_are_the_top_parsers_error(tmp_path):
+    good = tmp_path / "g.txt"
+    good.write_text(GRAPH)
+    env = {**os.environ, "COLUMNS": "80"}
+    res = run_cli("diagram", "--property", "components", str(good), "extra1", "--bogus", env=env)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", UNRECOGNIZED)
+    res = run_cli("quiver-diagram", "--class", "isomorphisms", str(good), "extra1", "--bogus", env=env)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", UNRECOGNIZED)
+
+
+def test_a_diagram_job_skips_the_top_parser(tmp_path, monkeypatch, capsys):
+    # a command's argv goes straight to its subparser: one parse per job
+    src = tmp_path / "g.txt"
+    src.write_text(GRAPH)
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert cli.main(["diagram", "--property", "components", str(src)]) == 0
+    assert capsys.readouterr().out == "1 2 1\n1 inf 1\n"
+    assert calls == ["perconn diagram"]
 
 
 # Counts ArgumentParser constructions: after import, after one call, after three.

@@ -560,6 +560,39 @@ def test_clique_percolation_finds_each_clique_once(k, seed=113):
     assert found > 100
 
 
+def test_cliques_within_lists_the_oracle_cliques_in_its_order(seed=127):
+    # the last level closes each partial clique with no list of later
+    # candidates; the cliques and their order stay the oracle's
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(80):
+        g = random_weighted_graph(rng, max_vertices=10, edge_prob=(0.3, 0.9)).graph
+        adj = g.adjacency()
+        cand = {v for v in g.vertices if rng.random() < 0.8}
+        for r in range(4):
+            got = cuts.cliques_within(adj, cand, r)
+            assert got == oracles.oracle_cliques_within(adj, cand, r), (sorted(g.edges), sorted(cand), r)
+            found += len(got)
+    assert found > 500
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_clique_percolation_matches_the_oracle_sweep(k, seed=131):
+    # the same cliques, births and merges, in the same order, as the sweep
+    # that lists every edge's cliques with the oracle
+    rng = random.Random(seed + k)
+    found = 0
+    for _ in range(60):
+        g = random_weighted_graph(rng, max_vertices=10, edge_prob=(0.4, 0.9)).graph
+        edges = sorted(g.edges)
+        rng.shuffle(edges)
+        weighted = [(u, v, float(i // 3)) for i, (u, v) in enumerate(edges)]
+        got = cuts.clique_percolation(weighted, k)
+        assert got == oracles.oracle_clique_percolation(weighted, k), (weighted, k)
+        found += len(got[0])
+    assert found > 60
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_clique_communities_match_networkx_levels(k):
     nx = pytest.importorskip("networkx")

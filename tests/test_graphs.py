@@ -195,8 +195,7 @@ def _same_reading(text: str) -> None:
     assert repr(list(got.vertex_weights.items())) == repr(list(want.vertex_weights.items()))
     assert repr(list(got.edge_weights.items())) == repr(list(want.edge_weights.items()))
     index = {v: i for i, v in enumerate(want.vertex_weights)}
-    criticals, births, edges = pc.parse_indexed_graph(text)
-    assert criticals == list(pc.build_filtration(want).criticals)
+    births, edges = pc.parse_indexed_graph(text)
     assert repr(births) == repr(list(want.vertex_weights.values()))
     assert edges == [(index[u], index[v], w) for (u, v), w in want.edge_weights.items()]
 
@@ -215,5 +214,5 @@ def test_reader_errors_match_the_oracle_on_corrupted_texts(seed=29):
 
 def test_indexed_reader_on_empty_and_comment_only_texts():
     for text in ["", "\n", "# nothing\n\n  \n"]:
-        assert pc.parse_indexed_graph(text) == ([], [], [])
-    assert pc.parse_indexed_graph("v z -0\ne b a 2\nv a 1\n") == ([0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [(0, 1, 2.0)])
+        assert pc.parse_indexed_graph(text) == ([], [])
+    assert pc.parse_indexed_graph("v z -0\ne b a 2\nv a 1\n") == ([1.0, 2.0, 0.0], [(0, 1, 2.0)])

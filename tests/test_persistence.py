@@ -106,6 +106,27 @@ def test_indexed_reader_gives_the_filtration_diagram(seed=43):
             assert pc.index_diagram(*pc.parse_indexed_graph(text), spec) == pc.graph_diagram(filt, spec), spec
 
 
+def test_block_diagrams_level_at_edge_weights_alone(seed=47):
+    # blocks at k >= 3 take levels at the edge weights only: a critical value
+    # that only a vertex reaches (a v record below its incident minimum, an
+    # isolated vertex) changes no block, so the diagram is the one read off
+    # the table over every critical value
+    rng = random.Random(seed)
+    vertex_only = blocks = 0
+    for _ in range(80):
+        text = random_graph_text(rng, max_vertices=12)
+        filt = pc.build_filtration(pc.parse_weighted_graph(text))
+        births, edges = pc.parse_indexed_graph(text)
+        vertex_only += len(set(filt.criticals) - {w for _, _, w in edges})
+        for spec in [pc.PropertySpec(kind, k) for kind in ("vertex_block", "edge_block") for k in (3, 4)]:
+            d = pc.index_diagram(births, edges, spec)
+            assert d == pc.graph_diagram(filt, spec), (spec, text)
+            assert d == pc.extract_diagram(pc.persistence_function(filt, spec)), (spec, text)
+            if spec.kind == "vertex_block":
+                blocks += len(d.points)
+    assert vertex_only > 40 and blocks > 40, (vertex_only, blocks)
+
+
 def test_persistence_function_refuses_a_grid_before_listing_levels(monkeypatch):
     def no_levels(*args):
         raise AssertionError("levels listed past the grid cap")
@@ -569,3 +590,16 @@ def test_parse_diagram_aggregates_repeated_records():
         (0.5, 1.0, 1),
         (1.0, 2.0, 3),
     ]
+
+
+def test_parse_diagram_reads_signed_zeros_as_zero():
+    # either line order gives one key (0, 1), printed with a plain 0
+    for text in ["-0 1 1\n0 1 1\n", "0 1 1\n-0 1 1\n"]:
+        d = pc.parse_diagram(text)
+        assert pc.serialize_diagram(d) == "0 1 2\n", text
+        assert math.copysign(1.0, d.points[0].birth) == 1.0, text
+    d = pc.parse_diagram("-1 -0 1\n")
+    assert pc.serialize_diagram(d) == "-1 0 1\n"
+    assert math.copysign(1.0, d.points[0].death) == 1.0
+    # a hand-built -0.0 prints as the reader reads it back
+    assert pc.serialize_diagram(pc.diagram([pc.Cornerpoint(-1.0, -0.0)])) == "-1 0 1\n"

@@ -430,3 +430,24 @@ def test_quotient_refuses_colliding_orbit_labels():
     gq = pc.gquiver(["p", "q"], [("x", "p", "q"), ("y", "p", "q"), ("x|y", "p", "q")], [({}, {"x": "y", "y": "x"})])
     with pytest.raises(pc.QuiverError, match=r"^two arrow orbits share the label 'x\|y'$"):
         pc.quotient(gq)
+
+
+@pytest.mark.parametrize("kind", ["orbit_deletion", "fixed_vertex_deletion"])
+def test_k3_quiver_diagrams_skip_values_no_edge_enters(kind, seed=167):
+    # the engine levels k = 3 blocks of the orbit graph at its edge weights;
+    # the quiver's other critical values, where only an orbit is born or an
+    # arrow inside one enters, add no point to the per-level diagram
+    rng = random.Random(seed)
+    cls = pc.EquivariantClass(kind, 3)
+    skipped = points = 0
+    for _ in range(100):
+        gq = random_s3_gquiver(rng) if rng.random() < 0.5 else random_gquiver(rng, max_vertices=12, max_arrows=20)
+        if not gq.quiver.vertices:
+            continue
+        _, edges, _ = pc.parse_orbit_graph(pc.serialize_gquiver(gq), cls)
+        pf = pc.gq_persistence_function(gq, cls)
+        skipped += len(set(pf.criticals) - {w for _, _, w in edges})
+        d = pc.gq_persistence(gq, cls)
+        assert d == oracles.oracle_gq_persistence(gq, cls) == pc.extract_diagram(pf), pc.serialize_gquiver(gq)
+        points += len(d.points)
+    assert skipped > 30 and points > 30, (skipped, points)
