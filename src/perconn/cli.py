@@ -24,7 +24,7 @@ from .graphs import (
     parse_indexed_graph,
     parse_weighted_graph,
 )
-from .metrics import bottleneck_distance, natural_pseudodistance
+from .metrics import bottleneck_of_records, indexed_pseudodistance
 from .persistence import (
     Diagram,
     PersistenceFunction,
@@ -33,6 +33,7 @@ from .persistence import (
     extract_diagram,
     index_diagram,
     parse_diagram,
+    parse_diagram_records,
     persistence_function,
     serialize_diagram,
 )
@@ -175,17 +176,17 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    d1 = parse_diagram(_read(args.first))
-    d2 = parse_diagram(_read(args.second))
-    dist = bottleneck_distance(d1, d2)
+    r1 = parse_diagram_records(_read(args.first))
+    r2 = parse_diagram_records(_read(args.second))
+    dist = bottleneck_of_records(r1, r2)
     print("inf" if math.isinf(dist) else f"{dist:.12g}")
     return EXIT_OK
 
 
 def _cmd_pseudodistance(args) -> int:
-    w1 = parse_weighted_graph(_read(args.first))
-    w2 = parse_weighted_graph(_read(args.second))
-    dist = natural_pseudodistance(w1, w2, vertex_cap=args.cap)
+    g1 = parse_indexed_graph(_read(args.first))
+    g2 = parse_indexed_graph(_read(args.second))
+    dist = indexed_pseudodistance(g1, g2, vertex_cap=args.cap)
     print("inf" if math.isinf(dist) else f"{dist:.12g}")
     return EXIT_OK
 

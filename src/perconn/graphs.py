@@ -13,10 +13,12 @@ The text format is line oriented::
     v <u> <weight>
 
 One reader checks each record in one pass and gives two outputs:
-``parse_indexed_graph`` the engine's indexed form ``(births, edges)``,
-which ``persistence.index_diagram`` sweeps directly with no list of
-critical values, and ``parse_weighted_graph`` the WeightedGraph, for
-commands that need names or tabulate every critical value.
+``parse_indexed_graph`` the indexed form ``(births, edges)``, which
+``persistence.index_diagram`` sweeps directly with no list of critical
+values and ``metrics.indexed_pseudodistance`` searches as is, and
+``parse_weighted_graph`` the WeightedGraph, for commands that need names
+or tabulate every critical value.  ``indexed_graph`` gives a WeightedGraph's
+indexed form.
 
 Serialization is canonical: explicit vertex lines sorted by vertex id,
 then edge lines sorted by endpoint pair.  Weights are rendered with the
@@ -174,6 +176,14 @@ def _assemble(ew: dict[tuple[str, str], float], vw: dict[str, float], explicit: 
     object.__setattr__(g, "vertices", frozenset(vw))
     object.__setattr__(g, "edges", frozenset(ew))
     return WeightedGraph(g, ew, vw, frozenset(explicit))
+
+
+def indexed_graph(wg: WeightedGraph) -> tuple[list[float], list[tuple[int, int, float]]]:
+    """A weighted graph on vertex indices, in the order of its vertex
+    weights: the vertex births and the (u, v, w) edges."""
+    index = {v: i for i, v in enumerate(wg.vertex_weights)}
+    edges = [(index[u], index[v], w) for (u, v), w in wg.edge_weights.items()]
+    return list(wg.vertex_weights.values()), edges
 
 
 def critical_values(wg: WeightedGraph) -> list[float]:

@@ -19,6 +19,14 @@ first.  Cornerpoints at infinity may only match each other (at the
 difference of births, optimally in sorted order); the distance is infinite
 when the counts of infinite points differ.
 
+Diagrams enter as (birth, death) -> multiplicity records: ``distance``
+hands over the records that ``persistence.parse_diagram_records`` reads
+straight from the text (``bottleneck_of_records``), and
+``bottleneck_distance`` reads a Diagram's cornerpoints into the same form.
+``POINT_CAP`` is checked on their total multiplicity before any point is
+built; the records then expand to sorted points, and the kernel scans
+parallel lists of births and deaths.
+
 The natural pseudodistance between two weighted graphs is the minimum over
 isomorphisms of their underlying final graphs of the largest weight
 difference across matched vertices and edges.  An isomorphism pairs the
@@ -26,10 +34,14 @@ vertex weights and the edge weights one to one, and in one dimension the
 sorted pairing has the least largest gap, so the larger of the two sorted
 gaps is a lower bound; it is tried first, and a success there also proves the
 graphs isomorphic.  Each threshold is decided by a backtracking isomorphism
-search constrained to it (``isomorphic_within``), whose set-up is built once
-per pair.  The search runs on an explicit stack and requires the images of
-twin vertices to increase along its visit order, which loses no
-isomorphism's cost.
+search constrained to it (``indexed_isomorphic_within``), whose set-up is
+built once per pair.  It runs on vertex indices: each graph is its vertex
+births and (u, v, w) edges, as ``graphs.parse_indexed_graph`` reads them for
+``pseudodistance`` (``indexed_pseudodistance``) and ``graphs.indexed_graph``
+takes them from a WeightedGraph, with neighbour rows {neighbour: weight}.
+The search runs on an explicit stack and requires the images of twin
+vertices to increase along its visit order, which loses no isomorphism's
+cost.
 
 When a lower bound fails, both searches climb from it (``_climb``): they
 probe thresholds at the tops of bands that double in width, and list and
@@ -40,10 +52,11 @@ n1 * n2 candidate set, and seeds each threshold with the maximum matching of
 the last infeasible one.
 
 The same search decides poset isomorphism (``posets.poset_isomorphic``) at
-h = 0 on comparability graphs, each element weighted by the size of its
-down-set.  Of two comparable elements the lower one has the strictly smaller
-down-set, so a weight-preserving isomorphism of the comparability graphs maps
-each comparable pair in its order: it is exactly an order isomorphism.
+h = 0 on comparability graphs over element indices, each element born at
+the size of its down-set.  Of two comparable elements the lower one has the
+strictly smaller down-set, so a weight-preserving isomorphism of the
+comparability graphs maps each comparable pair in its order: it is exactly
+an order isomorphism.
 """
 
 from __future__ import annotations
@@ -54,39 +67,38 @@ from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
-from .graphs import CapExceeded, WeightedGraph, weighted_graph
+from .graphs import CapExceeded, WeightedGraph, indexed_graph, weighted_graph
 from .persistence import Diagram
 
 Point = tuple[float, float]
 MatchPair = tuple[Optional[Point], Optional[Point]]
+Records = dict[Point, int]
+IndexedGraph = tuple[list[float], list[tuple[int, int, float]]]
 
 
 # No search builds the n1 * n2 candidate set; each probe holds only the edges
-# within its threshold.  On a 2-core Xeon with CPython 3.11, a 2,000 + 2,000
-# point pair decided at its lower bound takes 0.08-0.12 s and peaks at 5.4 MiB
-# (tracemalloc) against a perturbed copy, and 0.19-0.28 s and 51 MiB against an
-# independent diagram; at the cap, a perturbed pair whose lower bound fails
-# takes 1.1-1.3 s and 22 MiB.  The edges grow with the distance: an
-# independent 2,000 + 2,000 pair whose bound fails takes 6-8 s and 119 MiB.
+# within its threshold.  On a 2-core Xeon with CPython 3.11 (CPU time, three
+# runs), a 2,000 + 2,000 point pair decided at its lower bound takes
+# 0.11-0.15 s and peaks at 3.8 MiB (tracemalloc) against a perturbed copy, and
+# 0.36-0.42 s and 93 MiB against an independent diagram whose bound is 3.6; at
+# the cap, a perturbed 2,500 + 2,500 pair whose lower bound fails takes
+# 0.74-1.11 s and 14 MiB.  The edges grow with the distance: an independent
+# 2,000 + 2,000 pair whose bound fails takes 4.2-5.1 s and 72 MiB.
 # Multiplicities count, since every unit becomes its own point.
 POINT_CAP = 5000
 
 
-def _expand(d: Diagram) -> tuple[list[Point], list[float]]:
+def _expand(records: Records) -> tuple[list[Point], list[float]]:
+    """The finite points, one per unit of multiplicity and sorted by (birth,
+    death), as the birth windows need, and the sorted births at infinity."""
     finite: list[Point] = []
     inf_births: list[float] = []
-    for p in d.points:
-        for _ in range(p.multiplicity):
-            if p.is_infinite:
-                inf_births.append(p.birth)
-            else:
-                finite.append((p.birth, p.death))
-    finite.sort()  # a no-op on canonical diagrams; the birth windows need it
+    for point, mult in sorted(records.items()):
+        if point[1] == math.inf:
+            inf_births += [point[0]] * mult
+        else:
+            finite += [point] * mult
     return finite, inf_births
-
-
-def _diag_cost(p: Point) -> float:
-    return (p[1] - p[0]) / 2.0
 
 
 def _hopcroft_karp(adj: list[list[int]], match_right: list[int]) -> bool:
@@ -191,46 +203,66 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
         return 0.0, []
     n1, n2 = len(f1), len(f2)
     births1 = [b for b, _ in f1]
+    deaths1 = [d for _, d in f1]
     births2 = [b for b, _ in f2]
     deaths2 = [d for _, d in f2]
-    half1 = [_diag_cost(p) for p in f1]
-    half2 = [_diag_cost(q) for q in f2]
+    half1 = [(d - b) / 2.0 for b, d in f1]
+    half2 = [(d - b) / 2.0 for b, d in f2]
     # the cost is symmetric bit for bit: fl(a - b) == -fl(b - a)
-    lb = _raise_bound(_raise_bound(-math.inf, f1, half1, f2, births2), f2, half2, f1, births1)
+    lb = _raise_bound(-math.inf, births1, deaths1, half1, births2, deaths2)
+    lb = _raise_bound(lb, births2, deaths2, half2, births1, deaths1)
 
-    def edges(h: float) -> list[list[int]]:
-        # point i's neighbours in f2 at h, in index order; computed gaps are
-        # monotone in sorted births, so [lo, hi) holds exactly the births
-        # within h of b1, and there cost <= h is the death gap <= h
+    def adjacency(h: float) -> list[list[int]]:
+        # left adjacency at h: point i's neighbours in f2 in index order, then
+        # its own slot n2 + i; then each slot j of f2, its own point j first.
+        # Computed gaps are monotone in sorted births, so [lo, hi) holds
+        # exactly the births within h of b1, and there cost <= h is the death
+        # gap <= h
         points: list[list[int]] = []
+        slots: list[list[int]] = [[j] if half2[j] <= h else [] for j in range(n2)]
         lo = hi = 0
-        for b1, d1 in f1:
+        for i, (b1, d1) in enumerate(f1):
             while lo < n2 and b1 - births2[lo] > h:
                 lo += 1
             while hi < n2 and births2[hi] - b1 <= h:
                 hi += 1
-            points.append([j for j in range(lo, hi) if abs(d1 - deaths2[j]) <= h])
-        return points
+            slot = n2 + i
+            if hi - lo > 24:  # a comprehension's set-up pays off on wide windows only
+                cols = [j for j in range(lo, hi) if -h <= d1 - deaths2[j] <= h]
+                for j in cols:
+                    slots[j].append(slot)
+            else:
+                cols = []
+                j = lo
+                while j < hi:
+                    if -h <= d1 - deaths2[j] <= h:
+                        cols.append(j)
+                        slots[j].append(slot)
+                    j += 1
+            if half1[i] <= h:
+                cols.append(slot)
+            points.append(cols)
+        return points + slots
 
     def band(lo: float, hi: float) -> list[float]:
         found = {c for c in chain(half1, half2) if lo < c <= hi}
-        for (b1, d1), cols in zip(f1, edges(hi)):
-            found.update(c for j in cols if (c := max(abs(b1 - births2[j]), abs(d1 - deaths2[j]))) > lo)
+        for b1, d1, cols in zip(births1, deaths1, adjacency(hi)):
+            for j in cols:
+                if j < n2:
+                    c = abs(b1 - births2[j])
+                    dc = abs(d1 - deaths2[j])
+                    if dc > c:
+                        c = dc
+                    if c > lo:
+                        found.add(c)
         return sorted(found)
 
     seed = best = [-1] * (n1 + n2)
 
     def feasible(h: float) -> bool:
         nonlocal seed, best
-        points = edges(h)
-        slots: list[list[int]] = [[j] if half2[j] <= h else [] for j in range(n2)]
-        for i, cols in enumerate(points):
-            for j in cols:
-                slots[j].append(n2 + i)
-            if half1[i] <= h:
-                cols.append(n2 + i)
         match_right = list(seed)
-        perfect = _hopcroft_karp(points + slots, match_right)
+        perfect = _hopcroft_karp(adjacency(h), match_right)
         if perfect:
             best = match_right
         else:
@@ -284,37 +316,57 @@ def _climb(
 
 
 def _raise_bound(
-    lb: float, points: list[Point], halves: list[float], other: list[Point], births: list[float]
+    lb: float, births: list[float], deaths: list[float], halves: list[float],
+    other_births: list[float], other_deaths: list[float],
 ) -> float:
-    """Raise lb to min(half persistence, cheapest cost to ``other``) of each
-    point where that is larger.
+    """Raise lb to min(half persistence, cheapest cost to the other diagram)
+    of each point where that is larger.
 
-    ``births`` are the sorted births of ``other``.  A point's scan walks out
-    both ways from its bisected birth and stops once the birth gap alone
-    reaches its best value so far, since the cost is at least the birth gap.
-    A point whose half persistence is at or below lb is skipped.
+    Both diagrams come as parallel lists, the other one sorted by birth.  A
+    point's scan walks out both ways from its bisected birth and stops once
+    the birth gap alone reaches its best value so far, since the cost is at
+    least the birth gap.  A point whose half persistence is at or below lb
+    is skipped.
     """
-    for (b, d), best in zip(points, halves):
+    n = len(other_births)
+    for b, d, best in zip(births, deaths, halves):
         if best <= lb:
             continue
-        pos = bisect_left(births, b)
-        for scan in (range(pos, len(other)), range(pos - 1, -1, -1)):
-            for j in scan:
-                b2, d2 = other[j]
-                gap = abs(b - b2)
-                if gap >= best:
-                    break
-                cost = abs(d - d2)
-                if cost < best:
-                    best = max(cost, gap)
-        lb = max(lb, best)
+        pos = j = bisect_left(other_births, b)
+        while j < n:
+            gap = other_births[j] - b
+            if gap >= best:
+                break
+            cost = abs(d - other_deaths[j])
+            if cost < best:
+                best = cost if cost > gap else gap
+            j += 1
+        j = pos - 1
+        while j >= 0:
+            gap = b - other_births[j]
+            if gap >= best:
+                break
+            cost = abs(d - other_deaths[j])
+            if cost < best:
+                best = cost if cost > gap else gap
+            j -= 1
+        if best > lb:
+            lb = best
     return lb
 
 
 def bottleneck_distance(d1: Diagram, d2: Diagram) -> float:
     """Min over admissible matchings of the max L-infinity cost; inf when the
     numbers of cornerpoints at infinity differ."""
-    dist, _ = _bottleneck(d1, d2)
+    dist, _ = _bottleneck(_records(d1), _records(d2))
+    return dist
+
+
+def bottleneck_of_records(r1: Records, r2: Records) -> float:
+    """``bottleneck_distance`` of two diagrams given as (birth, death) ->
+    multiplicity records, as ``persistence.parse_diagram_records`` reads
+    them."""
+    dist, _ = _bottleneck(r1, r2)
     return dist
 
 
@@ -326,23 +378,34 @@ def optimal_matching(d1: Diagram, d2: Diagram) -> tuple[float, list[MatchPair]]:
     point appears once per unit of multiplicity.  Raises ValueError when no
     admissible matching exists.
     """
-    dist, pairs = _bottleneck(d1, d2)
+    dist, pairs = _bottleneck(_records(d1), _records(d2))
     if pairs is None:
         raise ValueError("no admissible matching: different numbers of infinite cornerpoints")
     return dist, pairs
 
 
-def _bottleneck(d1: Diagram, d2: Diagram) -> tuple[float, list[MatchPair] | None]:
-    total = d1.total_multiplicity() + d2.total_multiplicity()
+def _records(d: Diagram) -> Records:
+    """The (birth, death) -> multiplicity records of a Diagram's cornerpoints."""
+    records: Records = {}
+    for p in d.points:
+        key = (p.birth, p.death)
+        records[key] = records.get(key, 0) + p.multiplicity
+    return records
+
+
+def _bottleneck(r1: Records, r2: Records) -> tuple[float, list[MatchPair] | None]:
+    """Distance and matching of two record sets.  The total multiplicity is
+    checked against POINT_CAP before any point is built."""
+    total = sum(r1.values()) + sum(r2.values())
     if total > POINT_CAP:
         raise CapExceeded(f"bottleneck distance limited to {POINT_CAP} points, got {total}")
-    f1, i1 = _expand(d1)
-    f2, i2 = _expand(d2)
+    f1, i1 = _expand(r1)
+    f2, i2 = _expand(r2)
     if len(i1) != len(i2):
         return math.inf, None
     inf_pairs: list[MatchPair] = []
     inf_cost = 0.0
-    for b1, b2 in zip(sorted(i1), sorted(i2)):
+    for b1, b2 in zip(i1, i2):
         inf_cost = max(inf_cost, abs(b1 - b2))
         inf_pairs.append(((b1, math.inf), (b2, math.inf)))
     fin_cost, fin_pairs = _finite_bottleneck(f1, f2)
@@ -357,119 +420,142 @@ def _sorted_gap(ws1: Iterable[float], ws2: Iterable[float]) -> float:
 
 def isomorphic_within(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
     """Is there an isomorphism with every matched weight difference <= h?"""
-    search = _isomorphism_search(wg1, wg2)
+    return indexed_isomorphic_within(indexed_graph(wg1), indexed_graph(wg2), h)
+
+
+def indexed_isomorphic_within(g1: IndexedGraph, g2: IndexedGraph, h: float) -> bool:
+    """``isomorphic_within`` of two graphs on vertex indices, each given as
+    its vertex births and (u, v, w) edges."""
+    search = _isomorphism_search(g1, g2)
     return search is not None and search(h)
 
 
-def _isomorphism_search(wg1: WeightedGraph, wg2: WeightedGraph) -> Optional[Callable[[float], bool]]:
-    """The test ``isomorphic_within(wg1, wg2, h)`` as a function of h, or None
-    when the vertex counts, edge counts or degree sequences differ.
+def _isomorphism_search(g1: IndexedGraph, g2: IndexedGraph) -> Optional[Callable[[float], bool]]:
+    """The test ``indexed_isomorphic_within(g1, g2, h)`` as a function of h,
+    or None when the vertex counts, edge counts or degree sequences differ.
 
-    Everything that does not depend on h is built once: both adjacencies,
-    the visit order, g2's vertices by degree and by weight, and the twin
-    classes.  Each threshold then slices the candidate lists and runs the
-    backtracking search.
+    Everything that does not depend on h is built once: both graphs'
+    neighbour rows {neighbour: edge weight}, the visit order, g2's vertices
+    by degree and by weight, and the twin classes.  Each threshold then
+    slices the candidate lists and runs the backtracking search.
     """
-    g1, g2 = wg1.graph, wg2.graph
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    (births1, edges1), (births2, edges2) = g1, g2
+    n = len(births1)
+    if n != len(births2) or len(edges1) != len(edges2):
         return None
-    adj1, adj2 = g1.adjacency(), g2.adjacency()
-    if sorted(map(len, adj1.values())) != sorted(map(len, adj2.values())):
+    adj1, adj2 = _rows(n, edges1), _rows(n, edges2)
+    deg1 = [len(row) for row in adj1]
+    if sorted(deg1) != sorted(map(len, adj2)):
         return None
-    vw1, vw2 = wg1.vertex_weights, wg2.vertex_weights
-    ew1, ew2 = wg1.edge_weights, wg2.edge_weights
 
     # visit order: BFS from high-degree seeds so adjacency constraints bind early
-    order: list[str] = []
-    seen: set[str] = set()
-    for seed in sorted(g1.vertices, key=lambda v: (-len(adj1[v]), v)):
-        if seed in seen:
+    seeds = sorted(range(n), key=lambda v: (-deg1[v], v))
+    rank = [0] * n
+    for r, v in enumerate(seeds):
+        rank[v] = r
+    order: list[int] = []
+    seen = [False] * n
+    for seed in seeds:
+        if seen[seed]:
             continue
         queue = [seed]
-        seen.add(seed)
+        seen[seed] = True
         for u in queue:
-            for w in sorted(adj1[u], key=lambda v: (-len(adj1[v]), v)):
-                if w not in seen:
-                    seen.add(w)
+            for w in sorted(adj1[u], key=rank.__getitem__):
+                if not seen[w]:
+                    seen[w] = True
                     queue.append(w)
         order += queue
 
     # g2's vertices by degree, sorted by weight: each candidate list is one
-    # bisected slice, widened while the exact test still holds (the float
-    # bounds a - h and a + h may round inwards), then sorted by name
-    by_degree: dict[int, tuple[list[float], list[str]]] = {}
-    for v in sorted(g2.vertices, key=lambda v: (vw2[v], v)):
-        ws, names = by_degree.setdefault(len(adj2[v]), ([], []))
-        ws.append(vw2[v])
-        names.append(v)
-    buckets = [(u, vw1[u], *by_degree[len(adj1[u])]) for u in order]
-    twin_before = _previous_twins(wg1, adj1, order)
+    # bisected slice, widened while the exact test still holds and narrowed
+    # while it fails (the float bounds a - h and a + h may round either
+    # way), then sorted by index
+    by_degree: dict[int, tuple[list[float], list[int]]] = {}
+    for v in sorted(range(n), key=lambda v: (births2[v], v)):
+        ws, ids = by_degree.setdefault(len(adj2[v]), ([], []))
+        ws.append(births2[v])
+        ids.append(v)
+    buckets = [(u, births1[u], *by_degree[deg1[u]]) for u in order]
+    twin_before = _previous_twins(births1, adj1, order)
 
     def within(h: float) -> bool:
         if not order:
             return True
-        candidates: dict[str, list[str]] = {}
-        for u, a, ws, names in buckets:
+        candidates: list[list[int]] = [[] for _ in range(n)]
+        for u, a, ws, ids in buckets:
             lo, hi = bisect_left(ws, a - h), bisect_right(ws, a + h)
             while lo > 0 and abs(a - ws[lo - 1]) <= h:
                 lo -= 1
             while hi < len(ws) and abs(a - ws[hi]) <= h:
                 hi += 1
-            cands = sorted(names[k] for k in range(lo, hi) if abs(a - ws[k]) <= h)
-            if not cands:
+            # fl(a - w) is monotone in w, so the weights within h are one run
+            while lo < hi and abs(a - ws[lo]) > h:
+                lo += 1
+            while lo < hi and abs(a - ws[hi - 1]) > h:
+                hi -= 1
+            if lo >= hi:
                 return False
-            candidates[u] = cands
-        mapping: dict[str, str] = {}
-        used: set[str] = set()
+            candidates[u] = sorted(ids[lo:hi])
+        mapping = [-1] * n  # each vertex's image, -1 while unmapped
+        used = [False] * n
 
-        def fits(u: str, v: str) -> bool:
+        def fits(u: int, v: int) -> bool:
             # u's mapped neighbours go to neighbours of v within h; as the
-            # mapping is injective, v then has no other mapped neighbour iff
+            # mapping is injective, v then has no other used neighbour iff
             # the counts agree
             mapped = 0
-            for u2 in adj1[u]:
-                v2 = mapping.get(u2)
-                if v2 is None:
-                    continue
-                if v2 not in adj2[v] or abs(_edge_w(ew1, u, u2) - _edge_w(ew2, v, v2)) > h:
-                    return False
-                mapped += 1
-            return mapped == sum(v2 in used for v2 in adj2[v])
+            row = adj2[v]
+            for u2, w in adj1[u].items():
+                v2 = mapping[u2]
+                if v2 >= 0:
+                    w2 = row.get(v2)
+                    if w2 is None or not -h <= w - w2 <= h:
+                        return False
+                    mapped += 1
+            return mapped == sum(used[v2] for v2 in row)
 
         # depth-first over positions of ``order``; resume[pos] is the index
         # of the next candidate to try for order[pos]
-        resume = [0] * len(order)
+        resume = [0] * n
         pos = 0
         while True:
             u = order[pos]
             cands = candidates[u]
             i = resume[pos]
-            while i < len(cands) and (cands[i] in used or not fits(u, cands[i])):
+            while i < len(cands) and (used[cands[i]] or not fits(u, cands[i])):
                 i += 1
             if i == len(cands):
                 if pos == 0:
                     return False
                 pos -= 1
-                used.remove(mapping.pop(order[pos]))
+                u = order[pos]
+                used[mapping[u]] = False
+                mapping[u] = -1
                 continue
             resume[pos] = i + 1
             mapping[u] = cands[i]
-            used.add(cands[i])
+            used[cands[i]] = True
             pos += 1
-            if pos == len(order):
+            if pos == n:
                 return True
-            twin = twin_before.get(order[pos])
-            resume[pos] = 0 if twin is None else bisect_right(candidates[order[pos]], mapping[twin])
+            twin = twin_before[order[pos]]
+            resume[pos] = 0 if twin < 0 else bisect_right(candidates[order[pos]], mapping[twin])
 
     return within
 
 
-def _edge_w(ew: dict[tuple[str, str], float], a: str, b: str) -> float:
-    return ew[(a, b) if a < b else (b, a)]
+def _rows(n: int, edges: list[tuple[int, int, float]]) -> list[dict[int, float]]:
+    """Neighbour rows {neighbour: edge weight} of a graph on 0..n-1."""
+    rows: list[dict[int, float]] = [{} for _ in range(n)]
+    for u, v, w in edges:
+        rows[u][v] = w
+        rows[v][u] = w
+    return rows
 
 
-def _previous_twins(wg: WeightedGraph, adj: dict[str, set[str]], order: list[str]) -> dict[str, str]:
-    """Map each vertex to the vertex before it in ``order`` of its twin class.
+def _previous_twins(births: list[float], adj: list[dict[int, float]], order: list[int]) -> list[int]:
+    """The vertex before each vertex in ``order`` of its twin class, or -1.
 
     Twins have equal weight, equal neighbourhoods apart from each other and
     equal edge weights to every shared neighbour.  Swapping the images of two
@@ -478,15 +564,16 @@ def _previous_twins(wg: WeightedGraph, adj: dict[str, set[str]], order: list[str
     either their open neighbourhood (not adjacent) or their closed one
     (adjacent); the relation is transitive, so one member stands for a class.
     """
-    vw, ew = wg.vertex_weights, wg.edge_weights
-    tails: dict[tuple[float, frozenset[str]], list[str]] = {}
-    previous: dict[str, str] = {}
+    tails: dict[tuple[float, frozenset[int]], list[int]] = {}
+    previous = [-1] * len(births)
     for u in order:
-        nbrs = frozenset(adj[u])
-        for key in ((vw[u], nbrs), (vw[u], nbrs | {u})):
+        row = adj[u]
+        nbrs = frozenset(row)
+        for key in ((births[u], nbrs), (births[u], nbrs | {u})):
             members = tails.setdefault(key, [])
             for k, t in enumerate(members):
-                if all(_edge_w(ew, u, x) == _edge_w(ew, t, x) for x in nbrs if x != t):
+                other = adj[t]
+                if all(w == other[x] for x, w in row.items() if x != t):
                     previous[u] = t
                     members[k] = u
                     break
@@ -500,25 +587,31 @@ def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: i
 
     Returns inf when the underlying graphs are not isomorphic.  Raises
     CapExceeded when either graph has more than ``vertex_cap`` vertices.
+    """
+    return indexed_pseudodistance(indexed_graph(wg1), indexed_graph(wg2), vertex_cap)
+
+
+def indexed_pseudodistance(g1: IndexedGraph, g2: IndexedGraph, vertex_cap: int = 12) -> float:
+    """``natural_pseudodistance`` of two graphs on vertex indices, each given
+    as its vertex births and (u, v, w) edges, as ``graphs.parse_indexed_graph``
+    reads them.
 
     The isomorphism search is set up once for the pair.  The larger sorted
     weight gap is decided first; when it fails, ``_climb`` probes bands of
     the weight differences above it, and the largest difference failing
     too means no isomorphism exists.
     """
-    n1, n2 = len(wg1.graph.vertices), len(wg2.graph.vertices)
+    (births1, edges1), (births2, edges2) = g1, g2
+    n1, n2 = len(births1), len(births2)
     if n1 > vertex_cap or n2 > vertex_cap:
         raise CapExceeded(
             f"pseudodistance limited to {vertex_cap} vertices, got {max(n1, n2)}"
         )
-    search = _isomorphism_search(wg1, wg2)
+    search = _isomorphism_search(g1, g2)
     if search is None:
         return math.inf
     # an isomorphism pairs the vertex weights and the edge weights one to one
-    pools = (
-        (wg1.vertex_weights.values(), wg2.vertex_weights.values()),
-        (wg1.edge_weights.values(), wg2.edge_weights.values()),
-    )
+    pools = ((births1, births2), ([w for _, _, w in edges1], [w for _, _, w in edges2]))
     lb = max(_sorted_gap(ws1, ws2) for ws1, ws2 in pools)
     if search(lb):
         return lb

@@ -69,7 +69,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .connectivity import block_levels, merge_forest
-from .graphs import CapExceeded, Filtration, FormatError, format_weight
+from .graphs import CapExceeded, Filtration, FormatError, format_weight, indexed_graph
 
 
 # Most critical values ``persistence_function`` tabulates.  Verify grows as
@@ -114,9 +114,6 @@ class Diagram:
 
     def infinite_points(self) -> list[Cornerpoint]:
         return [p for p in self.points if p.is_infinite]
-
-    def total_multiplicity(self) -> int:
-        return sum(p.multiplicity for p in self.points)
 
     def __iter__(self):
         return iter(self.points)
@@ -237,7 +234,7 @@ def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
     before any level is listed, past GRID_CAP critical values."""
     if len(filt.criticals) > GRID_CAP:
         raise CapExceeded(f"persistence grid limited to {GRID_CAP} critical values, got {len(filt.criticals)}")
-    return tabulate_persistence(filt.criticals, block_levels(filt.criticals, *_indexed(filt), spec))
+    return tabulate_persistence(filt.criticals, block_levels(filt.criticals, *indexed_graph(filt.source), spec))
 
 
 def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]) -> Diagram:
@@ -311,19 +308,10 @@ def index_diagram(births: Sequence[float], edges, spec) -> Diagram:
     return elder_rule(node_births, merges)
 
 
-def _indexed(filt: Filtration) -> tuple[list[float], list[tuple[int, int, float]]]:
-    """The weighted graph of a filtration on vertex indices: the vertex
-    births and the (u, v, w) edges."""
-    wg = filt.source
-    index = {v: i for i, v in enumerate(wg.vertex_weights)}
-    edges = [(index[u], index[v], w) for (u, v), w in wg.edge_weights.items()]
-    return list(wg.vertex_weights.values()), edges
-
-
 def graph_diagram(filt: Filtration, spec) -> Diagram:
     """Persistence diagram of a graph filtration under a property: the
     weighted graph on vertex indices, swept by ``index_diagram``."""
-    return index_diagram(*_indexed(filt), spec)
+    return index_diagram(*indexed_graph(filt.source), spec)
 
 
 def check_axioms(pf: PersistenceFunction) -> str | None:
@@ -448,24 +436,27 @@ def serialize_diagram(d: Diagram) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def parse_diagram(text: str) -> Diagram:
-    """Parse 'birth death multiplicity' records; raises FormatError with line
-    numbers.  Each record is checked once, and repeated (birth, death) pairs
-    add up their multiplicities; -0 reads as 0, whatever the line order."""
-    acc: dict[tuple[float, float], int] = {}
+def parse_diagram_records(text: str) -> dict[tuple[float, float], int]:
+    """Parse 'birth death multiplicity' records to (birth, death) ->
+    multiplicity, in first-seen order; raises FormatError with line numbers.
+    Each record is checked once, and repeated (birth, death) pairs add up
+    their multiplicities; -0 reads as 0, whatever the line order."""
+    records: dict[tuple[float, float], int] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+        parts = raw.split()
         if len(parts) != 3:
+            if not parts or parts[0].startswith("#"):
+                continue
             raise FormatError("diagram record must be '<birth> <death> <multiplicity>'", ln)
+        b, d, m = parts
+        if b.startswith("#"):
+            continue
         try:
-            birth = float(parts[0]) + 0.0  # -0.0 becomes 0.0, so one key holds both zeros
-            death = math.inf if parts[1] == "inf" else float(parts[1]) + 0.0
-            mult = int(parts[2])
+            birth = float(b) + 0.0  # -0.0 becomes 0.0, so one key holds both zeros
+            death = math.inf if d == "inf" else float(d) + 0.0
+            mult = int(m)
         except ValueError:
-            raise FormatError(f"bad diagram record {line!r}", ln) from None
+            raise FormatError(f"bad diagram record {raw.strip()!r}", ln) from None
         if not math.isfinite(birth):
             raise FormatError(f"cornerpoint birth must be finite, got {birth!r}", ln)
         if not birth < death:
@@ -473,5 +464,10 @@ def parse_diagram(text: str) -> Diagram:
         if mult < 1:
             raise FormatError(f"multiplicity must be a positive integer, got {mult!r}", ln)
         key = (birth, death)
-        acc[key] = acc.get(key, 0) + mult
-    return Diagram(tuple(Cornerpoint(b, d, m) for (b, d), m in sorted(acc.items())))
+        records[key] = records.get(key, 0) + mult
+    return records
+
+
+def parse_diagram(text: str) -> Diagram:
+    """The canonical Diagram of the records of ``parse_diagram_records``."""
+    return Diagram(tuple(Cornerpoint(b, d, m) for (b, d), m in sorted(parse_diagram_records(text).items())))

@@ -13,9 +13,9 @@ death values) realizes any diagram with a single infinite cornerpoint.
 ``subobject_poset`` orders the property-satisfying subgraphs of a graph by
 inclusion; for clique communities it chains the k-cliques of
 ``cuts.clique_percolation``.  Isomorphism of posets (as of their cores) is
-the weighted-graph isomorphism search of ``metrics.isomorphic_within`` at
-h = 0 on comparability graphs weighted by down-set size; ``metrics`` gives
-the argument.
+the weighted-graph isomorphism search of ``metrics.indexed_isomorphic_within``
+at h = 0 on comparability graphs over element indices, each element born at
+the size of its down-set; ``metrics`` gives the argument.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Hashable, Iterable, Sequence
 from .connectivity import PropertySpec, is_property_connected
 from .cuts import clique_percolation
 from .graphs import CapExceeded, SimpleGraph, WeightedGraph, simple_graph, weighted_graph
-from .metrics import isomorphic_within, optimal_matching
+from .metrics import indexed_isomorphic_within, optimal_matching
 from .persistence import Diagram, PersistenceFunction, tabulate_persistence
 
 
@@ -224,18 +224,18 @@ def core(p: Poset, *, reverse: bool = False) -> Poset:
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
     """Order isomorphism, as isomorphism at h = 0 of the comparability graphs."""
-    return isomorphic_within(_comparability_graph(p), _comparability_graph(q), 0.0)
+    return indexed_isomorphic_within(_comparability_graph(p), _comparability_graph(q), 0.0)
 
 
-def _comparability_graph(p: Poset) -> WeightedGraph:
-    """Comparable pairs of elements as edges, each element weighted by the
-    size of its down-set and every edge by the element count, so each
-    explicit weight stays at or below its incident minimum.  Of two
-    comparable elements the lower has the strictly smaller down-set, so a
-    weight-preserving isomorphism is exactly an order isomorphism."""
+def _comparability_graph(p: Poset) -> tuple[list[float], list[tuple[int, int, float]]]:
+    """Comparable pairs of elements as edges on element indices, each
+    element born at the size of its down-set and every edge at the element
+    count.  Of two comparable elements the lower has the strictly smaller
+    down-set, so a weight-preserving isomorphism is exactly an order
+    isomorphism."""
     n = float(len(p))
-    edges = {(str(i), str(j)): n for j, mask in enumerate(p._below) for i in _bits(mask) if i != j}
-    return weighted_graph(edges, {str(i): float(mask.bit_count()) for i, mask in enumerate(p._below)})
+    edges = [(i, j, n) for j, mask in enumerate(p._below) for i in _bits(mask) if i != j]
+    return [float(mask.bit_count()) for mask in p._below], edges
 
 
 # Clique subobject posets are enumerated whole and compared pairwise, so the

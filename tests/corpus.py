@@ -77,6 +77,20 @@ def random_diagram(
     return pc.diagram(pts)
 
 
+# Malformed diagram texts and the reader's message for each.
+DIAGRAM_ERRORS = [
+    ("1 2\n", "line 1: diagram record must be '<birth> <death> <multiplicity>'"),
+    ("# c\n0 1 1\n1 x 1\n", "line 3: bad diagram record '1 x 1'"),
+    ("0 1 1.5\n", "line 1: bad diagram record '0 1 1.5'"),
+    ("\ninf inf 1\n", "line 2: cornerpoint birth must be finite, got inf"),
+    ("nan 1 1\n", "line 1: cornerpoint birth must be finite, got nan"),
+    ("2 1 1\n", "line 1: cornerpoint needs birth < death, got (2.0, 1.0)"),
+    ("1 1 1\n", "line 1: cornerpoint needs birth < death, got (1.0, 1.0)"),
+    ("0 1 1\n1 2 0\n", "line 2: multiplicity must be a positive integer, got 0"),
+    ("1 2 -3\n", "line 1: multiplicity must be a positive integer, got -3"),
+]
+
+
 def random_universal_diagram_pair(rng: random.Random, max_proper: int = 4):
     """Diagram pair with one infinite point each, every birth at or after both
     half-line births, so the half-line construction can realize them."""

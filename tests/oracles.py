@@ -8,7 +8,8 @@ minimum cut must separate, without the sweeps that certify pairs; the
 bottleneck oracle enumerates every admissible matching, and the dense
 bottleneck oracle filters the full cost matrix at every threshold; the
 pseudodistance oracle enumerates every vertex bijection, and the poset
-isomorphism oracle every element bijection.  Successor forests are found
+isomorphism oracle every element bijection; the thresholded isomorphism
+search is the name-keyed one that the index-based search replaced.  Successor forests are found
 by scanning every component pair of adjacent levels, and the blocks of a
 filtered graph by running a provider from scratch on every level; the elder
 rule keeps every class as an explicit vertex set.  Cliques are listed by
@@ -26,6 +27,7 @@ orbits come from a union-find, and its weighted orbit graph from those.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
@@ -34,7 +36,7 @@ from itertools import accumulate, chain, combinations, permutations
 import perconn as pc
 from perconn.connectivity import edge_blocks, vertex_blocks
 from perconn.cuts import UnionFind
-from perconn.metrics import _climb, _expand, _hopcroft_karp
+from perconn.metrics import _climb, _hopcroft_karp
 
 
 def oracle_parse_weighted_graph(text: str) -> pc.WeightedGraph:
@@ -386,6 +388,21 @@ def oracle_bottleneck(d1: pc.Diagram, d2: pc.Diagram) -> float:
     return max(best_inf, best[0])
 
 
+def _expand(d: pc.Diagram) -> tuple[list, list[float]]:
+    """The finite points of a diagram, one per unit of multiplicity and
+    sorted, and its infinite births, read off its Cornerpoints."""
+    finite = []
+    inf_births = []
+    for p in d.points:
+        for _ in range(p.multiplicity):
+            if p.is_infinite:
+                inf_births.append(p.birth)
+            else:
+                finite.append((p.birth, p.death))
+    finite.sort()
+    return finite, inf_births
+
+
 def oracle_dense_bottleneck(d1: pc.Diagram, d2: pc.Diagram) -> tuple[float, list]:
     """``optimal_matching`` by the dense kernel: every threshold's adjacency
     filters the full n1 * n2 cost matrix, the lower bound is read from the
@@ -478,6 +495,143 @@ def oracle_pseudodistance(w1: pc.WeightedGraph, w2: pc.WeightedGraph) -> float:
             cost = max(cost, abs(w1.vertex_weights[u] - w2.vertex_weights[phi[u]]))
         best = min(best, cost)
     return best
+
+
+def oracle_isomorphism_search(wg1: pc.WeightedGraph, wg2: pc.WeightedGraph):
+    """The test ``isomorphic_within(wg1, wg2, h)`` as a function of h, or None
+    when the vertex counts, edge counts or degree sequences differ, by the
+    name-keyed search that the index-based one replaced: the same visit
+    order, candidate slices, twin rule and backtracking over vertex names,
+    with name-keyed adjacency sets and edge-weight dicts.
+
+    Everything that does not depend on h is built once: both adjacencies,
+    the visit order, g2's vertices by degree and by weight, and the twin
+    classes.  Each threshold then slices the candidate lists and runs the
+    backtracking search.
+    """
+    g1, g2 = wg1.graph, wg2.graph
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return None
+    adj1, adj2 = g1.adjacency(), g2.adjacency()
+    if sorted(map(len, adj1.values())) != sorted(map(len, adj2.values())):
+        return None
+    vw1, vw2 = wg1.vertex_weights, wg2.vertex_weights
+    ew1, ew2 = wg1.edge_weights, wg2.edge_weights
+
+    # visit order: BFS from high-degree seeds so adjacency constraints bind early
+    order: list[str] = []
+    seen: set[str] = set()
+    for seed in sorted(g1.vertices, key=lambda v: (-len(adj1[v]), v)):
+        if seed in seen:
+            continue
+        queue = [seed]
+        seen.add(seed)
+        for u in queue:
+            for w in sorted(adj1[u], key=lambda v: (-len(adj1[v]), v)):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        order += queue
+
+    # g2's vertices by degree, sorted by weight: each candidate list is one
+    # bisected slice, widened while the exact test still holds (the float
+    # bounds a - h and a + h may round inwards), then sorted by name
+    by_degree: dict[int, tuple[list[float], list[str]]] = {}
+    for v in sorted(g2.vertices, key=lambda v: (vw2[v], v)):
+        ws, names = by_degree.setdefault(len(adj2[v]), ([], []))
+        ws.append(vw2[v])
+        names.append(v)
+    buckets = [(u, vw1[u], *by_degree[len(adj1[u])]) for u in order]
+    twin_before = _previous_twins(wg1, adj1, order)
+
+    def within(h: float) -> bool:
+        if not order:
+            return True
+        candidates: dict[str, list[str]] = {}
+        for u, a, ws, names in buckets:
+            lo, hi = bisect_left(ws, a - h), bisect_right(ws, a + h)
+            while lo > 0 and abs(a - ws[lo - 1]) <= h:
+                lo -= 1
+            while hi < len(ws) and abs(a - ws[hi]) <= h:
+                hi += 1
+            cands = sorted(names[k] for k in range(lo, hi) if abs(a - ws[k]) <= h)
+            if not cands:
+                return False
+            candidates[u] = cands
+        mapping: dict[str, str] = {}
+        used: set[str] = set()
+
+        def fits(u: str, v: str) -> bool:
+            # u's mapped neighbours go to neighbours of v within h; as the
+            # mapping is injective, v then has no other mapped neighbour iff
+            # the counts agree
+            mapped = 0
+            for u2 in adj1[u]:
+                v2 = mapping.get(u2)
+                if v2 is None:
+                    continue
+                if v2 not in adj2[v] or abs(_edge_w(ew1, u, u2) - _edge_w(ew2, v, v2)) > h:
+                    return False
+                mapped += 1
+            return mapped == sum(v2 in used for v2 in adj2[v])
+
+        # depth-first over positions of ``order``; resume[pos] is the index
+        # of the next candidate to try for order[pos]
+        resume = [0] * len(order)
+        pos = 0
+        while True:
+            u = order[pos]
+            cands = candidates[u]
+            i = resume[pos]
+            while i < len(cands) and (cands[i] in used or not fits(u, cands[i])):
+                i += 1
+            if i == len(cands):
+                if pos == 0:
+                    return False
+                pos -= 1
+                used.remove(mapping.pop(order[pos]))
+                continue
+            resume[pos] = i + 1
+            mapping[u] = cands[i]
+            used.add(cands[i])
+            pos += 1
+            if pos == len(order):
+                return True
+            twin = twin_before.get(order[pos])
+            resume[pos] = 0 if twin is None else bisect_right(candidates[order[pos]], mapping[twin])
+
+    return within
+
+
+def _edge_w(ew: dict[tuple[str, str], float], a: str, b: str) -> float:
+    return ew[(a, b) if a < b else (b, a)]
+
+
+def _previous_twins(wg: pc.WeightedGraph, adj: dict[str, set[str]], order: list[str]) -> dict[str, str]:
+    """Map each vertex to the vertex before it in ``order`` of its twin class.
+
+    Twins have equal weight, equal neighbourhoods apart from each other and
+    equal edge weights to every shared neighbour.  Swapping the images of two
+    twins keeps an isomorphism admissible at the same cost, so the search may
+    require the images of a class to increase along ``order``.  Twins share
+    either their open neighbourhood (not adjacent) or their closed one
+    (adjacent); the relation is transitive, so one member stands for a class.
+    """
+    vw, ew = wg.vertex_weights, wg.edge_weights
+    tails: dict[tuple[float, frozenset[str]], list[str]] = {}
+    previous: dict[str, str] = {}
+    for u in order:
+        nbrs = frozenset(adj[u])
+        for key in ((vw[u], nbrs), (vw[u], nbrs | {u})):
+            members = tails.setdefault(key, [])
+            for k, t in enumerate(members):
+                if all(_edge_w(ew, u, x) == _edge_w(ew, t, x) for x in nbrs if x != t):
+                    previous[u] = t
+                    members[k] = u
+                    break
+            else:
+                members.append(u)
+    return previous
 
 
 def oracle_poset_isomorphic(p: pc.Poset, q: pc.Poset) -> bool:

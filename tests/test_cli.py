@@ -6,7 +6,10 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 
-from perconn import cli, quivers
+import pytest
+
+from corpus import DIAGRAM_ERRORS
+from perconn import cli, graphs, persistence, quivers
 from perconn.persistence import GRID_CAP
 
 GRAPH = "e a b 1\ne c d 1\ne b c 2\n"
@@ -409,6 +412,67 @@ def test_pseudodistance_cap_is_a_config_error(tmp_path):
     assert res.returncode == 2
     assert res.stderr == "error: pseudodistance limited to 1 vertices, got 2\n"
     assert res.stdout == ""
+
+
+def test_distance_point_cap_counts_both_files(tmp_path):
+    # 2,500 + 2,501 points, each file under the cap alone, made by
+    # multiplicities; refused with the same line whichever file comes first
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("1 2 2500\n")
+    b.write_text("0 3 2000\n0.5 inf 1\n0 5 500\n")
+    for first, second in ((a, b), (b, a)):
+        res = run_cli("distance", str(first), str(second))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "error: bottleneck distance limited to 5000 points, got 5001\n"
+
+
+def test_distance_reports_each_reader_error_on_either_side(tmp_path):
+    # every malformed diagram gives exit 1 and the reader's one line, as the
+    # first file or the second; with both files bad, the first is reported
+    good = tmp_path / "good.txt"
+    good.write_text("0 1 1\n0.5 inf 2\n")
+    bad = []
+    for k, (text, _) in enumerate(DIAGRAM_ERRORS):
+        bad.append(tmp_path / f"bad{k}.txt")
+        bad[-1].write_text(text)
+    argvs, wants = [], []
+    for k, (_, message) in enumerate(DIAGRAM_ERRORS):
+        other = bad[(k + 1) % len(bad)]
+        argvs += [["distance", str(bad[k]), str(good)], ["distance", str(good), str(bad[k])],
+                  ["distance", str(bad[k]), str(other)]]
+        wants += [["", f"error: {message}\n", 1]] * 3
+    res = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS, json.dumps(argvs)], capture_output=True, text=True
+    )
+    assert (res.returncode, res.stderr) == (0, "")
+    assert json.loads(res.stdout) == wants
+
+
+def test_distance_and_pseudodistance_build_no_objects(tmp_path, monkeypatch, capsys):
+    # both commands read the text straight to their kernels' arrays: no
+    # Cornerpoint is validated and no WeightedGraph assembled
+    def refuse(*args):
+        raise AssertionError("built an intermediate object")
+
+    monkeypatch.setattr(persistence.Cornerpoint, "__post_init__", refuse)
+    monkeypatch.setattr(graphs, "_assemble", refuse)
+    with pytest.raises(AssertionError):
+        persistence.parse_diagram("1 2 1\n")
+    with pytest.raises(AssertionError):
+        graphs.parse_weighted_graph("e a b 1\n")
+    d1 = tmp_path / "d1.txt"
+    d2 = tmp_path / "d2.txt"
+    d1.write_text("0 inf 1\n1 2 2\n3 3.25 1\n")
+    d2.write_text("0.25 inf 1\n1 2.5 1\n")
+    g1 = tmp_path / "g1.txt"
+    g2 = tmp_path / "g2.txt"
+    g1.write_text("v z 0.5\ne a b 1\ne b c 2\n")
+    g2.write_text("e x y 2.25\ne y w 1\nv q 0.5\n")
+    assert cli.main(["distance", str(d1), str(d2)]) == 0
+    assert capsys.readouterr() == ("0.5\n", "")
+    assert cli.main(["pseudodistance", str(g1), str(g2)]) == 0
+    assert capsys.readouterr() == ("0.25\n", "")
 
 
 def test_distance_point_cap_is_a_config_error(tmp_path):

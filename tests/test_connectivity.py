@@ -415,12 +415,6 @@ def test_block_levels_match_the_providers_level_by_level(seed=67):
                     assert sorted(sorted(names[x] for x in s) for s in sets) == _vertex_sets(comps), spec
 
 
-def _indexed(wg):
-    """The vertex births and (u, v, w) edges of a weighted graph on vertex indices."""
-    index = {v: i for i, v in enumerate(wg.vertex_weights)}
-    return list(wg.vertex_weights.values()), [(index[u], index[v], w) for (u, v), w in wg.edge_weights.items()]
-
-
 def _sweep_corpus(seed):
     """Tied and distinct-weight random filtrations, six-cluster graphs, K5
     chains and triangle-bridge chains."""
@@ -445,7 +439,7 @@ def test_block_sweeps_match_the_per_level_oracle(kind):
     found = 0
     for wg in _sweep_corpus(83):
         filt = pc.build_filtration(wg)
-        births, edges = _indexed(wg)
+        births, edges = pc.indexed_graph(wg)
         for k in (3, 4):
             spec = pc.PropertySpec(kind, k)
             levels = oracles.oracle_block_levels(filt.criticals, births, edges, spec)

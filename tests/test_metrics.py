@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -314,6 +315,20 @@ def test_optimal_matching_equals_the_dense_kernel(seed=157):
         assert pc.optimal_matching(d1, d2) == expected, (trial, kind, eps, digits)
 
 
+def test_bottleneck_of_records_in_file_order(seed=163):
+    # records come in file order; the kernel's birth windows need them sorted
+    rng = random.Random(seed)
+    for trial in range(300):
+        d1 = _differential_diagram(rng, (0, 1, None)[trial % 3], rng.random() < 0.5)
+        d2 = _moved(rng, d1, 0.3, None) if trial % 2 else _differential_diagram(rng, 1, rng.random() < 0.5)
+        records = []
+        for d in (d1, d2):
+            points = [((p.birth, p.death), p.multiplicity) for p in d.points]
+            rng.shuffle(points)
+            records.append(dict(points))
+        assert pc.bottleneck_of_records(*records) == pc.bottleneck_distance(d1, d2), trial
+
+
 def test_bottleneck_where_birth_windows_round_inwards():
     # at h = 8 - 3.4, 8 - h rounds to 3.4000000000000004, and at
     # h = 7.3 - 2.6, 2.6 + h rounds to 7.299999999999999: a window placed by
@@ -469,6 +484,64 @@ def test_pseudodistance_with_equal_weight_twins(seed=97):
             continue
         assert pc.natural_pseudodistance(w1, w2) == oracles.oracle_pseudodistance(w1, w2)
         assert pc.natural_pseudodistance(w2, w1) == oracles.oracle_pseudodistance(w2, w1)
+
+
+def _thresholds(w1, w2):
+    """0 and every difference between a weight of w1 and one of w2 of the
+    same kind, each with its float neighbours: the thresholds at and around
+    which a search's verdict can change."""
+    found = {0.0}
+    for ws1, ws2 in (
+        (w1.vertex_weights.values(), w2.vertex_weights.values()),
+        (w1.edge_weights.values(), w2.edge_weights.values()),
+    ):
+        for a in ws1:
+            for b in ws2:
+                d = abs(a - b)
+                found |= {d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)}
+    return sorted(h for h in found if h >= 0.0)
+
+
+def test_indexed_isomorphism_search_matches_the_name_keyed_oracle(seed=109):
+    # the index-based search against the name-keyed search it replaced, at
+    # every threshold where a verdict can change: planted twins, relabelled
+    # and perturbed copies, equal degrees without an isomorphism, and bounds
+    # a - h and a + h that round inwards
+    rng = random.Random(seed)
+    pairs = [
+        (pc.parse_weighted_graph(f"e a b {a}\n"), pc.parse_weighted_graph(f"e x y {b}\n"))
+        for a, b in ((8.0, 3.4), (2.6, 7.3))
+    ]
+    ring = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("a", "f")]
+    triangles = [("p", "q"), ("q", "r"), ("p", "r"), ("s", "t"), ("t", "u"), ("s", "u")]
+    pairs.append((pc.weighted_graph(dict.fromkeys(ring, 1.0)), pc.weighted_graph(dict.fromkeys(triangles, 1.0))))
+    while len(pairs) < 80:
+        base = random_weighted_graph(rng, max_vertices=5, min_vertices=2, allow_isolated=False)
+        if not base.edge_weights:
+            continue
+        w1 = _with_twins(rng, base)
+        kind = rng.randrange(3)
+        if kind == 0:
+            w2 = relabeled_copy(rng, w1)
+        elif kind == 1:
+            w2 = pc.perturb(relabeled_copy(rng, w1), 0.5, rng.randint(0, 10**6))
+        else:
+            w2 = _with_twins(rng, random_weighted_graph(rng, max_vertices=5, min_vertices=2))
+        pairs.append((w1, w2))
+    verdicts = Counter()
+    for w1, w2 in pairs:
+        for first, second in ((w1, w2), (w2, w1)):
+            expected = oracles.oracle_isomorphism_search(first, second)
+            got = metrics._isomorphism_search(pc.indexed_graph(first), pc.indexed_graph(second))
+            assert (got is None) == (expected is None), (first, second)
+            if got is None:
+                verdicts[None] += 1
+                continue
+            for h in _thresholds(first, second):
+                verdict = got(h)
+                assert verdict == expected(h), (h, first, second)
+                verdicts[verdict] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000 and verdicts[None] > 20, verdicts
 
 
 def test_pseudodistance_above_the_lower_bound():

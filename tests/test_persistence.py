@@ -9,6 +9,7 @@ import oracles
 import perconn as pc
 from perconn import cli, connectivity, cuts, persistence
 from corpus import (
+    DIAGRAM_ERRORS,
     covered_k4,
     cycles_at_one_vertex,
     k4_star,
@@ -560,20 +561,7 @@ def test_parse_diagram_errors():
         pc.parse_diagram("1 2 0\n")
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("1 2\n", "line 1: diagram record must be '<birth> <death> <multiplicity>'"),
-        ("# c\n0 1 1\n1 x 1\n", "line 3: bad diagram record '1 x 1'"),
-        ("0 1 1.5\n", "line 1: bad diagram record '0 1 1.5'"),
-        ("\ninf inf 1\n", "line 2: cornerpoint birth must be finite, got inf"),
-        ("nan 1 1\n", "line 1: cornerpoint birth must be finite, got nan"),
-        ("2 1 1\n", "line 1: cornerpoint needs birth < death, got (2.0, 1.0)"),
-        ("1 1 1\n", "line 1: cornerpoint needs birth < death, got (1.0, 1.0)"),
-        ("0 1 1\n1 2 0\n", "line 2: multiplicity must be a positive integer, got 0"),
-        ("1 2 -3\n", "line 1: multiplicity must be a positive integer, got -3"),
-    ],
-)
+@pytest.mark.parametrize("text, message", DIAGRAM_ERRORS)
 def test_parse_diagram_error_messages(text, message):
     with pytest.raises(pc.FormatError) as err:
         pc.parse_diagram(text)
@@ -581,7 +569,8 @@ def test_parse_diagram_error_messages(text, message):
 
 
 def test_parse_diagram_aggregates_repeated_records():
-    d = pc.parse_diagram("1 2 1\n0 inf 1\n1 2.0 2\n0 inf 3\n0.5 1 1\n")
+    # comment lines add nothing, even with three fields
+    d = pc.parse_diagram("1 2 1\n0 inf 1\n# 1 2 5\n1 2.0 2\n0 inf 3\n  #x y z\n0.5 1 1\n")
     assert d == pc.diagram(
         [pc.Cornerpoint(0.5, 1.0), pc.Cornerpoint(1.0, 2.0, 3), pc.Cornerpoint(0.0, math.inf, 4)]
     )
