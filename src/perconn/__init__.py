@@ -19,23 +19,13 @@ from .graphs import (
     WeightedGraph,
     build_filtration,
     critical_values,
-    indexed_graph,
     parse_indexed_graph,
     parse_weighted_graph,
     serialize_weighted_graph,
     simple_graph,
     weighted_graph,
 )
-from .metrics import (
-    bottleneck_distance,
-    bottleneck_of_records,
-    indexed_isomorphic_within,
-    indexed_pseudodistance,
-    isomorphic_within,
-    natural_pseudodistance,
-    optimal_matching,
-    perturb,
-)
+from .metrics import bottleneck_distance, natural_pseudodistance, optimal_matching, perturb
 from .persistence import (
     Cornerpoint,
     Diagram,
@@ -49,7 +39,6 @@ from .persistence import (
     graph_diagram,
     index_diagram,
     parse_diagram,
-    parse_diagram_records,
     persistence_function,
     serialize_diagram,
     tabulate_persistence,

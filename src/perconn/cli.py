@@ -24,7 +24,7 @@ from .graphs import (
     parse_indexed_graph,
     parse_weighted_graph,
 )
-from .metrics import bottleneck_of_records, indexed_pseudodistance
+from .metrics import VERTEX_CAP, bottleneck_of_records, indexed_pseudodistance
 from .persistence import (
     Diagram,
     PersistenceFunction,
@@ -307,7 +307,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("pseudodistance", help="natural pseudodistance between two weighted graphs")
-    p.add_argument("--cap", type=int, default=12, help="vertex cap for isomorphism search")
+    p.add_argument("--cap", type=int, default=VERTEX_CAP, help="vertex cap for isomorphism search")
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=_cmd_pseudodistance)

@@ -79,13 +79,17 @@ IndexedGraph = tuple[list[float], list[tuple[int, int, float]]]
 # No search builds the n1 * n2 candidate set; each probe holds only the edges
 # within its threshold.  On a 2-core Xeon with CPython 3.11 (CPU time, three
 # runs), a 2,000 + 2,000 point pair decided at its lower bound takes
-# 0.11-0.15 s and peaks at 3.8 MiB (tracemalloc) against a perturbed copy, and
-# 0.36-0.42 s and 93 MiB against an independent diagram whose bound is 3.6; at
+# 0.09-0.13 s and peaks at 3.8 MiB (tracemalloc) against a perturbed copy, and
+# 0.35-0.40 s and 93 MiB against an independent diagram whose bound is 3.6; at
 # the cap, a perturbed 2,500 + 2,500 pair whose lower bound fails takes
-# 0.74-1.11 s and 14 MiB.  The edges grow with the distance: an independent
-# 2,000 + 2,000 pair whose bound fails takes 4.2-5.1 s and 72 MiB.
+# 0.66-0.77 s and 14 MiB.  The edges grow with the distance: an independent
+# 2,000 + 2,000 pair whose bound fails takes 3.4-3.6 s and 71 MiB.
 # Multiplicities count, since every unit becomes its own point.
 POINT_CAP = 5000
+
+# Default vertex cap of the pseudodistance: the backtracking isomorphism
+# search is exponential in the worst case.
+VERTEX_CAP = 12
 
 
 def _expand(records: Records) -> tuple[list[Point], list[float]]:
@@ -212,57 +216,48 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     lb = _raise_bound(-math.inf, births1, deaths1, half1, births2, deaths2)
     lb = _raise_bound(lb, births2, deaths2, half2, births1, deaths1)
 
-    def adjacency(h: float) -> list[list[int]]:
-        # left adjacency at h: point i's neighbours in f2 in index order, then
-        # its own slot n2 + i; then each slot j of f2, its own point j first.
-        # Computed gaps are monotone in sorted births, so [lo, hi) holds
-        # exactly the births within h of b1, and there cost <= h is the death
-        # gap <= h
+    def edges(h: float) -> list[list[int]]:
+        # point i's neighbours in f2 at h, in index order; computed gaps are
+        # monotone in sorted births, so [lo, hi) holds exactly the births
+        # within h of b1, and there cost <= h is the death gap <= h
         points: list[list[int]] = []
-        slots: list[list[int]] = [[j] if half2[j] <= h else [] for j in range(n2)]
         lo = hi = 0
-        for i, (b1, d1) in enumerate(f1):
+        for b1, d1 in zip(births1, deaths1):
             while lo < n2 and b1 - births2[lo] > h:
                 lo += 1
             while hi < n2 and births2[hi] - b1 <= h:
                 hi += 1
-            slot = n2 + i
-            if hi - lo > 24:  # a comprehension's set-up pays off on wide windows only
-                cols = [j for j in range(lo, hi) if -h <= d1 - deaths2[j] <= h]
-                for j in cols:
-                    slots[j].append(slot)
-            else:
-                cols = []
-                j = lo
-                while j < hi:
-                    if -h <= d1 - deaths2[j] <= h:
-                        cols.append(j)
-                        slots[j].append(slot)
-                    j += 1
-            if half1[i] <= h:
-                cols.append(slot)
-            points.append(cols)
-        return points + slots
+            points.append([j for j in range(lo, hi) if -h <= d1 - deaths2[j] <= h])
+        return points
 
     def band(lo: float, hi: float) -> list[float]:
         found = {c for c in chain(half1, half2) if lo < c <= hi}
-        for b1, d1, cols in zip(births1, deaths1, adjacency(hi)):
+        for b1, d1, cols in zip(births1, deaths1, edges(hi)):
             for j in cols:
-                if j < n2:
-                    c = abs(b1 - births2[j])
-                    dc = abs(d1 - deaths2[j])
-                    if dc > c:
-                        c = dc
-                    if c > lo:
-                        found.add(c)
+                c = abs(b1 - births2[j])
+                dc = abs(d1 - deaths2[j])
+                if dc > c:
+                    c = dc
+                if c > lo:
+                    found.add(c)
         return sorted(found)
 
     seed = best = [-1] * (n1 + n2)
 
     def feasible(h: float) -> bool:
+        # left nodes: point i's edges, then its own slot n2 + i; then each
+        # slot j of f2, its own point j first
         nonlocal seed, best
+        points = edges(h)
+        slots: list[list[int]] = [[j] if half2[j] <= h else [] for j in range(n2)]
+        for i, cols in enumerate(points):
+            slot = n2 + i
+            for j in cols:
+                slots[j].append(slot)
+            if half1[i] <= h:
+                cols.append(slot)
         match_right = list(seed)
-        perfect = _hopcroft_karp(adjacency(h), match_right)
+        perfect = _hopcroft_karp(points + slots, match_right)
         if perfect:
             best = match_right
         else:
@@ -418,14 +413,11 @@ def _sorted_gap(ws1: Iterable[float], ws2: Iterable[float]) -> float:
     return max((abs(w1 - w2) for w1, w2 in zip(sorted(ws1), sorted(ws2))), default=0.0)
 
 
-def isomorphic_within(wg1: WeightedGraph, wg2: WeightedGraph, h: float) -> bool:
-    """Is there an isomorphism with every matched weight difference <= h?"""
-    return indexed_isomorphic_within(indexed_graph(wg1), indexed_graph(wg2), h)
-
-
 def indexed_isomorphic_within(g1: IndexedGraph, g2: IndexedGraph, h: float) -> bool:
-    """``isomorphic_within`` of two graphs on vertex indices, each given as
-    its vertex births and (u, v, w) edges."""
+    """Is there an isomorphism with every matched weight difference <= h?
+    Both graphs are on vertex indices, each given as its vertex births and
+    (u, v, w) edges, as ``graphs.indexed_graph`` takes them from a
+    WeightedGraph."""
     search = _isomorphism_search(g1, g2)
     return search is not None and search(h)
 
@@ -582,7 +574,7 @@ def _previous_twins(births: list[float], adj: list[dict[int, float]], order: lis
     return previous
 
 
-def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: int = 12) -> float:
+def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: int = VERTEX_CAP) -> float:
     """Exact min over final-graph isomorphisms of the max weight difference.
 
     Returns inf when the underlying graphs are not isomorphic.  Raises
@@ -591,7 +583,7 @@ def natural_pseudodistance(wg1: WeightedGraph, wg2: WeightedGraph, vertex_cap: i
     return indexed_pseudodistance(indexed_graph(wg1), indexed_graph(wg2), vertex_cap)
 
 
-def indexed_pseudodistance(g1: IndexedGraph, g2: IndexedGraph, vertex_cap: int = 12) -> float:
+def indexed_pseudodistance(g1: IndexedGraph, g2: IndexedGraph, vertex_cap: int = VERTEX_CAP) -> float:
     """``natural_pseudodistance`` of two graphs on vertex indices, each given
     as its vertex births and (u, v, w) edges, as ``graphs.parse_indexed_graph``
     reads them.

@@ -498,8 +498,8 @@ def oracle_pseudodistance(w1: pc.WeightedGraph, w2: pc.WeightedGraph) -> float:
 
 
 def oracle_isomorphism_search(wg1: pc.WeightedGraph, wg2: pc.WeightedGraph):
-    """The test ``isomorphic_within(wg1, wg2, h)`` as a function of h, or None
-    when the vertex counts, edge counts or degree sequences differ, by the
+    """Whether wg1 and wg2 are isomorphic within h, as a function of h, or
+    None when the vertex counts, edge counts or degree sequences differ, by the
     name-keyed search that the index-based one replaced: the same visit
     order, candidate slices, twin rule and backtracking over vertex names,
     with name-keyed adjacency sets and edge-weight dicts.

@@ -6,7 +6,7 @@ import pytest
 
 import perconn as pc
 import oracles
-from perconn import connectivity, cuts
+from perconn import connectivity, cuts, graphs
 from perconn.connectivity import block_levels, vertex_blocks
 from perconn.cuts import edge_cut_below, vertex_cut_below
 from corpus import (
@@ -439,7 +439,7 @@ def test_block_sweeps_match_the_per_level_oracle(kind):
     found = 0
     for wg in _sweep_corpus(83):
         filt = pc.build_filtration(wg)
-        births, edges = pc.indexed_graph(wg)
+        births, edges = graphs.indexed_graph(wg)
         for k in (3, 4):
             spec = pc.PropertySpec(kind, k)
             levels = oracles.oracle_block_levels(filt.criticals, births, edges, spec)

@@ -11,8 +11,7 @@ import pytest
 import perconn as pc
 import oracles
 from corpus import random_diagram, random_weighted_graph, relabeled_copy
-from perconn import metrics
-from perconn.metrics import isomorphic_within
+from perconn import graphs, metrics
 
 
 def test_identity_matching_is_zero():
@@ -326,7 +325,7 @@ def test_bottleneck_of_records_in_file_order(seed=163):
             points = [((p.birth, p.death), p.multiplicity) for p in d.points]
             rng.shuffle(points)
             records.append(dict(points))
-        assert pc.bottleneck_of_records(*records) == pc.bottleneck_distance(d1, d2), trial
+        assert metrics.bottleneck_of_records(*records) == pc.bottleneck_distance(d1, d2), trial
 
 
 def test_bottleneck_where_birth_windows_round_inwards():
@@ -392,16 +391,20 @@ def test_pseudodistance_with_equal_degrees_but_no_isomorphism():
     two_k3 = pc.weighted_graph({e: 1.5 - k / 8 for k, e in enumerate(triangles)})
     assert pc.natural_pseudodistance(c6, two_k3) == oracles.oracle_pseudodistance(c6, two_k3) == math.inf
     assert pc.natural_pseudodistance(two_k3, c6) == math.inf
-    assert not any(isomorphic_within(c6, two_k3, h) for h in (0.0, 1.0, 100.0))
+    assert not any(_isomorphic_within(c6, two_k3, h) for h in (0.0, 1.0, 100.0))
 
 
 def test_isomorphic_within_rejects_an_embedding():
     # every vertex of x-y maps into x-y plus an isolated z, but that is no isomorphism
     xy = pc.weighted_graph({("x", "y"): 1.0})
     xyz = pc.weighted_graph({("x", "y"): 1.0}, {"z": 1.0})
-    assert isomorphic_within(xy, xy, 0.0)
-    assert not isomorphic_within(xy, xyz, 0.0)
-    assert not isomorphic_within(xyz, xy, 0.0)
+    assert _isomorphic_within(xy, xy, 0.0)
+    assert not _isomorphic_within(xy, xyz, 0.0)
+    assert not _isomorphic_within(xyz, xy, 0.0)
+
+
+def _isomorphic_within(wg1, wg2, h):
+    return metrics.indexed_isomorphic_within(graphs.indexed_graph(wg1), graphs.indexed_graph(wg2), h)
 
 
 def test_pseudodistance_shifted_weight():
@@ -532,7 +535,7 @@ def test_indexed_isomorphism_search_matches_the_name_keyed_oracle(seed=109):
     for w1, w2 in pairs:
         for first, second in ((w1, w2), (w2, w1)):
             expected = oracles.oracle_isomorphism_search(first, second)
-            got = metrics._isomorphism_search(pc.indexed_graph(first), pc.indexed_graph(second))
+            got = metrics._isomorphism_search(graphs.indexed_graph(first), graphs.indexed_graph(second))
             assert (got is None) == (expected is None), (first, second)
             if got is None:
                 verdicts[None] += 1
