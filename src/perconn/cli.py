@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .connectivity import PropertySpec, property_components
+from .connectivity import PropertySpec, top_components
 from .graphs import (
     CapExceeded,
     FormatError,
@@ -23,6 +23,7 @@ from .graphs import (
     build_filtration,
     parse_indexed_graph,
     parse_weighted_graph,
+    read_graph_records,
 )
 from .metrics import VERTEX_CAP, bottleneck_of_records, indexed_pseudodistance
 from .persistence import (
@@ -168,10 +169,10 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_components(args) -> int:
     spec = _property_spec(args)
-    wg = parse_weighted_graph(_read(args.input))
-    comps = property_components(wg.graph, spec)
-    lines = [" ".join(sorted(c.vertices)) for c in comps]
-    _write_output("".join(line + "\n" for line in lines), args.output)
+    index, births, edges, _ = read_graph_records(_read(args.input))
+    names = list(index)
+    comps = sorted(sorted(names[i] for i in vs) for vs, _ in top_components(births, edges, spec))
+    _write_output("".join(" ".join(c) + "\n" for c in comps), args.output)
     return EXIT_OK
 
 

@@ -18,30 +18,28 @@ Four property kinds are supported:
 * ``vertex_block`` — deleting any fewer than k vertices (induced) leaves a
   nonempty connected graph.  Complete graphs on at least k vertices pass.
   Maximal components may overlap in fewer than k vertices.  For k = 2 they
-  are the biconnected components, bridges included as K2, from one
-  iterative Hopcroft-Tarjan search.  For k >= 3 the search starts from the
-  biconnected components, peels off vertices of degree below k (such a
-  vertex lies in one block at most, its closed neighbourhood when that is a
-  k-clique), and splits the rest along vertex cuts smaller than k, followed
-  by a maximality filter.  The maximal sets are unique, so the result does
-  not depend on which cut a split takes.  Cuts come from
-  ``cuts.vertex_cut_below``, which settles most vertices by sweeps and
-  probes the rest by local flows; a search may hand it blocks of a
-  subgraph, such as the previous level's, as groups no cut splits.
+  are the biconnected components, bridges included as K2.  For k >= 3 the
+  search starts from the biconnected components, peels off vertices of
+  degree below k (such a vertex lies in one block at most, its closed
+  neighbourhood when that is a k-clique), and splits the rest along vertex
+  cuts smaller than k, followed by a maximality filter.  The maximal sets
+  are unique, so the result does not depend on which cut a split takes.
+  Cuts come from ``cuts.vertex_cut_below``, which settles most vertices by
+  sweeps and probes the rest by local flows; a search hands it the blocks
+  of a subgraph, the previous level's, as groups no cut splits.
 * ``edge_block`` — deleting any fewer than k edges (spanning) leaves a
   connected graph.  A single vertex passes for every k, so maximal
-  components partition the vertex set.  For k = 2 they are the connected
-  components left once the bridges (the K2 blocks of the biconnected
-  search) are deleted.  For k >= 3 vertices of degree below k are peeled
+  components partition the vertex set.  For k = 2 they are the
+  2-edge-connected classes: the connected components left once the
+  bridges are deleted.  For k >= 3 vertices of degree below k are peeled
   off as singletons and the rest is split along any cut of fewer than k
   edges, found by Nagamochi-Ibaraki contraction, until no such cut is
   left.
 
-``vertex_blocks`` and ``edge_blocks`` search a bare adjacency dict for
-vertex sets; ``property_components`` wraps them in induced subgraphs.  A
-filtered graph on integer vertices is swept instead.  By the union
-property the maximal components of all its levels form a forest, and
-``merge_forest`` picks the nodes and merges that build it:
+Every maximal component comes from one sweep of a filtered graph on
+integer vertices.  By the union property the maximal components of all
+its levels form a forest, and ``merge_forest`` picks the nodes and merges
+that build it:
 
 * components and blocks at k = 1: the vertices, merged by the edges in
   weight order (Kruskal);
@@ -60,6 +58,10 @@ maximal components of the level at c.  The diagram engine
 ``verify`` and the quiver tables.  Vertex blocks at k >= 3 fit no such
 forest, as two of them may share an edge: ``block_levels`` lists their
 levels by a sweep of its own, and the engine takes its forest from those.
+A single graph is the one level above every weight: ``top_components``
+reads it, for ``property_components``, the ``components`` command and the
+quiver components, and reads a clique community back to the vertices of
+its cliques.
 
 Blocks at k >= 3 change only where an edge enters: a block of level j
 that is neither a block of level j - 1 nor a vertex born at c_j holds both
@@ -82,8 +84,8 @@ edge touches.
   vertex births and these merges.
 * Vertex blocks, ``block_levels``.  The biconnected blocks of every level,
   with their vertex sets, come from replaying the edge merges of
-  ``cuts.block_merges`` on a partition of the edges, so no level runs
-  ``biconnected_components``.  A block with k >= 3 vertices lies in one
+  ``cuts.block_merges`` on a partition of the edges, so no level runs a
+  biconnected search of its own.  A block with k >= 3 vertices lies in one
   biconnected block.  A biconnected block that gained no edge at c_j was a
   biconnected block of level j - 1 with the same induced subgraph, so it
   keeps its blocks, the very same sets.  Only the biconnected blocks that
@@ -92,13 +94,13 @@ edge touches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import itemgetter
 
 from .cuts import (
     Partition,
-    biconnected_components,
     block_merges,
     bridge_merges,
     clique_percolation,
@@ -121,7 +123,7 @@ class PropertySpec:
     def __post_init__(self):
         if self.kind not in PROPERTY_KINDS:
             raise GraphError(f"unknown property kind {self.kind!r}")
-        if self.k < 1 or int(self.k) != self.k:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise GraphError(f"k must be a positive integer, got {self.k!r}")
         if self.kind == "clique" and self.k < 2:
             raise GraphError("clique communities need k >= 2")
@@ -158,27 +160,14 @@ def _peel(sub: dict[str, set[str]], k: int) -> list[tuple[str, set[str]]]:
     return gone
 
 
-def vertex_blocks(adj: dict, k: int, prior=()) -> list[frozenset]:
-    """Maximal vertex sets of the graph ``adj`` that stay nonempty and
-    connected after deleting any fewer than k of their vertices (induced),
-    in no fixed order.  Vertices may be any sortable hashables.
-
-    ``prior`` may hold such sets of a subgraph of ``adj``, such as the
-    previous level's blocks: they keep the property in ``adj``, so each
-    component's cut search takes those inside it as groups no cut splits.
-    """
-    if k == 1:
-        return [frozenset(c) for c in connected_vertex_sets(adj)]
-    # a k-vertex-connected subgraph with k >= 2 lies inside one biconnected block
-    blocks = [frozenset(b) for b in biconnected_components(adj) if len(b) >= k]
-    if k == 2:
-        return blocks
-    return _split_vertex_blocks(adj, blocks, k, prior)
-
-
 def _split_vertex_blocks(adj: dict, blocks, k: int, prior) -> list[frozenset]:
-    """The maximal k-vertex-connected sets (k >= 3) inside the given
-    biconnected blocks of ``adj``, with ``prior`` as in ``vertex_blocks``."""
+    """The maximal k-vertex-connected sets (k >= 3) of the graph ``adj``
+    inside the given biconnected blocks of it, in no fixed order.
+
+    ``prior`` holds such sets of a subgraph of ``adj``, such as the previous
+    level's blocks: they keep the property in ``adj``, so each component's
+    cut search takes those inside it as groups no cut splits.
+    """
     prior_at: dict = {}  # each prior set under its least vertex
     for b in prior:
         prior_at.setdefault(min(b), []).append(b)
@@ -215,22 +204,6 @@ def _split_vertex_blocks(adj: dict, blocks, k: int, prior) -> list[frozenset]:
         if not any(s <= t for t in keep):
             keep.append(s)
     return keep
-
-
-def edge_blocks(adj: dict, k: int) -> list[frozenset]:
-    """Maximal vertex sets of the graph ``adj`` that stay connected after
-    deleting any fewer than k of their edges (spanning), in no fixed order.
-    They partition the vertices; vertices may be any sortable hashables."""
-    if k == 1:
-        return [frozenset(c) for c in connected_vertex_sets(adj)]
-    if k == 2:
-        # a K2 block is a bridge; without the bridges the classes are the components
-        adj = {v: set(nbrs) for v, nbrs in adj.items()}
-        for u, v in [b for b in biconnected_components(adj) if len(b) == 2]:
-            adj[u].discard(v)
-            adj[v].discard(u)
-        return [frozenset(c) for c in connected_vertex_sets(adj)]
-    return [frozenset(b) for b in _split_edge_blocks({v: dict.fromkeys(nbrs, 1) for v, nbrs in adj.items()}, k)]
 
 
 def _split_edge_blocks(weights: dict, k: int) -> list[set]:
@@ -434,31 +407,40 @@ def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[froz
     return _merge_levels(criticals, *merge_forest(criticals, births, edges, spec))
 
 
-def _induced_sorted(adj: dict[str, set[str]], vertex_sets) -> list[SimpleGraph]:
-    """Induced subgraphs on the given vertex sets, sorted by vertex set."""
-    return [
-        SimpleGraph(frozenset(vs), frozenset((u, v) for u in vs for v in adj[u] & vs if u < v))
-        for vs in sorted(vertex_sets, key=lambda s: tuple(sorted(s)))
-    ]
+def top_components(births, edges, spec: PropertySpec) -> list[tuple[frozenset, frozenset]]:
+    """The maximal components of a whole graph on vertices 0..n-1 (vertex i
+    born at ``births[i]``, an (u, v, w) edge): the single level of
+    ``block_levels`` above every weight, in no fixed order.  Each comes as
+    its vertex set and the set that level lists, which for ``clique:k`` is
+    the set of its k-cliques and otherwise the vertex set again."""
+    (top,) = block_levels((math.inf,), births, edges, spec)
+    if spec.kind == "clique":
+        return [(frozenset(chain.from_iterable(cliques)), cliques) for cliques in top]
+    return [(vs, vs) for vs in top]
 
 
 def property_components(g: SimpleGraph, spec: PropertySpec) -> list[SimpleGraph]:
-    """Maximal subgraphs satisfying the property, sorted by vertex set.
+    """Maximal subgraphs satisfying the property, sorted by vertex set, and
+    clique communities on one vertex set by their sorted cliques.
 
-    For components and edge blocks these partition (a subset of) the
-    vertices; clique communities and vertex blocks may overlap.
+    They are the ``top_components`` of g on its sorted vertices: a clique
+    community is the union of its k-cliques, any other component the
+    subgraph its vertices induce.  For components and edge blocks these
+    partition (a subset of) the vertices; clique communities and vertex
+    blocks may overlap.
     """
-    if spec.kind == "clique":
-        (classes,) = block_levels((0.0,), (), [(u, v, 0.0) for u, v in sorted(g.edges)], spec)
-        # sorted by vertex set, ties in the order of the classes' sorted cliques
-        comms = [
-            SimpleGraph(frozenset(chain(*cs)), frozenset(e for c in cs for e in combinations(c, 2)))
-            for cs in sorted(sorted(cs) for cs in classes)
-        ]
-        return sorted(comms, key=lambda h: sorted(h.vertices))
-    search = edge_blocks if spec.kind == "edge_block" else vertex_blocks
+    names = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(names)}
     adj = g.adjacency()
-    return _induced_sorted(adj, search(adj, 1 if spec.kind == "components" else spec.k))
+    found = []
+    for vs, members in top_components([0.0] * len(names), [(index[u], index[v], 0.0) for u, v in g.edges], spec):
+        vs = frozenset(names[i] for i in vs)
+        if spec.kind == "clique":
+            es = frozenset((names[a], names[b]) for clique in members for a, b in combinations(clique, 2))
+        else:
+            es = frozenset((u, v) for u in vs for v in adj[u] & vs if u < v)
+        found.append((sorted(vs), sorted(members), SimpleGraph(vs, es)))
+    return [h for *_, h in sorted(found, key=itemgetter(0, 1))]
 
 
 def contains_property_subgraph(g: SimpleGraph, spec: PropertySpec) -> bool:

@@ -1,16 +1,15 @@
-"""Low-level graph algorithm primitives used by the connectivity providers.
+"""Low-level graph algorithm primitives used by the connectivity sweeps.
 
 All functions take an adjacency dict ``{vertex: set(neighbors)}`` over
 sortable vertex ids, or edges over them; ``edge_cut_below`` takes edge
 weights, ``{vertex: {neighbor: weight}}``.  Where several answers are valid
-they break ties by vertex id, so results are deterministic;
-``biconnected_components`` returns its blocks in no fixed order.
+they break ties by vertex id, so results are deterministic.
 
 ``clique_percolation`` is the one clique kernel.  It sweeps edges in order
 and finds each k-clique at its last edge (sequential clique percolation,
 Kumpula et al. 2008); the diagram engine feeds its births and merges to the
-elder rule, ``connectivity.block_levels`` and ``property_components`` group
-its cliques into communities, and ``posets.subobject_poset`` chains them.
+elder rule, ``connectivity.block_levels`` groups its cliques into
+communities, and ``posets.subobject_poset`` chains them.
 
 ``bridge_merges`` and ``block_merges`` sweep the edges of a filtered graph
 once, in weight order, over one rooted Kruskal forest: they merge the
@@ -59,11 +58,11 @@ from itertools import combinations
 
 
 class UnionFind:
-    """Index-based union-find with path compression and union by size."""
+    """Index-based union-find with path compression, whose classes join by
+    ``attach``: the jump pointers of ``bridge_merges`` and ``block_merges``."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.size = [1] * n
 
     def find(self, a: int) -> int:
         parent = self.parent
@@ -74,23 +73,10 @@ class UnionFind:
             parent[a], a = root, parent[a]
         return root
 
-    def union(self, a: int, b: int) -> int:
-        """Join the classes of a and b; return the root of the joined class."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
     def attach(self, a: int, b: int) -> None:
-        """Hang the root a directly under b, whatever the sizes, so that the
-        root of b's class stays the root of the joined class."""
-        rb = self.find(b)
+        """Hang the root a directly under b, so that the root of b's class
+        stays the root of the joined class."""
         self.parent[a] = b
-        self.size[rb] += self.size[a]
 
 
 class Partition:
@@ -329,43 +315,6 @@ def edge_cut_below(weights: dict, k: int) -> set | None:
                     row[rep[u]] = row.get(rep[u], 0) + wt
         w = merged
     return None
-
-
-def biconnected_components(adj: dict[str, set[str]]) -> list[set[str]]:
-    """Vertex sets of the blocks with at least two vertices, in no fixed order.
-
-    Iterative Hopcroft-Tarjan depth-first search.  A bridge is its own block,
-    a K2; isolated vertices lie in no block.
-    """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    blocks: list[set[str]] = []
-    for root in adj:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        path = [root]  # visited vertices not yet assigned to a closed block
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, nbrs = work[-1]
-            for u in nbrs:
-                if u not in index:
-                    index[u] = low[u] = len(index)
-                    path.append(u)
-                    work.append((u, iter(adj[u])))
-                    break
-                low[v] = min(low[v], index[u])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= index[parent]:
-                        block = {parent}
-                        while v not in block:
-                            block.add(path.pop())
-                        blocks.append(block)
-    return blocks
 
 
 def vertex_cut_below(adj: dict[str, set[str]], k: int, groups=()) -> set[str] | None:

@@ -12,12 +12,13 @@ The text format is line oriented::
     e <u> <v> <weight>
     v <u> <weight>
 
-One reader checks each record in one pass and gives two outputs:
-``parse_indexed_graph`` the indexed form ``(births, edges)``, which
-``persistence.index_diagram`` sweeps directly with no list of critical
-values and ``metrics.indexed_pseudodistance`` searches as is, and
-``parse_weighted_graph`` the WeightedGraph, for commands that need names
-or tabulate every critical value.  ``indexed_graph`` gives a WeightedGraph's
+One reader, ``read_graph_records``, checks each record in one pass and
+gives the vertex names with the indexed form ``(births, edges)``; the
+``components`` command reads both.  ``parse_indexed_graph`` keeps the
+indexed form, which ``persistence.index_diagram`` sweeps directly with no
+list of critical values and ``metrics.indexed_pseudodistance`` searches as
+is; ``parse_weighted_graph`` builds the WeightedGraph, for commands that
+tabulate every critical value.  ``indexed_graph`` gives a WeightedGraph's
 indexed form.
 
 Serialization is canonical: explicit vertex lines sorted by vertex id,
@@ -224,7 +225,7 @@ def format_weight(x: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def _read_records(text: str):
+def read_graph_records(text: str):
     """One pass over the graph text, checking each record where it stands.
 
     Returns ``(index, births, edges, explicit)``: vertex name -> index, in
@@ -303,14 +304,14 @@ def parse_indexed_graph(text: str) -> tuple[list[float], list[tuple[int, int, fl
     """Parse the edge-list format to ``(births, edges)``: the vertex weights
     and the ``(u, v, w)`` edges on vertex indices.  Raises FormatError with
     line numbers."""
-    _, births, edges, _ = _read_records(text)
+    _, births, edges, _ = read_graph_records(text)
     return births, edges
 
 
 def parse_weighted_graph(text: str) -> WeightedGraph:
     """Parse the edge-list format into a WeightedGraph; raises FormatError
     with line numbers.  The records are those of ``parse_indexed_graph``."""
-    index, births, edges, explicit = _read_records(text)
+    index, births, edges, explicit = read_graph_records(text)
     names = list(index)
     ew = {(names[a], names[b]): w for a, b, w in edges}
     return _assemble(ew, dict(zip(names, births)), explicit)

@@ -95,7 +95,7 @@ class Cornerpoint:
             raise ValueError(f"cornerpoint birth must be finite, got {self.birth!r}")
         if not self.birth < self.death:
             raise ValueError(f"cornerpoint needs birth < death, got ({self.birth!r}, {self.death!r})")
-        if self.multiplicity < 1 or int(self.multiplicity) != self.multiplicity:
+        if not isinstance(self.multiplicity, int) or isinstance(self.multiplicity, bool) or self.multiplicity < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
 
     @property

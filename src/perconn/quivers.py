@@ -37,11 +37,10 @@ back by orbit index are exactly the maximal components.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
-from .connectivity import PropertySpec, block_levels
+from .connectivity import PropertySpec, block_levels, top_components
 from .graphs import FormatError, GraphError, weighted_graph
 from .persistence import Diagram, PersistenceFunction, index_diagram, tabulate_persistence
 
@@ -236,7 +235,7 @@ class EquivariantClass:
     def __post_init__(self):
         if self.kind not in EQUIVARIANT_KINDS:
             raise QuiverError(f"unknown equivariant class {self.kind!r}")
-        if self.k < 1 or int(self.k) != self.k:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise QuiverError(f"k must be a positive integer, got {self.k!r}")
 
     def label(self) -> str:
@@ -281,8 +280,7 @@ def _orbit_blocks(gq: GQuiver, cls: EquivariantClass) -> tuple[list[list[str]], 
     """Vertex orbits and the orbit index sets of the maximal components of
     the whole quiver: the top level of its weighted orbit graph."""
     vorbs, owner, _, *graph = _orbit_graph(*_records(gq), cls)
-    (top,) = block_levels((math.inf,), *graph)
-    return vorbs, [{owner[t] for t in block} for block in top]
+    return vorbs, [{owner[t] for t in block} for block, _ in top_components(*graph)]
 
 
 def is_gq_connected(gq: GQuiver) -> bool:

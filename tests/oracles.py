@@ -9,12 +9,18 @@ bottleneck oracle enumerates every admissible matching, and the dense
 bottleneck oracle filters the full cost matrix at every threshold; the
 pseudodistance oracle enumerates every vertex bijection, and the poset
 isomorphism oracle every element bijection; the thresholded isomorphism
-search is the name-keyed one that the index-based search replaced.  Successor forests are found
-by scanning every component pair of adjacent levels, and the blocks of a
-filtered graph by running a provider from scratch on every level; the elder
-rule keeps every class as an explicit vertex set.  Cliques are listed by
-ordered extension with every partial clique's later candidates, and clique
-percolation lists them on every edge.  The graph reader is the
+search is the name-keyed one that the index-based search replaced.  The
+maximal components of one graph come from the per-graph providers that the
+library's sweeps replaced: ``vertex_blocks`` and ``edge_blocks`` search the
+whole graph, from the blocks of one Hopcroft-Tarjan search
+(``biconnected_components``) and the library's cut searches with no blocks
+carried, and clique communities are the classes of all k-cliques joined by
+shared facets.  Successor forests are found by scanning every component
+pair of adjacent levels, and the blocks of a filtered graph by running a
+provider from scratch on every level; the elder rule keeps every class as
+an explicit vertex set.  Cliques are listed by ordered extension with every
+partial clique's later candidates, and clique percolation lists them on
+every edge.  The graph reader is the
 record-by-record loop that builds name-keyed dicts and derives the vertex
 weights in a second pass over the edges.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
@@ -34,8 +40,7 @@ from operator import itemgetter
 from itertools import accumulate, chain, combinations, permutations
 
 import perconn as pc
-from perconn.connectivity import edge_blocks, vertex_blocks
-from perconn.cuts import UnionFind
+from perconn.connectivity import _split_edge_blocks, _split_vertex_blocks
 from perconn.metrics import _climb, _hopcroft_karp
 
 
@@ -271,6 +276,111 @@ def oracle_components(g: pc.SimpleGraph, spec: pc.PropertySpec) -> list[pc.Simpl
         if not any(m.includes(h) for m in maximal):
             maximal.append(h)
     return sorted(maximal, key=lambda c: tuple(sorted(c.vertices)))
+
+
+def biconnected_components(adj: dict[str, set[str]]) -> list[set[str]]:
+    """Vertex sets of the blocks with at least two vertices, in no fixed order.
+
+    Iterative Hopcroft-Tarjan depth-first search.  A bridge is its own block,
+    a K2; isolated vertices lie in no block.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    blocks: list[set[str]] = []
+    for root in adj:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        path = [root]  # visited vertices not yet assigned to a closed block
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, nbrs = work[-1]
+            for u in nbrs:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    path.append(u)
+                    work.append((u, iter(adj[u])))
+                    break
+                low[v] = min(low[v], index[u])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= index[parent]:
+                        block = {parent}
+                        while v not in block:
+                            block.add(path.pop())
+                        blocks.append(block)
+    return blocks
+
+
+def _connected_sets(adj: dict) -> list[set]:
+    return _weak_comps(adj, [(u, v) for u in adj for v in adj[u]])
+
+
+def vertex_blocks(adj: dict, k: int) -> list[frozenset]:
+    """Maximal vertex sets of the graph ``adj`` that stay nonempty and
+    connected after deleting any fewer than k of their vertices (induced),
+    in no fixed order: the biconnected blocks, split at k >= 3 by the
+    library's cut search with no groups."""
+    if k == 1:
+        return [frozenset(c) for c in _connected_sets(adj)]
+    # a k-vertex-connected subgraph with k >= 2 lies inside one biconnected block
+    blocks = [frozenset(b) for b in biconnected_components(adj) if len(b) >= k]
+    if k == 2:
+        return blocks
+    return _split_vertex_blocks(adj, blocks, k, ())
+
+
+def edge_blocks(adj: dict, k: int) -> list[frozenset]:
+    """Maximal vertex sets of the graph ``adj`` that stay connected after
+    deleting any fewer than k of their edges (spanning), in no fixed order:
+    the components once the bridges are deleted at k = 2, split at k >= 3
+    by the library's contraction search from single vertices."""
+    if k == 1:
+        return [frozenset(c) for c in _connected_sets(adj)]
+    if k == 2:
+        # a K2 block is a bridge; without the bridges the classes are the components
+        adj = {v: set(nbrs) for v, nbrs in adj.items()}
+        for u, v in [b for b in biconnected_components(adj) if len(b) == 2]:
+            adj[u].discard(v)
+            adj[v].discard(u)
+        return [frozenset(c) for c in _connected_sets(adj)]
+    return [frozenset(b) for b in _split_edge_blocks({v: dict.fromkeys(nbrs, 1) for v, nbrs in adj.items()}, k)]
+
+
+def provider_sets(adj: dict, spec: pc.PropertySpec) -> list[frozenset]:
+    """The maximal vertex sets of the graph ``adj`` for any kind but
+    ``clique``, from ``vertex_blocks`` or ``edge_blocks``."""
+    if spec.kind == "vertex_block":
+        return vertex_blocks(adj, spec.k)
+    return edge_blocks(adj, 1 if spec.kind == "components" else spec.k)
+
+
+def oracle_property_components(g: pc.SimpleGraph, spec: pc.PropertySpec) -> list[pc.SimpleGraph]:
+    """Maximal components of g as ``property_components`` lists them, from
+    the per-graph providers: the induced subgraphs on the sets of
+    ``provider_sets``, or for ``clique:k`` the union graphs of the classes
+    of the k-cliques that ``oracle_cliques_within`` lists, joined by shared
+    (k-1)-facets.  Sorted by vertex set, and clique communities on one
+    vertex set by their sorted cliques."""
+    adj = g.adjacency()
+    if spec.kind != "clique":
+        found = sorted(provider_sets(adj, spec), key=lambda s: tuple(sorted(s)))
+        return [pc.SimpleGraph(vs, frozenset((u, v) for u in vs for v in adj[u] & vs if u < v)) for vs in found]
+    cliques = oracle_cliques_within(adj, g.vertices, spec.k)
+    holders = defaultdict(list)
+    for i, c in enumerate(cliques):
+        for facet in combinations(c, spec.k - 1):
+            holders[facet].append(i)
+    links = [(held[0], i) for held in holders.values() for i in held[1:]]
+    comms = []
+    for members in _weak_comps(range(len(cliques)), links):
+        cs = sorted(cliques[i] for i in members)
+        vs = frozenset(chain.from_iterable(cs))
+        comms.append((sorted(vs), cs, pc.SimpleGraph(vs, frozenset(e for c in cs for e in combinations(c, 2)))))
+    return [h for *_, h in sorted(comms, key=itemgetter(0, 1))]
 
 
 def brute_force_cut_below(adj: dict[str, set[str]], k: int) -> set[str] | None:
@@ -829,9 +939,8 @@ def oracle_successor_diagram(criticals, level_components, contains) -> pc.Diagra
 def oracle_block_levels(criticals, births, edges, spec: pc.PropertySpec) -> list[list[frozenset]]:
     """Blocks of each level of a filtered graph on integer vertices (vertex
     i born at ``births[i]``, an (u, v, w) edge entering at w): one adjacency
-    grows level by level, and ``vertex_blocks`` or ``edge_blocks`` runs on
-    all of it at every level, with no blocks carried from the level before."""
-    search = vertex_blocks if spec.kind == "vertex_block" else edge_blocks
+    grows level by level, and ``provider_sets`` runs on all of it at every
+    level, with no blocks carried from the level before."""
     born = sorted(range(len(births)), key=births.__getitem__)
     edges = sorted(edges, key=itemgetter(2))
     adj: dict[int, set[int]] = {}
@@ -846,7 +955,7 @@ def oracle_block_levels(criticals, births, edges, spec: pc.PropertySpec) -> list
             adj[u].add(v)
             adj[v].add(u)
             e += 1
-        levels.append(search(adj, spec.k))
+        levels.append(provider_sets(adj, spec))
     return levels
 
 
@@ -1027,13 +1136,19 @@ def oracle_orbit_partition(items: list[str], images) -> list[frozenset[str]]:
     """Orbits as the classes of a union-find that joins each item with its
     image under every map, sorted by least member."""
     idx = {x: i for i, x in enumerate(items)}
-    uf = UnionFind(len(items))
+    parent = list(range(len(items)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
     for mapping in images:
         for x in items:
-            uf.union(idx[x], idx[mapping.get(x, x)])
+            parent[find(idx[x])] = find(idx[mapping.get(x, x)])
     classes: dict[int, set[str]] = {}
     for x in items:
-        classes.setdefault(uf.find(idx[x]), set()).add(x)
+        classes.setdefault(find(idx[x]), set()).add(x)
     return sorted((frozenset(c) for c in classes.values()), key=lambda c: min(c))
 
 

@@ -78,7 +78,7 @@ def test_engine_matches_grid_oracle(tabulated_corpus):
     graphs, tables, _, _ = tabulated_corpus
     for (gi, spec), pf in tables.items():
         filt = pc.build_filtration(graphs[gi])
-        comps = [pc.property_components(filt.sublevel_at(i), spec) for i in range(pf.grid_size)]
+        comps = [oracles.oracle_property_components(filt.sublevel_at(i), spec) for i in range(pf.grid_size)]
         expected = oracles.oracle_table(filt.criticals, comps, lambda d, c: c.includes(d))
         assert pf == expected, (gi, spec)
     print(f"PASS engine: successor-map tables equal the containment grid on {len(tables)} tabulations")

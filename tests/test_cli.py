@@ -6,9 +6,25 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 
+import random
+
 import pytest
 
-from corpus import DIAGRAM_ERRORS
+import oracles
+import perconn as pc
+from corpus import (
+    DIAGRAM_ERRORS,
+    GRAPH_ERRORS,
+    corrupt_graph_text,
+    covered_k4,
+    cycles_at_one_vertex,
+    k4_star,
+    k5_chain,
+    random_graph_text,
+    six_clusters,
+    triangle_bridge_chain,
+    weigh,
+)
 from perconn import cli, graphs, persistence, quivers
 from perconn.persistence import GRID_CAP
 
@@ -232,6 +248,78 @@ def test_components_output(tmp_path):
     res = run_cli("components", "--property", "edge-block", "--k", "1", str(src))
     assert res.returncode == 0
     assert res.stdout == "a b c d\n"
+
+
+def test_components_match_the_per_graph_oracle(tmp_path, capsys):
+    # every kind at k = 1-4 prints, byte for byte, the vertex sets that the
+    # per-graph providers find on the whole graph
+    rng = random.Random(89)
+    texts = [random_graph_text(rng, max_vertices=12) for _ in range(20)]
+    shapes = [six_clusters(rng), covered_k4(), weigh(rng, cycles_at_one_vertex(3, 5), False)]
+    shapes += [weigh(rng, edges, True) for edges in (k5_chain(3), triangle_bridge_chain(6), k4_star(4))]
+    texts += [pc.serialize_weighted_graph(wg) for wg in shapes]
+    specs = [pc.PropertySpec("components")] + [
+        pc.PropertySpec(kind, k) for kind in ("clique", "vertex_block", "edge_block") for k in (1, 2, 3, 4)
+        if (kind, k) != ("clique", 1)
+    ]
+    src = tmp_path / "g.txt"
+    shared = dict.fromkeys((spec.label() for spec in specs), 0)
+    for text in texts:
+        src.write_text(text)
+        g = oracles.oracle_parse_weighted_graph(text).graph
+        for spec in specs:
+            argv = ["components", "--property", spec.kind.replace("_", "-"), "--k", str(spec.k), str(src)]
+            assert cli.main(argv) == 0
+            comps = oracles.oracle_property_components(g, spec)
+            assert capsys.readouterr() == ("".join(" ".join(sorted(c.vertices)) + "\n" for c in comps), ""), argv
+            shared[spec.label()] += sum(len(c.vertices) > 1 for c in comps)
+    assert min(shared.values()) > 5, shared
+
+
+def test_components_reports_each_reader_error_as_diagram_does(tmp_path, capsys):
+    # one reader serves both commands: the same exit code and one-line message
+    rng = random.Random(91)
+    texts = [text for text, _, _ in GRAPH_ERRORS]
+    texts += [corrupt_graph_text(rng, random_graph_text(rng)) for _ in range(40)]
+    src = tmp_path / "g.txt"
+    failed = 0
+    for text in texts:
+        src.write_text(text)
+        for prop, k in (("components", "1"), ("vertex-block", "3"), ("clique", "1")):
+            runs = []
+            for command in ("diagram", "components"):
+                code = cli.main([command, "--property", prop, "--k", k, str(src)])
+                runs.append((code, capsys.readouterr().err))
+            assert runs[0] == runs[1], (text, prop)
+            failed += runs[0][0] != 0
+    for command in ("diagram", "components"):
+        assert cli.main([command, "--property", "components", str(tmp_path / "nope.txt")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path / 'nope.txt'}: ")
+    assert failed > 100
+
+
+def test_components_builds_no_graph_objects(tmp_path, monkeypatch, capsys):
+    # the command reads its text straight to the vertex indices the sweep
+    # takes: no WeightedGraph is assembled and no SimpleGraph built
+    def refuse(*args):
+        raise AssertionError("built a graph object")
+
+    monkeypatch.setattr(graphs, "_assemble", refuse)
+    monkeypatch.setattr(graphs.SimpleGraph, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        graphs.simple_graph(["a"])
+    src = tmp_path / "g.txt"
+    src.write_text("v z 0.5\ne a b 1\ne b c 2\ne a c 1\ne c d 3\n")
+    for prop, k, out in [
+        ("components", 1, "a b c d\nz\n"),
+        ("clique", 3, "a b c\n"),
+        ("vertex-block", 2, "a b c\nc d\n"),
+        ("vertex-block", 3, "a b c\n"),
+        ("edge-block", 2, "a b c\nd\nz\n"),
+        ("edge-block", 3, "a\nb\nc\nd\nz\n"),
+    ]:
+        assert cli.main(["components", "--property", prop, "--k", str(k), str(src)]) == 0
+        assert capsys.readouterr() == (out, "")
 
 
 def test_exit_code_parse_error(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from itertools import combinations
@@ -7,7 +8,7 @@ import pytest
 import perconn as pc
 import oracles
 from perconn import connectivity, cuts, graphs
-from perconn.connectivity import block_levels, vertex_blocks
+from perconn.connectivity import block_levels
 from perconn.cuts import edge_cut_below, vertex_cut_below
 from corpus import (
     k5_chain,
@@ -47,6 +48,33 @@ def test_spec_validation():
         pc.PropertySpec("clique", 1)
     with pytest.raises(pc.GraphError):
         pc.PropertySpec("vertex_block", 0)
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: pc.PropertySpec("clique", 3.0), pc.GraphError, "k must be a positive integer, got 3.0"),
+        (lambda: pc.PropertySpec("edge_block", math.inf), pc.GraphError, "k must be a positive integer, got inf"),
+        (lambda: pc.PropertySpec("vertex_block", math.nan), pc.GraphError, "k must be a positive integer, got nan"),
+        (lambda: pc.PropertySpec("edge_block", True), pc.GraphError, "k must be a positive integer, got True"),
+        (lambda: pc.EquivariantClass("orbit_deletion", math.inf), pc.QuiverError, "k must be a positive integer, got inf"),
+        (lambda: pc.EquivariantClass("orbit_deletion", 2.0), pc.QuiverError, "k must be a positive integer, got 2.0"),
+        (lambda: pc.EquivariantClass("fixed_vertex_deletion", math.nan), pc.QuiverError,
+         "k must be a positive integer, got nan"),
+        (lambda: pc.Cornerpoint(0.0, 1.0, math.inf), ValueError, "multiplicity must be a positive integer, got inf"),
+        (lambda: pc.Cornerpoint(0.0, 1.0, 2.0), ValueError, "multiplicity must be a positive integer, got 2.0"),
+        (lambda: pc.Cornerpoint(0.0, 1.0, math.nan), ValueError, "multiplicity must be a positive integer, got nan"),
+    ],
+    ids=["clique 3.0", "edge_block inf", "vertex_block nan", "edge_block True", "orbit_deletion inf",
+         "orbit_deletion 2.0", "fixed_vertex_deletion nan", "multiplicity inf", "multiplicity 2.0", "multiplicity nan"],
+)
+def test_constructors_take_only_int_counts(make, error, message):
+    # a float count was accepted, or raised OverflowError or a bare
+    # conversion error, instead of the class's own error
+    with pytest.raises(error) as err:
+        make()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_empty_graph_is_never_connected():
@@ -333,13 +361,13 @@ def test_vertex_cut_below_matches_the_oracles(seed=71):
             sub[v].add(u)
         expected = oracles.brute_force_cut_below(adj, k)
         assert (oracles.probe_every_pair_cut_below(adj, k) is None) == (expected is None)
-        for groups in ((), vertex_blocks(adj, k), vertex_blocks(sub, k)):
+        for groups in ((), oracles.vertex_blocks(adj, k), oracles.vertex_blocks(sub, k)):
             cut = vertex_cut_below(adj, k, groups)
             assert (cut is None) == (expected is None), (sorted(adj.items()), k, groups)
             if cut is not None:
                 assert len(cut) < k and oracles.disconnects(adj, cut), cut
         hits += expected is not None
-        grouped += bool(vertex_blocks(sub, k))
+        grouped += bool(oracles.vertex_blocks(sub, k))
     assert 100 < hits < 300 and grouped > 100
 
 
@@ -406,7 +434,7 @@ def test_block_levels_match_the_providers_level_by_level(seed=67):
             levels = block_levels(filt.criticals, list(wg.vertex_weights.values()), edges, spec)
             assert len(levels) == len(filt.criticals)
             for i, sets in enumerate(levels):
-                comps = pc.property_components(filt.sublevel_at(i), spec)
+                comps = oracles.oracle_property_components(filt.sublevel_at(i), spec)
                 if spec.kind == "clique":
                     # a community is the set of its cliques; compare union graphs
                     got = sorted(_clique_union(names, cs) for cs in sets)

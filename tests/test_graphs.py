@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 import perconn as pc
-from corpus import corrupt_graph_text, random_graph_text, random_weighted_graph
+from corpus import GRAPH_ERRORS, corrupt_graph_text, random_graph_text, random_weighted_graph
 
 
 def test_single_edge_derives_vertex_weights():
@@ -111,27 +111,7 @@ def test_sublevels_constant_between_criticals(seed=11):
             assert big.includes(small)
 
 
-# Every reader error, with its exact message and line.
-READER_ERRORS = [
-    ("e a b 1\ne b c nope\n", 2, "bad weight 'nope'"),
-    ("v a 1x\n", 1, "bad weight '1x'"),
-    ("e a b inf\n", 1, "non-finite weight 'inf'"),
-    ("e a b 1\nv a nan\n", 2, "non-finite weight 'nan'"),
-    ("# loop\ne a a 1\n", 2, "self-loop at 'a'"),
-    ("e a b 1\ne b a 2\n", 2, "duplicate edge a b"),
-    ("v z 1\n\nv z 2\n", 3, "duplicate vertex weight for 'z'"),
-    ("e a b 1\nx a b 1\n", 2, "unknown record type 'x'"),
-    ("e a b\n", 1, "edge record must be 'e <u> <v> <weight>'"),
-    ("e a b 1 2\n", 1, "edge record must be 'e <u> <v> <weight>'"),
-    ("v a\n", 1, "vertex record must be 'v <u> <weight>'"),
-    ("e a b 1\n# a\nv a 2\n", 3, "explicit weight 2.0 of vertex 'a' exceeds the incident minimum 1.0"),
-    # several offenders: the first v record in file order, even before its edges
-    ("v c 3\nv a 5\ne a b 1\ne c d -0\n", 1,
-     "explicit weight 3.0 of vertex 'c' exceeds the incident minimum 0.0"),
-]
-
-
-@pytest.mark.parametrize("text,line,message", READER_ERRORS)
+@pytest.mark.parametrize("text,line,message", GRAPH_ERRORS)
 def test_reader_error_messages(text, line, message):
     for parse in (pc.parse_weighted_graph, pc.parse_indexed_graph, oracles.oracle_parse_weighted_graph):
         with pytest.raises(pc.FormatError) as err:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import perconn as pc
-from perconn import cli, connectivity, cuts, persistence
+from perconn import cli, connectivity, persistence
 from corpus import (
     DIAGRAM_ERRORS,
     covered_k4,
@@ -162,7 +162,7 @@ def test_sweep_matches_grid_and_oracle(seed=71):
     for wg, specs in _sweep_corpus(seed):
         filt = pc.build_filtration(wg)
         for spec in specs:
-            levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+            levels = [oracles.oracle_property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
             grid = pc.extract_diagram(pc.persistence_function(filt, spec))
             oracle = pc.extract_diagram(oracles.oracle_table(filt.criticals, levels, contains))
             swept = pc.graph_diagram(filt, spec)
@@ -175,8 +175,8 @@ def test_sweep_matches_grid_and_oracle(seed=71):
 
 def test_tables_below_k3_run_no_provider(monkeypatch, seed=73):
     # verify reads the levels of components and k = 2 blocks off the merge
-    # forest of the diagrams: no level runs a block search, as the per-level
-    # providers do
+    # forest of the diagrams: no level graph is built and no level runs a
+    # component or block search of its own
     rng = random.Random(seed)
     graphs = [random_weighted_graph(rng, max_vertices=10, max_criticals=5, edge_prob=(0.3, 0.8)) for _ in range(20)]
     graphs += [weigh(rng, triangle_bridge_chain(6), tied) for tied in (True, False)]
@@ -184,14 +184,16 @@ def test_tables_below_k3_run_no_provider(monkeypatch, seed=73):
     for wg in graphs:
         filt = pc.build_filtration(wg)
         for spec in [pc.PropertySpec("components"), *K2_BLOCKS]:
-            levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+            levels = [oracles.oracle_property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
             cases.append((filt, spec, oracles.oracle_table(filt.criticals, levels, lambda d, c: c.includes(d))))
 
     def refuse(*args):
-        raise AssertionError("a level ran a block search")
+        raise AssertionError("a level ran a search of its own")
 
-    for module, name in ((connectivity, "vertex_blocks"), (connectivity, "edge_blocks"), (cuts, "biconnected_components")):
-        monkeypatch.setattr(module, name, refuse)
+    searches = ("property_components", "connected_vertex_sets", "_split_vertex_blocks", "_split_edge_blocks")
+    for name in searches:
+        monkeypatch.setattr(connectivity, name, refuse)
+    monkeypatch.setattr(pc.Filtration, "sublevel", refuse)
     for filt, spec, table in cases:
         assert pc.persistence_function(filt, spec) == table, spec.label()
 
@@ -199,7 +201,7 @@ def test_tables_below_k3_run_no_provider(monkeypatch, seed=73):
 def _per_level_diagram(filt, spec):
     """The diagram from every level's provider components, by a successor
     scan over all component pairs of adjacent levels."""
-    levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+    levels = [oracles.oracle_property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
     return oracles.oracle_successor_diagram(filt.criticals, levels, lambda d, c: c.includes(d))
 
 
@@ -271,7 +273,7 @@ def test_diagonal_counts_components(seed=41):
         spec = pc.PropertySpec("components")
         pf = pc.persistence_function(filt, spec)
         for i in range(pf.grid_size):
-            expected = len(pc.property_components(filt.sublevel_at(i), spec))
+            expected = len(oracles.oracle_property_components(filt.sublevel_at(i), spec))
             assert pf.value(i, i) == expected
 
 
@@ -526,7 +528,7 @@ def test_restriction_formulation_matches_containment(seed=47):
         for spec in ALL_SPECS:
             pf = pc.persistence_function(filt, spec)
             for j in range(pf.grid_size):
-                comps = pc.property_components(filt.sublevel_at(j), spec)
+                comps = oracles.oracle_property_components(filt.sublevel_at(j), spec)
                 for i in range(j + 1):
                     level_i = filt.sublevel_at(i)
                     count = sum(

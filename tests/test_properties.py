@@ -1,8 +1,8 @@
 """Text round-trip properties of the four file formats, the bottleneck
 distance against the exhaustive oracle, the stability of diagrams under
 perturbation, the k = 2 block sweeps against the per-level path, vertex
-blocks found with and without the blocks of a subgraph as prior, and the
-CLI's exit codes on arbitrary input, as hypothesis tests.
+blocks carried from the level of an edge subset, and the CLI's exit codes
+on arbitrary input, as hypothesis tests.
 
 Derandomized with fixed example counts, so every run checks the same inputs.
 """
@@ -21,7 +21,7 @@ st = hypothesis.strategies
 
 import perconn as pc  # noqa: E402
 from perconn import cli  # noqa: E402
-from perconn.connectivity import vertex_blocks  # noqa: E402
+from perconn.connectivity import block_levels  # noqa: E402
 import oracles  # noqa: E402
 from corpus import random_gquiver, random_weighted_graph  # noqa: E402
 
@@ -150,7 +150,7 @@ def test_k2_block_sweeps_match_per_level_successor_diagrams(wg, rng, criticals):
     for filt in (pc.build_filtration(wg), pc.build_filtration(tied)):
         for kind in ("edge_block", "vertex_block"):
             spec = pc.PropertySpec(kind, 2)
-            levels = [pc.property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
+            levels = [oracles.oracle_property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
             expected = oracles.oracle_successor_diagram(filt.criticals, levels, lambda d, c: c.includes(d))
             assert pc.graph_diagram(filt, spec) == expected, kind
 
@@ -174,12 +174,15 @@ def _adjacency(pairs, edges):
 
 @hypothesis.settings(FIXED, max_examples=200)
 @hypothesis.given(graphs_and_edge_subsets(), st.integers(2, 5))
-def test_vertex_blocks_with_the_blocks_of_an_edge_subset_as_prior(graphs, k):
-    # a block of a subgraph keeps its property in the graph, so handing the
-    # blocks of any edge subset to the cut search changes no block
+def test_block_levels_carry_the_blocks_of_an_edge_subset(graphs, k):
+    # the edge subset enters at 0 and the rest at 1: the second level's cut
+    # searches take the first level's blocks as groups, and both levels keep
+    # the blocks the provider finds on each whole graph
     adj, sub = graphs
-    prior = vertex_blocks(sub, k)
-    assert sorted(map(sorted, vertex_blocks(adj, k, prior))) == sorted(map(sorted, vertex_blocks(adj, k)))
+    edges = [(u, v, 0.0 if v in sub[u] else 1.0) for u in adj for v in adj[u] if u < v]
+    levels = block_levels((0.0, 1.0), [0.0] * len(adj), edges, pc.PropertySpec("vertex_block", k))
+    for blocks, graph in zip(levels, (sub, adj)):
+        assert sorted(map(sorted, blocks)) == sorted(map(sorted, oracles.vertex_blocks(graph, k)))
 
 
 # One invocation per command; FILE marks where the input files go.
