@@ -100,15 +100,20 @@ def render_diagram_svg(d: Diagram, size: int = 420) -> str:
         span_hi = max(values)
         if span_hi == span_lo:
             span_hi = span_lo + 1.0
-    pad = 0.08 * (span_hi - span_lo)
-    lo, hi = span_lo - pad, span_hi + pad
+    # drawn in quarters, so the padded span, up to 2.32 times the largest
+    # float, stays finite; quartering is exact for normal floats, so every
+    # coordinate is what it would be unquartered
+    pad = 0.08 * (span_hi / 4.0 - span_lo / 4.0)
+    lo, hi = span_lo / 4.0 - pad, span_hi / 4.0 + pad
     scale = (size - 2 * margin) / (hi - lo)
+    left, bottom = margin, size - margin  # where lo lands
+    reach = (hi - lo) * scale  # from there to where hi lands
 
     def px(x: float) -> float:
-        return margin + (x - lo) * scale
+        return margin + (x / 4.0 - lo) * scale
 
     def py(y: float) -> float:
-        return size - margin - (y - lo) * scale
+        return size - margin - (y / 4.0 - lo) * scale
 
     def fmt(x: float) -> str:
         return f"{x:.2f}"
@@ -117,12 +122,12 @@ def render_diagram_svg(d: Diagram, size: int = 420) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="white"/>',
-        f'<line class="axis" x1="{fmt(px(lo))}" y1="{fmt(py(lo))}" x2="{fmt(px(hi))}" '
-        f'y2="{fmt(py(lo))}" stroke="black"/>',
-        f'<line class="axis" x1="{fmt(px(lo))}" y1="{fmt(py(lo))}" x2="{fmt(px(lo))}" '
-        f'y2="{fmt(py(hi))}" stroke="black"/>',
-        f'<line class="diagonal" x1="{fmt(px(lo))}" y1="{fmt(py(lo))}" x2="{fmt(px(hi))}" '
-        f'y2="{fmt(py(hi))}" stroke="gray" stroke-dasharray="4 3"/>',
+        f'<line class="axis" x1="{fmt(left)}" y1="{fmt(bottom)}" x2="{fmt(left + reach)}" '
+        f'y2="{fmt(bottom)}" stroke="black"/>',
+        f'<line class="axis" x1="{fmt(left)}" y1="{fmt(bottom)}" x2="{fmt(left)}" '
+        f'y2="{fmt(bottom - reach)}" stroke="black"/>',
+        f'<line class="diagonal" x1="{fmt(left)}" y1="{fmt(bottom)}" x2="{fmt(left + reach)}" '
+        f'y2="{fmt(bottom - reach)}" stroke="gray" stroke-dasharray="4 3"/>',
     ]
     for p in d.points:
         if p.is_infinite:

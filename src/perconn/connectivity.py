@@ -48,20 +48,20 @@ that build it:
 * edge blocks at k >= 3: the vertices, merged by ``edge_block_merges``;
 * vertex blocks at k = 2: the edges, merged into biconnected blocks by
   ``cuts.block_merges``; a block stands for the ends of its edges;
+* vertex blocks at k >= 3: the blocks, merged by ``vertex_block_merges``
+  (two blocks may share an edge, so the nodes cannot be edges);
 * clique communities: the k-cliques, merged by
   ``cuts.clique_percolation``.
 
 The classes of the merges up to c among the nodes born by c are the
 maximal components of the level at c.  The diagram engine
 (``persistence.index_diagram``) runs the elder rule on these merges, and
-``block_levels`` reads every level's classes off the same merges, for
-``verify`` and the quiver tables.  Vertex blocks at k >= 3 fit no such
-forest, as two of them may share an edge: ``block_levels`` lists their
-levels by a sweep of its own, and the engine takes its forest from those.
-A single graph is the one level above every weight: ``top_components``
-reads it, for ``property_components``, the ``components`` command and the
-quiver components, and reads a clique community back to the vertices of
-its cliques.
+every table is counted off that diagram.  ``block_levels`` reads every
+level's classes off the same merges, for the tests.  A single graph is the
+one level above every weight: ``top_components`` reads it, for
+``property_components``, the ``components`` command and the quiver
+components, and reads a clique community back to the vertices of its
+cliques.
 
 Blocks at k >= 3 change only where an edge enters: a block of level j
 that is neither a block of level j - 1 nor a vertex born at c_j holds both
@@ -82,14 +82,16 @@ edge touches.
   graph are those of the class.  Every block found merges its
   super-vertices at c_j, and the diagram is the elder rule over the
   vertex births and these merges.
-* Vertex blocks, ``block_levels``.  The biconnected blocks of every level,
-  with their vertex sets, come from replaying the edge merges of
-  ``cuts.block_merges`` on a partition of the edges, so no level runs a
+* Vertex blocks, ``vertex_block_merges``.  The biconnected blocks of
+  every level, with their vertex sets, come from replaying the edge merges
+  of ``cuts.block_merges`` on a partition of the edges, so no level runs a
   biconnected search of its own.  A block with k >= 3 vertices lies in one
   biconnected block.  A biconnected block that gained no edge at c_j was a
   biconnected block of level j - 1 with the same induced subgraph, so it
-  keeps its blocks, the very same sets.  Only the biconnected blocks that
-  gained an edge are searched, with their previous blocks as groups.
+  keeps its blocks.  Only the biconnected blocks that gained an edge are
+  searched, with their previous blocks as groups.  A block found that is
+  not a block of level j - 1 is a node born at c_j, into which the blocks
+  of level j - 1 inside it, now gone, merge.
 """
 
 from __future__ import annotations
@@ -296,9 +298,9 @@ def edge_block_merges(criticals, births, edges, k: int) -> list[tuple[int, int, 
 def merge_forest(criticals, births, edges, spec: PropertySpec):
     """The merge forest of ``spec`` over a filtered graph on vertices
     0..n-1 (vertex i born at ``births[i]``, an (u, v, w) edge entering at
-    w), for every property but vertex blocks at k >= 3.  Only edge blocks
-    at k >= 3 read ``criticals``, as in ``edge_block_merges``; every other
-    forest merges at the edge weights themselves.
+    w).  Only blocks at k >= 3 read ``criticals``, as in
+    ``edge_block_merges``; every other forest merges at the edge weights
+    themselves.
 
     Returns the node births, the merges (a, b, w) of nodes in nondecreasing
     w, and what the nodes stand for: a function that reads a class of nodes
@@ -309,6 +311,9 @@ def merge_forest(criticals, births, edges, spec: PropertySpec):
     """
     if spec.kind == "edge_block" and spec.k > 2:
         return births, edge_block_merges(criticals, births, edges, spec.k), frozenset
+    if spec.kind == "vertex_block" and spec.k > 2:
+        blocks, node_births, merges = vertex_block_merges(criticals, births, edges, spec.k)
+        return node_births, merges, lambda nodes: frozenset().union(*map(blocks.__getitem__, nodes))
     edges = sorted(edges, key=itemgetter(2))
     if spec.kind == "clique":
         cliques, clique_births, merges = clique_percolation(edges, spec.k)
@@ -317,8 +322,6 @@ def merge_forest(criticals, births, edges, spec: PropertySpec):
         return births, edges, frozenset
     if spec.kind == "edge_block":
         return births, bridge_merges(len(births), edges), frozenset
-    if spec.k > 2:
-        raise ValueError("vertex blocks at k >= 3 have no merge forest; block_levels sweeps them")
     # an edge stands for its two ends, a biconnected block for their union
     return (
         [w for _, _, w in edges],
@@ -351,12 +354,15 @@ def _merge_levels(criticals, births, merges, read) -> list[list[frozenset]]:
     return levels
 
 
-def _vertex_block_levels(criticals, births, edges, k: int) -> list[list[frozenset]]:
-    """Vertex blocks (k >= 3) of each level, carried where no edge entered
-    their biconnected block (see the module docstring)."""
+def vertex_block_merges(criticals, births, edges, k: int):
+    """The blocks of a filtered graph at k >= 3 as nodes, with their
+    births and merges (a, b, c), level by level over the critical values as
+    in ``edge_block_merges``: a block is born where it is first found, and
+    merges into the block that holds it where it is gone (see the module
+    docstring)."""
     n = len(births)
     edges = sorted(edges, key=itemgetter(2))
-    merges = block_merges(n, edges)
+    joins = block_merges(n, edges)
     bicon = Partition(len(edges))  # biconnected blocks, as edge classes
     verts = [{u, v} for u, v, _ in edges]  # the vertices of each, by label
     index = {}
@@ -364,8 +370,11 @@ def _vertex_block_levels(criticals, births, edges, k: int) -> list[list[frozense
         index[u, v] = index[v, u] = i
     born = sorted(range(n), key=births.__getitem__)
     adj: dict[int, set[int]] = {}
-    host: dict[frozenset, int] = {}  # each block of the last level, with an edge inside it
-    levels = []
+    node: dict[frozenset, int] = {}  # each block of the last level, with its node
+    blocks: list[frozenset] = []  # the block of each node
+    host: list[int] = []  # an edge inside it
+    node_births: list[float] = []
+    merges = []
     i = e = m = 0
     for c in criticals:
         while i < n and births[born[i]] <= c:
@@ -377,33 +386,36 @@ def _vertex_block_levels(criticals, births, edges, k: int) -> list[list[frozense
             adj[u].add(v)
             adj[v].add(u)
             e += 1
-        while m < len(merges) and merges[m][2] <= c:
-            x, y = bicon.label[merges[m][0]], bicon.label[merges[m][1]]
+        while m < len(joins) and joins[m][2] <= c:
+            x, y = bicon.label[joins[m][0]], bicon.label[joins[m][1]]
             if x != y:
                 keep, gone = bicon.join(x, y)
                 verts[keep] |= verts[gone]
             m += 1
         label = bicon.label
         touched = {label[j] for j in range(entered, e)}
-        prior = [b for b, h in host.items() if label[h] in touched]
-        host = {b: h for b, h in host.items() if label[h] not in touched}
+        prior = {b: a for b, a in node.items() if label[host[a]] in touched}
         searched = [frozenset(verts[r]) for r in touched if len(verts[r]) >= k]
+        new = len(blocks)
         for b in _split_vertex_blocks(adj, searched, k, prior):
-            x = min(b)
-            host[b] = index[x, min(adj[x] & b)]
-        levels.append(list(host))
-    return levels
+            if prior.pop(b, None) is None:  # not found again: a new node
+                x = min(b)
+                node[b] = len(blocks)
+                blocks.append(b)
+                host.append(index[x, min(adj[x] & b)])
+                node_births.append(c)
+        for b, a in prior.items():  # gone, so inside one new block
+            del node[b]
+            merges.append((a, node[next(f for f in blocks[new:] if b <= f)], c))
+    return blocks, node_births, merges
 
 
 def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[frozenset]]:
     """Maximal components of each level of a filtered graph: vertex i is
     born at ``births[i]``, an (u, v, w) edge enters at w.  They are clique
     sets for ``clique:k`` and vertex sets otherwise, read off the forest of
-    ``merge_forest``; vertex blocks at k >= 3 come from their own sweep
-    (see the module docstring).
+    ``merge_forest``.
     """
-    if spec.kind == "vertex_block" and spec.k > 2:
-        return _vertex_block_levels(criticals, births, edges, spec.k)
     return _merge_levels(criticals, *merge_forest(criticals, births, edges, spec))
 
 

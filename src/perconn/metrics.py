@@ -210,8 +210,10 @@ def _finite_bottleneck(f1: list[Point], f2: list[Point]) -> tuple[float, list[Ma
     deaths1 = [d for _, d in f1]
     births2 = [b for b, _ in f2]
     deaths2 = [d for _, d in f2]
-    half1 = [(d - b) / 2.0 for b, d in f1]
-    half2 = [(d - b) / 2.0 for b, d in f2]
+    # halved before the difference, which then cannot overflow; exact for
+    # normal floats, so equal to (d - b) / 2 wherever that is finite
+    half1 = [d / 2.0 - b / 2.0 for b, d in f1]
+    half2 = [d / 2.0 - b / 2.0 for b, d in f2]
     # the cost is symmetric bit for bit: fl(a - b) == -fl(b - a)
     lb = _raise_bound(-math.inf, births1, deaths1, half1, births2, deaths2)
     lb = _raise_bound(lb, births2, deaths2, half2, births1, deaths1)

@@ -1,15 +1,9 @@
 """Persistence functions of component filtrations and their diagrams.
 
 The value p(c_i, c_j) is the number of maximal components of the level at
-c_j that contain some maximal component of the level at c_i.  Every level
-is a list of frozensets, and inclusion is subset: vertex sets for
-components and blocks, sets of k-cliques for clique communities (all from
-``connectivity.block_levels``), orbit index sets for G-quivers and down-sets
-for posets.  By the union property each maximal component of one level
-lies in exactly one maximal component of the next, so the components of
-all levels form a forest under the successor maps, and p(c_i, c_j) is the
-size of the image of the level-i components under the composed successor
-maps from level i to j.
+c_j that contain some maximal component of the level at c_i.  By the union
+property each maximal component of one level lies in exactly one maximal
+component of the next, so the components of all levels form a forest.
 
 Diagrams come from one elder-rule sweep over such a forest: a union-find
 whose root is the eldest node of its class, where a union at value
@@ -22,33 +16,26 @@ births and weighted edges with no list of critical values, that
 weighted orbit graph of a G-quiver) call it too.  It sweeps the merge
 forest that ``connectivity.merge_forest`` picks for each property: the
 vertices, the edges or the k-cliques (sequential clique percolation,
-Kumpula et al. 2008), merged in weight order.  For edge blocks at k >= 3
-the merges come from ``connectivity.edge_block_merges``: the blocks of
-each level are unions of the previous level's, so a block that merges
-others at c_j ends all of them but the eldest there, exactly as in the
-successor forest of the per-level blocks, whose earliest descendant level
-is the earliest birth among the block's vertices.  Blocks at k >= 3 take
-their levels at the distinct edge weights alone, as a value where no edge
-enters changes no block.  Only vertex blocks at k >= 3 build levels: the
-successor maps of the per-level maximal vertex sets of
-``connectivity.block_levels``, which carries the blocks that no entering
-edge touches, where each set is tested only against the next level's sets
-that hold one of its members.
+Kumpula et al. 2008), merged in weight order.  Blocks at k >= 3 merge
+level by level (``connectivity.edge_block_merges`` and
+``vertex_block_merges``): a block that absorbs others at c_j ends all of
+them but the eldest there, exactly as in the successor forest of the
+per-level blocks.  They take their levels at the distinct edge weights
+alone, as a value where no edge enters changes no block.
 
 Births and deaths are always critical values of the filtration.
 
-The tabulated grid serves ``verify`` (``persistence_function``),
-``quivers.gq_persistence_function``, ``posets.poset_persistence`` and the
-test oracles.  Verify takes every property's levels from ``block_levels``,
-which reads them off the same forest as the diagrams; the per-level
-providers stay in the tests as oracles.  ``tabulate_persistence`` counts,
-for each level, the components whose subtree in the successor forest
-reaches each lower level, in O(m^2 + N) for m critical values and N
-components.  Values are tabulated on critical values only, because between consecutive criticals
-the filtration is constant, and the value at (u, infinity) equals the
-value at (u, last critical) because filtrations stabilize.  The grid holds
-about m^2/2 values, so ``persistence_function`` refuses a filtration with
-more than ``GRID_CAP`` critical values with CapExceeded.
+A class of the level at c_j holds one of the level at c_i exactly when
+its eldest node is born by c_i, so p(c_i, c_j) counts the diagram's points
+born by c_i that die after c_j: ``diagram_table`` counts every table,
+``verify``'s and the quivers' included, off its diagram.  Per-level sets
+(down-sets for posets) go to ``tabulate_persistence``, which builds their
+forest.  Values are tabulated on critical values only, because between
+consecutive criticals the filtration is constant, and the value at
+(u, infinity) equals the value at (u, last critical) because filtrations
+stabilize.  The grid holds about m^2/2 values, so ``persistence_function``
+refuses a filtration with more than ``GRID_CAP`` critical values with
+CapExceeded.
 ``extract_diagram`` reads the cornerpoints back by inclusion-exclusion: the
 multiplicity of a proper cornerpoint (c_i, c_j) is
 
@@ -65,16 +52,15 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .connectivity import block_levels, merge_forest
+from .connectivity import merge_forest
 from .graphs import CapExceeded, Filtration, FormatError, format_weight, indexed_graph
 
 
 # Most critical values ``persistence_function`` tabulates.  Verify grows as
-# m^2: 4-11 s and 126-489 MiB at m = 2,000, 19-50 s and 0.45-1.07 GiB at
-# m = 4,000 (components and blocks at k <= 3, 2n edges, distinct weights).
+# m^2: 2.2-3.5 s and 51-144 MiB at m = 2,000 on a 2-core Xeon (components
+# and blocks at k <= 3, 2n edges, distinct weights).
 GRID_CAP = 2000
 
 
@@ -202,39 +188,31 @@ def tabulate_persistence(criticals: Sequence[float], levels) -> PersistenceFunct
     """Tabulate p over the grid given per-level components.
 
     ``levels[j]`` lists the maximal components of the level at
-    ``criticals[j]`` as frozensets; inclusion is subset.  A level-j
-    component holds a level-i component (i <= j) iff its subtree in the
-    successor forest reaches down to level i, so p(c_i, c_j) counts the
-    level-j components whose earliest descendant level is at most i: one
-    pass carries each node's earliest level up the forest, and one prefix
-    count per level gives its column, O(m^2 + N) for N components in all.
+    ``criticals[j]`` as frozensets; inclusion is subset.  Each is a node
+    born at c_j that joins, at c_j, the components of the level before
+    inside it, and the table is that of this forest's diagram.
     """
-    m = len(criticals)
-    if m == 0:
+    if not criticals:
         raise ValueError("a filtration needs at least one critical value")
     succ = _successor_maps(criticals, levels)
-    rows: list[list[int]] = [[] for _ in range(m)]
-    earliest: list[int] = []
-    for j in range(m):
-        first = [j] * len(levels[j])
-        for a, b in enumerate(succ[j]):
-            first[b] = min(first[b], earliest[a])
-        earliest = first
-        count = [0] * (j + 1)
-        for e in earliest:
-            count[e] += 1
-        for i, total in enumerate(accumulate(count)):
-            rows[i].append(total)
-    return PersistenceFunction(tuple(criticals), tuple(map(tuple, rows)), tuple(r[-1] for r in rows))
+    births: list[float] = []
+    merges: list[tuple[int, int, float]] = []
+    prev = 0
+    for j, comps in enumerate(levels):
+        start = len(births)
+        births += [criticals[j]] * len(comps)
+        merges += ((prev + a, start + b, criticals[j]) for a, b in enumerate(succ[j]))
+        prev = start
+    return diagram_table(criticals, elder_rule(births, merges))
 
 
 def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
     """Tabulate the persistence function of a graph filtration under a
-    property, on the levels of ``connectivity.block_levels``; CapExceeded,
-    before any level is listed, past GRID_CAP critical values."""
+    property: the table of its diagram (``index_diagram``); CapExceeded,
+    before the graph is swept, past GRID_CAP critical values."""
     if len(filt.criticals) > GRID_CAP:
         raise CapExceeded(f"persistence grid limited to {GRID_CAP} critical values, got {len(filt.criticals)}")
-    return tabulate_persistence(filt.criticals, block_levels(filt.criticals, *indexed_graph(filt.source), spec))
+    return diagram_table(filt.criticals, index_diagram(*indexed_graph(filt.source), spec))
 
 
 def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]) -> Diagram:
@@ -270,22 +248,6 @@ def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]
     return Diagram(tuple(Cornerpoint(b, d, n) for (b, d), n in sorted(bars.items())))
 
 
-def _forest_diagram(criticals: Sequence[float], levels) -> Diagram:
-    """Diagram of per-level components by the elder rule on their successor
-    forest: each level-j component is born at c_j and joins, at c_j, the
-    level-(j-1) components inside it."""
-    succ = _successor_maps(criticals, levels)
-    births: list[float] = []
-    merges: list[tuple[int, int, float]] = []
-    prev = 0
-    for j, comps in enumerate(levels):
-        start = len(births)
-        births += [criticals[j]] * len(comps)
-        merges += ((prev + a, start + b, criticals[j]) for a, b in enumerate(succ[j]))
-        prev = start
-    return elder_rule(births, merges)
-
-
 def index_diagram(births: Sequence[float], edges, spec) -> Diagram:
     """Persistence diagram of a filtered graph on vertices 0..n-1, by one
     elder-rule sweep of ``connectivity.merge_forest`` for ``spec`` (see the
@@ -302,10 +264,7 @@ def index_diagram(births: Sequence[float], edges, spec) -> Diagram:
     levels = ()
     if spec.kind in ("vertex_block", "edge_block") and spec.k > 2:
         levels = sorted({w for _, _, w in edges})
-        if spec.kind == "vertex_block":
-            return _forest_diagram(levels, block_levels(levels, births, edges, spec))
-    node_births, merges, _ = merge_forest(levels, births, edges, spec)
-    return elder_rule(node_births, merges)
+    return elder_rule(*merge_forest(levels, births, edges, spec)[:2])
 
 
 def graph_diagram(filt: Filtration, spec) -> Diagram:
@@ -396,34 +355,44 @@ def extract_diagram(pf: PersistenceFunction) -> Diagram:
     return diagram(pts)
 
 
-def check_reconstruction(pf: PersistenceFunction, d: Diagram) -> str | None:
-    """First grid cell where ``d`` does not give back ``pf``, as a message, or None.
-
-    p(c_i, c_j) must equal the multiplicity of the points born at or before
-    c_i that die after c_j.  Cells are decided by grid index, never by
-    evaluating between floats, and running counts per row make the check
-    O(m^2 + |d|).
-    """
-    m = pf.grid_size
+def diagram_table(criticals: Sequence[float], d: Diagram) -> PersistenceFunction:
+    """The function ``d`` gives on the grid: p(c_i, c_j) is the multiplicity
+    of the points born at or before c_i that die after c_j.  Cells are
+    decided by grid index, never by evaluating between floats, and running
+    counts per row make the table O(m^2 + |d|)."""
+    m = len(criticals)
     deaths_by_birth: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for p in d.points:
-        b = bisect_left(pf.criticals, p.birth)
+        b = bisect_left(criticals, p.birth)
         if b < m:
-            deaths_by_birth[b].append((bisect_left(pf.criticals, p.death), p.multiplicity))
+            deaths_by_birth[b].append((bisect_left(criticals, p.death), p.multiplicity))
     # alive[k]: multiplicity born at or before c_i whose death index is k (m: none)
     alive = [0] * (m + 1)
+    rows = []
     for i in range(m):
         for k, mult in deaths_by_birth[i]:
             alive[k] += mult
+        row = [0] * (m - i)
         count = alive[m]
         for j in range(m - 1, i - 1, -1):
-            if count != pf.rows[i][j - i]:
+            row[j - i] = count
+            count += alive[j]
+        rows.append(tuple(row))
+    return PersistenceFunction(tuple(criticals), tuple(rows), tuple(r[-1] for r in rows))
+
+
+def check_reconstruction(pf: PersistenceFunction, d: Diagram) -> str | None:
+    """First grid cell where ``d`` does not give back ``pf``, as a message,
+    or None: the rows of ``diagram_table`` against those of ``pf``, each
+    from its last cell down."""
+    for i, (row, want) in enumerate(zip(diagram_table(pf.criticals, d).rows, pf.rows)):
+        for j in range(len(row) - 1, -1, -1):
+            if row[j] != want[j]:
                 return (
                     f"reconstruction mismatch at p({format_weight(pf.criticals[i])}, "
-                    f"{format_weight(pf.criticals[j])}): the diagram gives {count}, "
-                    f"the function {pf.rows[i][j - i]}"
+                    f"{format_weight(pf.criticals[i + j])}): the diagram gives {row[j]}, "
+                    f"the function {want[j]}"
                 )
-            count += alive[j]
     return None
 
 

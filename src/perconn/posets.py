@@ -437,10 +437,10 @@ def build_universal_pair(d1: Diagram, d2: Diagram) -> tuple[PosetFiltration, Pos
         if p is not None and math.isinf(p[1]):
             continue
         if p is None:
-            mid = (q[0] + q[1]) / 2.0
+            mid = q[0] / 2.0 + q[1] / 2.0  # halved first: the sum may overflow
             p = (mid, mid)
         if q is None:
-            mid = (p[0] + p[1]) / 2.0
+            mid = p[0] / 2.0 + p[1] / 2.0  # halved first: the sum may overflow
             q = (mid, mid)
         coords1.append(p)
         coords2.append(q)

@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
-from .connectivity import PropertySpec, block_levels, top_components
+from .connectivity import PropertySpec, top_components
 from .graphs import FormatError, GraphError, weighted_graph
-from .persistence import Diagram, PersistenceFunction, index_diagram, tabulate_persistence
+from .persistence import Diagram, PersistenceFunction, diagram_table, index_diagram
 
 EQUIVARIANT_KINDS = ("isomorphisms", "orbit_deletion", "fixed_vertex_deletion")
 
@@ -315,7 +315,7 @@ def gq_persistence_function(gq: GQuiver, cls: EquivariantClass) -> PersistenceFu
     if not gq.quiver.vertices:
         return None
     _, _, criticals, *graph = _orbit_graph(*_records(gq), cls)
-    return tabulate_persistence(criticals, block_levels(criticals, *graph))
+    return diagram_table(criticals, index_diagram(*graph))
 
 
 def gq_persistence(gq: GQuiver, cls: EquivariantClass) -> Diagram:

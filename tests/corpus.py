@@ -338,6 +338,20 @@ def six_clusters(rng: random.Random) -> pc.WeightedGraph:
     return pc.weighted_graph({e: rng.randint(1, 12) for e in pairs})
 
 
+def random_geometric_graph(rng: random.Random, n: int) -> pc.WeightedGraph:
+    """n random points in the unit square, joined when closer than r, where
+    pi r^2 n = 12 (mean degree near 12 away from the border), each edge
+    weighted by its length: clustered graphs with distinct weights."""
+    r = math.sqrt(12 / (math.pi * n))
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    edges = {}
+    for i, j in combinations(range(n), 2):
+        length = math.dist(points[i], points[j])
+        if length < r:
+            edges[(f"g{i:03d}", f"g{j:03d}")] = length
+    return pc.weighted_graph(edges)
+
+
 def cycles_at_one_vertex(cycles: int, length: int) -> list[tuple[str, str]]:
     """Cycles of the given length that share the vertex 'hub' and nothing else."""
     edges = []

@@ -232,6 +232,17 @@ def test_distance_outputs(tmp_path):
     assert inf.returncode == 0 and inf.stdout == "inf\n"
 
 
+def test_distance_takes_a_half_persistence_past_the_largest_float(tmp_path):
+    # the point's persistence, 3.4e308, overflows; half of it does not, and
+    # retiring it to the diagonal is the only admissible matching
+    d1 = tmp_path / "d1.txt"
+    d2 = tmp_path / "d2.txt"
+    d1.write_text("-1.7e308 1.7e308 1\n0 inf 1\n")
+    d2.write_text("0 inf 1\n")
+    res = run_cli("distance", str(d1), str(d2))
+    assert res.returncode == 0 and res.stdout == "1.7e+308\n"
+
+
 def test_pseudodistance_output(tmp_path):
     g1 = tmp_path / "g1.txt"
     g2 = tmp_path / "g2.txt"
@@ -590,6 +601,22 @@ def test_plot_svg(tmp_path):
     assert any(l.get("class") == "diagonal" for l in lines)
     texts = root.findall(f"{ns}text")
     assert any(t.text == "3" for t in texts)
+
+
+def test_plot_spans_past_the_largest_float(tmp_path):
+    # the span, 3.4e308, overflows; every coordinate must still be finite
+    d = tmp_path / "d.txt"
+    d.write_text("1e308 inf 1\n-1.7e308 1.7e308 1\n")
+    out = tmp_path / "plot.svg"
+    assert run_cli("plot", "--output", str(out), str(d)).returncode == 0
+    root = ET.fromstring(out.read_text())
+    ns = "{http://www.w3.org/2000/svg}"
+    (circle,) = root.findall(f"{ns}circle")
+    (halfline,) = [l for l in root.findall(f"{ns}line") if l.get("class") == "halfline"]
+    coords = [float(circle.get(a)) for a in ("cx", "cy")] + [float(halfline.get(a)) for a in ("x1", "y1")]
+    assert all(40 <= x <= 380 for x in coords), coords
+    # the point at (-1.7e308, 1.7e308) is in the upper left, 1e308 right of centre
+    assert coords[0] < 210 and coords[1] < 210 and coords[2] > 210, coords
 
 
 def test_non_utf8_input_is_a_parse_error(tmp_path):

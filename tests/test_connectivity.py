@@ -12,6 +12,7 @@ from perconn.connectivity import block_levels
 from perconn.cuts import edge_cut_below, vertex_cut_below
 from corpus import (
     k5_chain,
+    random_geometric_graph,
     random_weighted_graph,
     six_clusters,
     sparse_graph_edges,
@@ -445,7 +446,7 @@ def test_block_levels_match_the_providers_level_by_level(seed=67):
 
 def _sweep_corpus(seed):
     """Tied and distinct-weight random filtrations, six-cluster graphs, K5
-    chains and triangle-bridge chains."""
+    chains, triangle-bridge chains and random geometric graphs."""
     rng = random.Random(seed)
     cases = [random_weighted_graph(rng, max_vertices=12, edge_prob=(0.3, 0.9)) for _ in range(30)]
     for _ in range(30):
@@ -457,6 +458,7 @@ def _sweep_corpus(seed):
     for tied in (True, False):
         cases.append(weigh(rng, k5_chain(6), tied))
         cases.append(weigh(rng, triangle_bridge_chain(12), tied))
+    cases += [random_geometric_graph(rng, n) for n in (20, 30, 40)]
     return cases
 
 
@@ -496,7 +498,7 @@ def test_fan_probe_cut_leaves_out_its_source(monkeypatch):
 def test_block_levels_carry_an_untouched_biconnected_block(monkeypatch):
     # a K4, and a K4 with a triangle on two of its vertices, joined by a
     # bridge: at the second level only the second gains an edge, so the
-    # first keeps its block, the same set, and is not searched again
+    # first keeps its block, and its node, and is not searched again
     k4 = list(combinations(range(4), 2))
     right = list(combinations(range(4, 8), 2)) + [(6, 8), (7, 8)]
     edges = [(u, v, 1.0) for u, v in k4 + right + [(3, 4)]] + [(5, 8, 2.0)]
@@ -510,9 +512,38 @@ def test_block_levels_carry_an_untouched_biconnected_block(monkeypatch):
     first, second = block_levels((1.0, 2.0), [1.0] * 9, edges, pc.PropertySpec("vertex_block", 3))
     assert sorted(map(sorted, first)) == [[0, 1, 2, 3], [4, 5, 6, 7], [6, 7, 8]]
     assert sorted(map(sorted, second)) == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
-    (k4_block,) = [b for b in first if 0 in b]
-    assert any(b is k4_block for b in second)
     assert searched == [[[0, 1, 2, 3], [4, 5, 6, 7, 8]], [[4, 5, 6, 7, 8]]]
+    blocks, births, _ = connectivity.vertex_block_merges((1.0, 2.0), [1.0] * 9, edges, 3)
+    assert [c for b, c in zip(blocks, births) if b == {0, 1, 2, 3}] == [1.0]
+
+
+def test_k33_keeps_its_node_as_two_triangles_merge():
+    # K3,3 holds the non-adjacent u and v, and the triangles a-b-u and a-b-v
+    # hang off them; when uv enters, the triangles merge into the K4
+    # {a, b, u, v}, and K3,3, searched again as part of the same biconnected
+    # block, is found unchanged and keeps its node
+    u, v, a, b = "x0", "x1", "a", "b"
+    k33 = [(f"x{i}", f"y{j}") for i in range(3) for j in range(3)]
+    wg = pc.weighted_graph({e: 1.0 for e in k33 + [(a, b), (a, u), (b, u), (a, v), (b, v)]} | {(u, v): 2.0})
+    filt = pc.build_filtration(wg)
+    births, edges = graphs.indexed_graph(wg)
+    names = list(wg.vertex_weights)
+    spec = pc.PropertySpec("vertex_block", 3)
+    levels = block_levels(filt.criticals, births, edges, spec)
+    expected = oracles.oracle_block_levels(filt.criticals, births, edges, spec)
+    assert [sorted(map(sorted, sets)) for sets in levels] == [sorted(map(sorted, sets)) for sets in expected]
+    blocks, node_births, merges = connectivity.vertex_block_merges(filt.criticals, births, edges, 3)
+    named = [frozenset(names[x] for x in s) for s in blocks]
+    k33_block = frozenset(x for e in k33 for x in e)
+    assert [c for s, c in zip(named, node_births) if s == k33_block] == [1.0]
+    assert sorted((sorted(named[x]), sorted(named[y]), c) for x, y, c in merges) == [
+        (sorted([a, b, u]), sorted([a, b, u, v]), 2.0),
+        (sorted([a, b, v]), sorted([a, b, u, v]), 2.0),
+    ]
+    swept = pc.index_diagram(births, edges, spec)
+    assert swept == oracles.oracle_successor_diagram(filt.criticals, expected, lambda d, c: d <= c)
+    assert pc.serialize_diagram(swept) == "1 2 1\n1 inf 2\n"
+    assert pc.persistence_function(filt, spec) == oracles.oracle_table(filt.criticals, expected, lambda d, c: d <= c)
 
 
 @pytest.mark.parametrize("kind", ["edge_block", "vertex_block"])

@@ -130,9 +130,9 @@ def test_block_diagrams_level_at_edge_weights_alone(seed=47):
 
 def test_persistence_function_refuses_a_grid_before_listing_levels(monkeypatch):
     def no_levels(*args):
-        raise AssertionError("levels listed past the grid cap")
+        raise AssertionError("graph swept past the grid cap")
 
-    monkeypatch.setattr(persistence, "block_levels", no_levels)
+    monkeypatch.setattr(persistence, "merge_forest", no_levels)
     path = pc.weighted_graph({(f"p{i}", f"p{i + 1}"): i for i in range(persistence.GRID_CAP + 1)})
     with pytest.raises(pc.CapExceeded, match="grid limited"):
         pc.persistence_function(pc.build_filtration(path), pc.PropertySpec("components"))
@@ -475,6 +475,30 @@ def test_engine_matches_grid_oracle_on_gquivers(seed=61):
             checked += 1
             finite += len(swept.finite_points())
     assert checked > 500 and finite > 40, (checked, finite)
+
+
+def test_tables_list_no_levels(monkeypatch, seed=79):
+    # every table is counted off its diagram: neither verify nor the quiver
+    # tables list per-level sets or build successor maps
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(10):
+        filt = pc.build_filtration(random_weighted_graph(rng, max_vertices=10, edge_prob=(0.3, 0.8)))
+        for spec in SWEEP_SPECS + [pc.PropertySpec(kind, 4) for kind in ("vertex_block", "edge_block")]:
+            cases.append((filt, spec, pc.graph_diagram(filt, spec)))
+    quivers = [gq for gq in (random_gquiver(rng, max_vertices=12, max_arrows=18) for _ in range(10)) if gq.quiver.vertices]
+    gq_cases = [(gq, cls, pc.gq_persistence(gq, cls)) for gq in quivers for cls in GQ_CLASSES]
+
+    def refuse(*args):
+        raise AssertionError("a table listed levels")
+
+    monkeypatch.setattr(connectivity, "_merge_levels", refuse)
+    monkeypatch.setattr(persistence, "_successor_maps", refuse)
+    for filt, spec, d in cases:
+        assert pc.extract_diagram(pc.persistence_function(filt, spec)) == d, spec.label()
+    for gq, cls, d in gq_cases:
+        assert pc.extract_diagram(pc.gq_persistence_function(gq, cls)) == d, cls
+    assert len(gq_cases) > 50
 
 
 @pytest.mark.parametrize(

@@ -246,6 +246,16 @@ def test_universal_pair_with_diagonal_padding():
     assert "p1" in hp.top().elements
 
 
+def test_universal_pair_pads_at_a_midpoint_past_half_the_largest_float():
+    # 1e308 + 1.7e308 overflows; the padded element sits at their midpoint
+    d1 = pc.diagram([pc.Cornerpoint(1e308, math.inf), pc.Cornerpoint(1e308, 1.7e308)])
+    d2 = pc.diagram([pc.Cornerpoint(1e308, math.inf)])
+    h, hp = pc.build_universal_pair(d1, d2)
+    assert hp.criticals == (1e308, 1.35e308)
+    assert pc.extract_diagram(pc.poset_persistence(h)) == d1
+    assert pc.extract_diagram(pc.poset_persistence(hp)) == d2
+
+
 def test_universal_pair_matched_coordinates():
     d1 = pc.diagram([pc.Cornerpoint(0.0, math.inf), pc.Cornerpoint(1.0, 3.0)])
     d2 = pc.diagram([pc.Cornerpoint(0.2, math.inf), pc.Cornerpoint(1.1, 2.9)])
