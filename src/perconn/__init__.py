@@ -41,7 +41,6 @@ from .persistence import (
     parse_diagram,
     persistence_function,
     serialize_diagram,
-    tabulate_persistence,
 )
 from .posets import (
     Poset,

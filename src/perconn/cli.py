@@ -98,8 +98,12 @@ def render_diagram_svg(d: Diagram, size: int = 420) -> str:
     if values:
         span_lo = min(values)
         span_hi = max(values)
-        if span_hi == span_lo:
+        # one value, or subnormals that quarter to one, get a unit span; past
+        # 2**53 adding 1 changes nothing, so the span reaches half the value
+        if span_hi / 4.0 == span_lo / 4.0:
             span_hi = span_lo + 1.0
+            if span_hi == span_lo:
+                span_lo, span_hi = sorted((span_lo, span_lo / 2.0))
     # drawn in quarters, so the padded span, up to 2.32 times the largest
     # float, stays finite; quartering is exact for normal floats, so every
     # coordinate is what it would be unquartered
@@ -190,6 +194,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_pseudodistance(args) -> int:
+    if args.cap < 0:
+        raise GraphError(f"--cap must be >= 0, got {args.cap}")
     g1 = parse_indexed_graph(_read(args.first))
     g2 = parse_indexed_graph(_read(args.second))
     dist = indexed_pseudodistance(g1, g2, vertex_cap=args.cap)
@@ -214,6 +220,8 @@ def _corrupted(pf: PersistenceFunction, spec_text: str) -> PersistenceFunction:
 
 
 def _cmd_verify(args) -> int:
+    if args.poset_cap < 0:
+        raise GraphError(f"--poset-cap must be >= 0, got {args.poset_cap}")
     spec = _property_spec(args)
     filt = build_filtration(parse_weighted_graph(_read(args.input)))
     if not filt.criticals:

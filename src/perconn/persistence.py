@@ -21,16 +21,19 @@ level by level (``connectivity.edge_block_merges`` and
 ``vertex_block_merges``): a block that absorbs others at c_j ends all of
 them but the eldest there, exactly as in the successor forest of the
 per-level blocks.  They take their levels at the distinct edge weights
-alone, as a value where no edge enters changes no block.
+alone, as a value where no edge enters changes no block.  Poset
+filtrations feed the same sweep (``posets.poset_persistence``): each
+element is a node born at the first level where it is maximal, and it
+merges into the one maximal element above it wherever that is another.
+No path lists the sets of each level.
 
 Births and deaths are always critical values of the filtration.
 
 A class of the level at c_j holds one of the level at c_i exactly when
 its eldest node is born by c_i, so p(c_i, c_j) counts the diagram's points
 born by c_i that die after c_j: ``diagram_table`` counts every table,
-``verify``'s and the quivers' included, off its diagram.  Per-level sets
-(down-sets for posets) go to ``tabulate_persistence``, which builds their
-forest.  Values are tabulated on critical values only, because between
+``verify``'s, the quivers' and the posets' included, off its diagram.
+Values are tabulated on critical values only, because between
 consecutive criticals the filtration is constant, and the value at
 (u, infinity) equals the value at (u, last critical) because filtrations
 stabilize.  The grid holds about m^2/2 values, so ``persistence_function``
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,13 +61,14 @@ from .graphs import CapExceeded, Filtration, FormatError, format_weight, indexed
 
 
 # Most critical values ``persistence_function`` tabulates.  Verify grows as
-# m^2: 2.2-3.5 s and 51-144 MiB at m = 2,000 on a 2-core Xeon (components
-# and blocks at k <= 3, 2n edges, distinct weights).
+# m^2: at m = 2,000 on a 2-core Xeon (n = 1,000, 2n edges, distinct weights)
+# it takes 0.8-0.9 s of CPU for components, clique:3 and blocks at k = 2,
+# 2.0-2.3 s for blocks at k = 3, and 51-152 MiB.
 GRID_CAP = 2000
 
 
 class PersistenceAxiomError(ValueError):
-    """Component lists or a tabulated function violate the persistence axioms (provider bug)."""
+    """A tabulated function violates the persistence axioms (provider bug)."""
 
 
 @dataclass(frozen=True)
@@ -137,11 +140,6 @@ class PersistenceFunction:
             return 0
         return self.rows[i][j - i]
 
-    def value_at_infinity(self, i: int) -> int:
-        if i < 0:
-            return 0
-        return self.inf_column[i]
-
     def at(self, beta: float, gamma: float) -> int:
         """p(beta, gamma) for real arguments, beta <= gamma; constant between criticals."""
         if beta > gamma:
@@ -151,59 +149,6 @@ class PersistenceFunction:
             return 0
         j = bisect_right(self.criticals, gamma) - 1
         return self.value(i, j)
-
-
-def _successor_maps(criticals: Sequence[float], levels) -> list[list[int]]:
-    """succ[j][a]: index of the level-j set that holds level-(j-1) set a as
-    a subset; succ[0] is empty.
-
-    A set that lies in no or in several sets of the next level breaks the
-    union property and raises PersistenceAxiomError.  Each set ``d`` is
-    tested only against the level-j sets that hold one of its members: any
-    set containing ``d`` holds that member, so the hits are the same as in a
-    scan of the whole level.
-    """
-    succ: list[list[int]] = [[]]
-    for j in range(1, len(criticals)):
-        later = levels[j]
-        holders: dict = defaultdict(list)
-        for b, c in enumerate(later):
-            for x in c:
-                holders[x].append(b)
-        row = []
-        for a, d in enumerate(levels[j - 1]):
-            hits = [b for b in holders.get(next(iter(d)), ()) if d <= later[b]]
-            if len(hits) != 1:
-                raise PersistenceAxiomError(
-                    f"component {a} of the level at {criticals[j - 1]!r} lies in "
-                    f"{len(hits)} components of the level at {criticals[j]!r}; "
-                    "the union property fails"
-                )
-            row.append(hits[0])
-        succ.append(row)
-    return succ
-
-
-def tabulate_persistence(criticals: Sequence[float], levels) -> PersistenceFunction:
-    """Tabulate p over the grid given per-level components.
-
-    ``levels[j]`` lists the maximal components of the level at
-    ``criticals[j]`` as frozensets; inclusion is subset.  Each is a node
-    born at c_j that joins, at c_j, the components of the level before
-    inside it, and the table is that of this forest's diagram.
-    """
-    if not criticals:
-        raise ValueError("a filtration needs at least one critical value")
-    succ = _successor_maps(criticals, levels)
-    births: list[float] = []
-    merges: list[tuple[int, int, float]] = []
-    prev = 0
-    for j, comps in enumerate(levels):
-        start = len(births)
-        births += [criticals[j]] * len(comps)
-        merges += ((prev + a, start + b, criticals[j]) for a, b in enumerate(succ[j]))
-        prev = start
-    return diagram_table(criticals, elder_rule(births, merges))
 
 
 def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
@@ -285,10 +230,7 @@ def check_axioms(pf: PersistenceFunction) -> str | None:
     """
     m = pf.grid_size
     # cols[i][j - i] = p(c_i, c_j) for i <= j <= m; column m is infinity
-    cols = [pf.rows[i] + (pf.inf_column[i],) for i in range(m)]
-
-    def val(i: int, j: int) -> int:
-        return cols[i][j - i]
+    cols = [row + (inf,) for row, inf in zip(pf.rows, pf.inf_column)]
 
     def label(j: int) -> str:
         return "inf" if j == m else format_weight(pf.criticals[j])
@@ -296,28 +238,30 @@ def check_axioms(pf: PersistenceFunction) -> str | None:
     def at(i: int, j: int) -> str:
         return f"p({format_weight(pf.criticals[i])}, {label(j)})"
 
-    for i in range(m):
-        for j in range(i, m + 1):
-            if val(i, j) < 0:
-                return f"negative value {at(i, j)}"
-    for i in range(m):
-        for j in range(i, m + 1):
-            a = val(i, j)
-            if j < m and val(i, j + 1) > a:
+    for i, col in enumerate(cols):
+        for k, a in enumerate(col):
+            if a < 0:
+                return f"negative value {at(i, i + k)}"
+    for i, col in enumerate(cols):
+        # nxt[k - 1] = p(c_{i+1}, c_{i+k}); the last row has none
+        nxt = cols[i + 1] if i + 1 < m else ()
+        for k, a in enumerate(col):
+            j = i + k
+            if j < m and col[k + 1] > a:
                 return (
                     "non-increasing in the second argument violated: "
-                    f"{at(i, j + 1)} = {val(i, j + 1)} > {at(i, j)} = {a}"
+                    f"{at(i, j + 1)} = {col[k + 1]} > {at(i, j)} = {a}"
                 )
-            if j == i or i + 1 == m:
+            if k == 0 or not nxt:
                 continue
-            b = val(i + 1, j)
+            b = nxt[k - 1]
             if a > b:
                 return (
                     "non-decreasing in the first argument violated: "
                     f"{at(i, j)} = {a} > {at(i + 1, j)} = {b}"
                 )
             if j < m:
-                c, d = val(i, j + 1), val(i + 1, j + 1)
+                c, d = col[k + 1], nxt[k]
                 if b - a < d - c:
                     return (
                         "jump superadditivity violated at "
@@ -331,27 +275,26 @@ def extract_diagram(pf: PersistenceFunction) -> Diagram:
     """Cornerpoints with their multiplicities from the tabulated grid."""
     m = pf.grid_size
     pts: list[Cornerpoint] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            mu = (
-                pf.value(i, j - 1)
-                - pf.value(i - 1, j - 1)
-                - pf.value(i, j)
-                + pf.value(i - 1, j)
-            )
+    # prev[k] = p(c_{i-1}, c_{i-1+k}), and prev_inf = p(c_{i-1}, inf); a zero
+    # row lies below the grid
+    prev, prev_inf = (0,) * (m + 1), 0
+    for i, (row, inf) in enumerate(zip(pf.rows, pf.inf_column)):
+        for k in range(1, m - i):
+            mu = row[k - 1] - prev[k] - row[k] + prev[k + 1]
             if mu < 0:
                 raise PersistenceAxiomError(
-                    f"negative multiplicity {mu} at ({pf.criticals[i]!r}, {pf.criticals[j]!r})"
+                    f"negative multiplicity {mu} at ({pf.criticals[i]!r}, {pf.criticals[i + k]!r})"
                 )
             if mu > 0:
-                pts.append(Cornerpoint(pf.criticals[i], pf.criticals[j], mu))
-        mu_inf = pf.value_at_infinity(i) - pf.value_at_infinity(i - 1)
+                pts.append(Cornerpoint(pf.criticals[i], pf.criticals[i + k], mu))
+        mu_inf = inf - prev_inf
         if mu_inf < 0:
             raise PersistenceAxiomError(
                 f"negative multiplicity {mu_inf} at ({pf.criticals[i]!r}, inf)"
             )
         if mu_inf > 0:
             pts.append(Cornerpoint(pf.criticals[i], math.inf, mu_inf))
+        prev, prev_inf = row, inf
     return diagram(pts)
 
 

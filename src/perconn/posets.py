@@ -29,7 +29,7 @@ from .connectivity import PropertySpec, is_property_connected
 from .cuts import clique_percolation
 from .graphs import CapExceeded, SimpleGraph, WeightedGraph, simple_graph, weighted_graph
 from .metrics import indexed_isomorphic_within, optimal_matching
-from .persistence import Diagram, PersistenceFunction, tabulate_persistence
+from .persistence import Diagram, PersistenceFunction, diagram_table, elder_rule
 
 
 class PosetError(ValueError):
@@ -359,35 +359,38 @@ class PosetFiltration:
 
 
 def poset_persistence(pf: PosetFiltration) -> PersistenceFunction:
-    """Count images of maximal elements between levels.
+    """Count images of maximal elements between levels: the table of the
+    elder rule on a merge forest of elements.
 
     The components of a level are its maximal elements, and containment
     at level j is level j's order.  Every element that is maximal at some
-    level must lie below exactly one maximal element of each later level;
+    level must lie below exactly one maximal element t of each later level;
     a failure means the level is not weakly directed and raises PosetError.
-    Each maximal element is passed as its down-set: d <= c at level j iff
-    d's down-set at level j - 1 lies in c's at level j, as relations only
-    grow.
+    As relations only grow, an element that stops being maximal never is
+    again.  So each element is a node born at the first level where it is
+    maximal, and at level j it merges into its t, when t is another element.
     """
-    m = len(pf.criticals)
-    if m == 0:
+    if not pf.criticals:
         raise PosetError("empty poset filtration")
-    maximals = [lvl.maximal_elements() for lvl in pf.levels]
-    once_maximal: dict = {}
-    for j, level in enumerate(pf.levels):
-        once_maximal.update(dict.fromkeys(maximals[j]))
-        for d in once_maximal:
-            ups = [c for c in maximals[j] if level.leq(d, c)]
+    node: dict = {}  # once-maximal element -> its index in births
+    births: list[float] = []
+    merges: list[tuple[int, int, float]] = []
+    for c, level in zip(pf.criticals, pf.levels):
+        maximals = level.maximal_elements()
+        for e in maximals:
+            if e not in node:
+                node[e] = len(births)
+                births.append(c)
+        for d in node:
+            ups = [t for t in maximals if level.leq(d, t)]
             if len(ups) != 1:
                 raise PosetError(
                     f"maximal element {d!r} has {len(ups)} maximal successors at "
-                    f"level {pf.criticals[j]!r}; the level is not weakly directed"
+                    f"level {c!r}; the level is not weakly directed"
                 )
-    downsets = [
-        [frozenset(x for x in level.elements if level.leq(x, c)) for c in tops]
-        for level, tops in zip(pf.levels, maximals)
-    ]
-    return tabulate_persistence(pf.criticals, downsets)
+            if ups[0] != d:
+                merges.append((node[d], node[ups[0]], c))
+    return diagram_table(pf.criticals, elder_rule(births, merges))
 
 
 def _single_infinite_birth(d: Diagram) -> float:

@@ -20,7 +20,8 @@ pair of adjacent levels, and the blocks of a filtered graph by running a
 provider from scratch on every level; the elder rule keeps every class as
 an explicit vertex set.  Cliques are listed by ordered extension with every
 partial clique's later candidates, and clique percolation lists them on
-every edge.  The graph reader is the
+every edge.  The persistence axioms and the cornerpoints of a table are
+read one cell at a time, through a call per cell.  The graph reader is the
 record-by-record loop that builds name-keyed dicts and derives the vertex
 weights in a second pass over the edges.  The orbit
 filtration of a G-quiver is built level by level as validated invariant
@@ -41,6 +42,7 @@ from itertools import accumulate, chain, combinations, permutations
 
 import perconn as pc
 from perconn.connectivity import _split_edge_blocks, _split_vertex_blocks
+from perconn.graphs import format_weight
 from perconn.metrics import _climb, _hopcroft_karp
 
 
@@ -967,7 +969,7 @@ def oracle_check_axioms(pf: pc.PersistenceFunction) -> str | None:
     m = pf.grid_size
 
     def val(i: int, j: int) -> int:
-        return pf.value_at_infinity(i) if j == m else pf.value(i, j)
+        return pf.inf_column[i] if j == m else pf.value(i, j)
 
     for i in range(m):
         for j in range(i, m + 1):
@@ -986,6 +988,80 @@ def oracle_check_axioms(pf: pc.PersistenceFunction) -> str | None:
                     if b - a < d - c:
                         return f"jump superadditivity at ({i1}, {i2}, {j1}, {j2})"
     return None
+
+
+def cell_check_axioms(pf: pc.PersistenceFunction) -> str | None:
+    """``check_axioms`` as one call per cell: the same adjacent-cell checks,
+    in the same order and with the same messages, each cell read through
+    ``val``."""
+    m = pf.grid_size
+    cols = [pf.rows[i] + (pf.inf_column[i],) for i in range(m)]
+
+    def val(i: int, j: int) -> int:
+        return cols[i][j - i]
+
+    def label(j: int) -> str:
+        return "inf" if j == m else format_weight(pf.criticals[j])
+
+    def at(i: int, j: int) -> str:
+        return f"p({format_weight(pf.criticals[i])}, {label(j)})"
+
+    for i in range(m):
+        for j in range(i, m + 1):
+            if val(i, j) < 0:
+                return f"negative value {at(i, j)}"
+    for i in range(m):
+        for j in range(i, m + 1):
+            a = val(i, j)
+            if j < m and val(i, j + 1) > a:
+                return (
+                    "non-increasing in the second argument violated: "
+                    f"{at(i, j + 1)} = {val(i, j + 1)} > {at(i, j)} = {a}"
+                )
+            if j == i or i + 1 == m:
+                continue
+            b = val(i + 1, j)
+            if a > b:
+                return (
+                    "non-decreasing in the first argument violated: "
+                    f"{at(i, j)} = {a} > {at(i + 1, j)} = {b}"
+                )
+            if j < m:
+                c, d = val(i, j + 1), val(i + 1, j + 1)
+                if b - a < d - c:
+                    return (
+                        "jump superadditivity violated at "
+                        f"u1={format_weight(pf.criticals[i])}, u2={format_weight(pf.criticals[i + 1])}, "
+                        f"v1={label(j)}, v2={label(j + 1)}: {b}-{a} < {d}-{c}"
+                    )
+    return None
+
+
+def cell_extract_diagram(pf: pc.PersistenceFunction) -> pc.Diagram:
+    """``extract_diagram`` as one call per cell: inclusion-exclusion on
+    ``pf.value``, with a zero row below the grid, in the same order and
+    with the same errors."""
+
+    def at_inf(i: int) -> int:
+        return pf.inf_column[i] if i >= 0 else 0
+
+    m = pf.grid_size
+    pts: list[pc.Cornerpoint] = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            mu = pf.value(i, j - 1) - pf.value(i - 1, j - 1) - pf.value(i, j) + pf.value(i - 1, j)
+            if mu < 0:
+                raise pc.PersistenceAxiomError(
+                    f"negative multiplicity {mu} at ({pf.criticals[i]!r}, {pf.criticals[j]!r})"
+                )
+            if mu > 0:
+                pts.append(pc.Cornerpoint(pf.criticals[i], pf.criticals[j], mu))
+        mu_inf = at_inf(i) - at_inf(i - 1)
+        if mu_inf < 0:
+            raise pc.PersistenceAxiomError(f"negative multiplicity {mu_inf} at ({pf.criticals[i]!r}, inf)")
+        if mu_inf > 0:
+            pts.append(pc.Cornerpoint(pf.criticals[i], math.inf, mu_inf))
+    return pc.diagram(pts)
 
 
 def evaluate_diagram(d: pc.Diagram, beta: float, gamma: float) -> int:

@@ -513,6 +513,17 @@ def test_pseudodistance_cap_is_a_config_error(tmp_path):
     assert res.stdout == ""
 
 
+def test_negative_caps_are_config_errors(tmp_path, capsys):
+    # refused before the input is read: the missing file is never opened
+    missing = str(tmp_path / "missing.txt")
+    for argv, flag in (
+        (["verify", "--property", "components", "--poset-cap", "-1", missing], "--poset-cap"),
+        (["pseudodistance", "--cap", "-1", missing, missing], "--cap"),
+    ):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {flag} must be >= 0, got -1\n")
+
+
 def test_distance_point_cap_counts_both_files(tmp_path):
     # 2,500 + 2,501 points, each file under the cap alone, made by
     # multiplicities; refused with the same line whichever file comes first
@@ -617,6 +628,20 @@ def test_plot_spans_past_the_largest_float(tmp_path):
     assert all(40 <= x <= 380 for x in coords), coords
     # the point at (-1.7e308, 1.7e308) is in the upper left, 1e308 right of centre
     assert coords[0] < 210 and coords[1] < 210 and coords[2] > 210, coords
+
+
+def test_plot_of_one_value_past_two_to_the_53(tmp_path):
+    # adding 1 to such a value changes nothing, so the span stayed 0
+    ns = "{http://www.w3.org/2000/svg}"
+    for text in ("1e17 inf 1\n", "-1e17 inf 1\n", "9007199254740992 inf 1\n", "1.7976931348623157e308 inf 1\n"):
+        d = tmp_path / "d.txt"
+        d.write_text(text)
+        out = tmp_path / "plot.svg"
+        res = run_cli("plot", "--output", str(out), str(d))
+        assert (res.returncode, res.stderr) == (0, ""), text
+        (halfline,) = [l for l in ET.fromstring(out.read_text()).findall(f"{ns}line") if l.get("class") == "halfline"]
+        coords = [float(halfline.get(a)) for a in ("x1", "y1", "x2", "y2")]
+        assert all(20 <= x <= 380 for x in coords), (text, coords)
 
 
 def test_non_utf8_input_is_a_parse_error(tmp_path):

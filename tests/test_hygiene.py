@@ -1,11 +1,15 @@
 """Source hygiene of the perconn modules: every imported name is used, every
-import sits at module level, no function recurses on input size, and every
-function is referenced."""
+import sits at module level, no function recurses on input size, every
+function is referenced, and every name the benchmark reaches exists."""
 
 import ast
 from pathlib import Path
 
+import perconn
+from perconn import cli
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "perconn"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -122,3 +126,27 @@ def test_every_function_is_referenced():
         if name not in referenced | UNREFERENCED_ALLOWED and not (name.startswith("__") and name.endswith("__"))
     ]
     assert dead == []
+
+
+def test_benchmark_names_resolve():
+    # perfbench runs cli.main and builds its pools through ``pc.<name>``
+    # (``import perconn as pc``); a name gone from the package would show
+    # only as a failed benchmark run
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "perconn"
+        }
+        names |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+        }
+    assert names, "no pc.<name> found in perfbench"
+    assert sorted(name for name in names if not hasattr(perconn, name)) == []
+    assert callable(cli.main)

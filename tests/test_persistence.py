@@ -260,7 +260,7 @@ def test_engine_example_table_and_diagram():
     pf = pc.persistence_function(two_then_one(), pc.PropertySpec("components"))
     assert pf.criticals == (1.0, 2.0)
     assert pf.value(0, 0) == 2 and pf.value(0, 1) == 1 and pf.value(1, 1) == 1
-    assert pf.value_at_infinity(0) == 1 and pf.value_at_infinity(1) == 1
+    assert pf.inf_column == (1, 1)
     d = pc.extract_diagram(pf)
     assert d == pc.diagram([pc.Cornerpoint(1.0, 2.0), pc.Cornerpoint(1.0, math.inf)])
 
@@ -451,6 +451,49 @@ def test_axiom_checker_matches_oracle_on_corruptions(seed=59):
     assert flagged > 100
 
 
+def test_row_passes_match_the_cell_passes(seed=67):
+    # check_axioms and extract_diagram read each row once; the per-cell
+    # passes they replaced must give the same message, the same Diagram or
+    # the same PersistenceAxiomError, on tables and corruptions of them
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(80):
+        wg = random_weighted_graph(rng, max_vertices=8, max_criticals=6)
+        pf = pc.persistence_function(pc.build_filtration(wg), rng.choice(ALL_SPECS))
+        m = pf.grid_size
+        tables = [pf]
+        for _ in range(6):
+            rows = [list(r) for r in pf.rows]
+            inf_column = list(pf.inf_column)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(m)
+                j = rng.randrange(i, m + 1)
+                delta = rng.choice((-3, -1, 1, 2))
+                if j == m:
+                    inf_column[i] += delta
+                else:
+                    rows[i][j - i] += delta
+                    if j == m - 1 and rng.random() < 0.5:
+                        inf_column[i] += delta
+            tables.append(pc.PersistenceFunction(pf.criticals, tuple(map(tuple, rows)), tuple(inf_column)))
+        rows = [tuple(rng.randint(-1, 3) for _ in range(m - i)) for i in range(m)]
+        tables.append(pc.PersistenceFunction(pf.criticals, tuple(rows), tuple(rng.randint(-1, 3) for _ in range(m))))
+        for t in tables:
+            message = pc.check_axioms(t)
+            assert message == oracles.cell_check_axioms(t), t
+            seen.add(message.split(" ")[0] if message else None)
+            try:
+                want = oracles.cell_extract_diagram(t)
+            except pc.PersistenceAxiomError as exc:
+                with pytest.raises(pc.PersistenceAxiomError) as got:
+                    pc.extract_diagram(t)
+                assert str(got.value) == str(exc), t
+                seen.add("inf)" if str(exc).endswith("inf)") else "finite)")
+            else:
+                assert pc.extract_diagram(t) == want, t
+    assert seen == {None, "negative", "non-increasing", "non-decreasing", "jump", "inf)", "finite)"}, seen
+
+
 GQ_CLASSES = [pc.EquivariantClass("isomorphisms")] + [
     pc.EquivariantClass(kind, k) for kind in ("orbit_deletion", "fixed_vertex_deletion") for k in (1, 2, 3, 4)
 ]
@@ -479,7 +522,7 @@ def test_engine_matches_grid_oracle_on_gquivers(seed=61):
 
 def test_tables_list_no_levels(monkeypatch, seed=79):
     # every table is counted off its diagram: neither verify nor the quiver
-    # tables list per-level sets or build successor maps
+    # tables list per-level sets
     rng = random.Random(seed)
     cases = []
     for _ in range(10):
@@ -493,26 +536,11 @@ def test_tables_list_no_levels(monkeypatch, seed=79):
         raise AssertionError("a table listed levels")
 
     monkeypatch.setattr(connectivity, "_merge_levels", refuse)
-    monkeypatch.setattr(persistence, "_successor_maps", refuse)
     for filt, spec, d in cases:
         assert pc.extract_diagram(pc.persistence_function(filt, spec)) == d, spec.label()
     for gq, cls, d in gq_cases:
         assert pc.extract_diagram(pc.gq_persistence_function(gq, cls)) == d, cls
     assert len(gq_cases) > 50
-
-
-@pytest.mark.parametrize(
-    "levels",
-    [
-        [[frozenset("a")], [frozenset("b")]],
-        [[frozenset("a")], [frozenset("ab"), frozenset("ac")]],
-    ],
-    ids=["no successor", "two successors"],
-)
-def test_engine_rejects_broken_union_property(levels):
-    criticals = [float(i) for i in range(len(levels))]
-    with pytest.raises(pc.PersistenceAxiomError, match="union property"):
-        pc.tabulate_persistence(criticals, levels)
 
 
 def test_clique_levels_give_a_covered_k4_one_successor(tmp_path, capsys):
