@@ -46,6 +46,8 @@ EXIT_PARSE = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
+SVG_SIZE = 420  # width and height of a ``plot``, in pixels
+
 
 def _read(path: str) -> str:
     try:
@@ -88,7 +90,7 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def render_diagram_svg(d: Diagram, size: int = 420) -> str:
+def render_diagram_svg(d: Diagram) -> str:
     """Standalone SVG: diagonal, one circle per proper cornerpoint, a vertical
     half-line glyph per infinite point, multiplicity labels when > 1."""
     margin = 40.0
@@ -109,15 +111,17 @@ def render_diagram_svg(d: Diagram, size: int = 420) -> str:
     # coordinate is what it would be unquartered
     pad = 0.08 * (span_hi / 4.0 - span_lo / 4.0)
     lo, hi = span_lo / 4.0 - pad, span_hi / 4.0 + pad
-    scale = (size - 2 * margin) / (hi - lo)
+    size = SVG_SIZE
     left, bottom = margin, size - margin  # where lo lands
-    reach = (hi - lo) * scale  # from there to where hi lands
+    reach = size - 2 * margin  # from there to where hi lands
 
+    # each coordinate goes by its share of the span, at most 1, so a span
+    # only a few subnormals wide overflows no factor
     def px(x: float) -> float:
-        return margin + (x / 4.0 - lo) * scale
+        return margin + (x / 4.0 - lo) / (hi - lo) * reach
 
     def py(y: float) -> float:
-        return size - margin - (y / 4.0 - lo) * scale
+        return size - margin - (y / 4.0 - lo) / (hi - lo) * reach
 
     def fmt(x: float) -> str:
         return f"{x:.2f}"

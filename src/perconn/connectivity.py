@@ -38,37 +38,42 @@ Four property kinds are supported:
 
 Every maximal component comes from one sweep of a filtered graph on
 integer vertices.  By the union property the maximal components of all
-its levels form a forest, and ``merge_forest`` picks the nodes and merges
-that build it:
+its levels form a forest, and ``merge_forest`` sorts the edges by weight
+once and picks the nodes and merges that build it, each from a sweep of
+those edges:
 
 * components and blocks at k = 1: the vertices, merged by the edges in
   weight order (Kruskal);
 * edge blocks at k = 2: the vertices, merged into 2-edge-connected classes
   by ``cuts.bridge_merges``;
-* edge blocks at k >= 3: the vertices, merged by ``edge_block_merges``;
+* edge blocks at k >= 3: the vertices, merged at the edge weights by
+  ``edge_block_merges``;
 * vertex blocks at k = 2: the edges, merged into biconnected blocks by
   ``cuts.block_merges``; a block stands for the ends of its edges;
-* vertex blocks at k >= 3: the blocks, merged by ``vertex_block_merges``
-  (two blocks may share an edge, so the nodes cannot be edges);
+* vertex blocks at k >= 3: the blocks, born and merged at the edge
+  weights by ``vertex_block_merges`` (two blocks may share an edge, so the
+  nodes cannot be edges);
 * clique communities: the k-cliques, merged by
   ``cuts.clique_percolation``.
 
 The classes of the merges up to c among the nodes born by c are the
 maximal components of the level at c.  The diagram engine
 (``persistence.index_diagram``) runs the elder rule on these merges, and
-every table is counted off that diagram.  ``block_levels`` reads every
-level's classes off the same merges, for the tests.  A single graph is the
-one level above every weight: ``top_components`` reads it, for
-``property_components``, the ``components`` command and the quiver
-components, and reads a clique community back to the vertices of its
-cliques.
+every table is counted off that diagram.  ``block_levels`` reads the
+classes at any critical values off the same merges, for the tests.  A
+single graph is one level, with every vertex and edge at one weight:
+``top_components`` reads it, for ``property_components``, the
+``components`` command and the quiver components, and reads a clique
+community back to the vertices of its cliques.
 
 Blocks at k >= 3 change only where an edge enters: a block of level j
 that is neither a block of level j - 1 nor a vertex born at c_j holds both
 ends of an edge entering at c_j (else its induced subgraph, and with it
 the property, is the same at level j - 1, where it lies in a block that
-lies in a block of level j), so each sweep searches only what an entering
-edge touches.
+lies in a block of level j).  So both sweeps take their levels at their
+own edge weights, one level for each run of equal weights, and search
+only what the edges entering there touch; a vertex born where no edge
+enters is a node born there for edge blocks, and no vertex block.
 
 * Edge blocks, ``edge_block_merges``.  A block of level j - 1 keeps its
   property at level j and shares a vertex with some block of level j,
@@ -88,15 +93,16 @@ edge touches.
   biconnected search of its own.  A block with k >= 3 vertices lies in one
   biconnected block.  A biconnected block that gained no edge at c_j was a
   biconnected block of level j - 1 with the same induced subgraph, so it
-  keeps its blocks.  Only the biconnected blocks that gained an edge are
-  searched, with their previous blocks as groups.  A block found that is
-  not a block of level j - 1 is a node born at c_j, into which the blocks
-  of level j - 1 inside it, now gone, merge.
+  keeps its blocks.  So each biconnected block holds its own blocks, with
+  their nodes, and two that join pass theirs to the one kept.  Only the
+  biconnected blocks that gained an edge are searched, each by itself,
+  with its previous blocks as groups.  A block found that is not a block
+  of level j - 1 is a node born at c_j, into which the blocks of level
+  j - 1 inside it, now gone, merge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import itemgetter
@@ -162,20 +168,21 @@ def _peel(sub: dict[str, set[str]], k: int) -> list[tuple[str, set[str]]]:
     return gone
 
 
-def _split_vertex_blocks(adj: dict, blocks, k: int, prior) -> list[frozenset]:
-    """The maximal k-vertex-connected sets (k >= 3) of the graph ``adj``
-    inside the given biconnected blocks of it, in no fixed order.
+def _split_vertex_blocks(adj, block: frozenset, k: int, prior) -> list[frozenset]:
+    """The maximal k-vertex-connected sets (k >= 3) of the graph ``adj`` (a
+    neighbour set per vertex) inside one biconnected block of it, in no
+    fixed order.
 
-    ``prior`` holds such sets of a subgraph of ``adj``, such as the previous
-    level's blocks: they keep the property in ``adj``, so each component's
-    cut search takes those inside it as groups no cut splits.
+    ``prior`` holds such sets of a subgraph of ``adj``, such as the block's
+    sets at the previous level: they keep the property in ``adj``, so each
+    component's cut search takes those inside it as groups no cut splits.
     """
     prior_at: dict = {}  # each prior set under its least vertex
     for b in prior:
         prior_at.setdefault(min(b), []).append(b)
     found: set[frozenset] = set()
     seen: set[frozenset] = set()
-    stack = list(blocks)
+    stack = [block]
     while stack:
         vs = stack.pop()
         if vs in seen:
@@ -238,22 +245,17 @@ def _split_edge_blocks(weights: dict, k: int) -> list[set]:
     return out
 
 
-def edge_block_merges(criticals, births, edges, k: int) -> list[tuple[int, int, float]]:
-    """Merges (a, b, c) of the vertices of a filtered graph into its edge
-    blocks at k >= 3, level by level: vertex i is born at ``births[i]``, an
-    (u, v, w) edge enters at the first critical value c >= w, and the blocks
-    of the level at c are the classes of the merges up to c.  The critical
-    values must reach every edge weight: ``index_diagram`` passes the
-    distinct edge weights, so each edge enters at its own weight, and
-    ``block_levels`` every critical value it tabulates.
+def edge_block_merges(n: int, edges, k: int) -> list[tuple[int, int, float]]:
+    """Merges (a, b, c) of the vertices 0..n-1 into the edge blocks at
+    k >= 3 of the graph of (u, v, w) edges in nondecreasing w, level by
+    level: each weight c is a level, where the edges of weight c enter, and
+    the blocks of the level at c are the classes of the merges up to c.
 
     Each block is a super-vertex of one contracted multigraph, which gains
     the entering edges between blocks level by level.  A level searches only
     the 2-edge-connected classes that such an edge lies in (see the module
     docstring), and contracts each block it finds.
     """
-    n = len(births)
-    edges = sorted(edges, key=itemgetter(2))
     bridges = bridge_merges(n, edges)
     classes = Partition(n)  # 2-edge-connected classes
     tops = [{v} for v in range(n)]  # the blocks of each class, by label
@@ -261,7 +263,8 @@ def edge_block_merges(criticals, births, edges, k: int) -> list[tuple[int, int, 
     weights: list[dict[int, int]] = [{} for _ in range(n)]  # between block labels
     merges = []
     b = e = 0
-    for c in criticals:
+    while e < len(edges):
+        c = edges[e][2]
         while b < len(bridges) and bridges[b][2] <= c:
             keep, gone = classes.join(classes.label[bridges[b][0]], classes.label[bridges[b][1]])
             tops[keep] |= tops[gone]
@@ -295,12 +298,10 @@ def edge_block_merges(criticals, births, edges, k: int) -> list[tuple[int, int, 
     return merges
 
 
-def merge_forest(criticals, births, edges, spec: PropertySpec):
+def merge_forest(births, edges, spec: PropertySpec):
     """The merge forest of ``spec`` over a filtered graph on vertices
     0..n-1 (vertex i born at ``births[i]``, an (u, v, w) edge entering at
-    w).  Only blocks at k >= 3 read ``criticals``, as in
-    ``edge_block_merges``; every other forest merges at the edge weights
-    themselves.
+    w), from one sort of the edges by weight that every sweep walks.
 
     Returns the node births, the merges (a, b, w) of nodes in nondecreasing
     w, and what the nodes stand for: a function that reads a class of nodes
@@ -309,12 +310,12 @@ def merge_forest(criticals, births, edges, spec: PropertySpec):
     by c are the maximal components of the level at c (see the module
     docstring).
     """
-    if spec.kind == "edge_block" and spec.k > 2:
-        return births, edge_block_merges(criticals, births, edges, spec.k), frozenset
-    if spec.kind == "vertex_block" and spec.k > 2:
-        blocks, node_births, merges = vertex_block_merges(criticals, births, edges, spec.k)
-        return node_births, merges, lambda nodes: frozenset().union(*map(blocks.__getitem__, nodes))
     edges = sorted(edges, key=itemgetter(2))
+    if spec.kind == "edge_block" and spec.k > 2:
+        return births, edge_block_merges(len(births), edges, spec.k), frozenset
+    if spec.kind == "vertex_block" and spec.k > 2:
+        blocks, node_births, merges = vertex_block_merges(len(births), edges, spec.k)
+        return node_births, merges, lambda nodes: frozenset().union(*map(blocks.__getitem__, nodes))
     if spec.kind == "clique":
         cliques, clique_births, merges = clique_percolation(edges, spec.k)
         return clique_births, merges, lambda nodes: frozenset(map(cliques.__getitem__, nodes))
@@ -354,32 +355,23 @@ def _merge_levels(criticals, births, merges, read) -> list[list[frozenset]]:
     return levels
 
 
-def vertex_block_merges(criticals, births, edges, k: int):
-    """The blocks of a filtered graph at k >= 3 as nodes, with their
-    births and merges (a, b, c), level by level over the critical values as
-    in ``edge_block_merges``: a block is born where it is first found, and
-    merges into the block that holds it where it is gone (see the module
-    docstring)."""
-    n = len(births)
-    edges = sorted(edges, key=itemgetter(2))
+def vertex_block_merges(n: int, edges, k: int):
+    """The blocks at k >= 3 of the graph of (u, v, w) edges on vertices
+    0..n-1, in nondecreasing w, as nodes with their births and merges
+    (a, b, c), level by level at the weights as in ``edge_block_merges``: a
+    block is born where it is first found, and merges into the block that
+    holds it where it is gone (see the module docstring)."""
     joins = block_merges(n, edges)
     bicon = Partition(len(edges))  # biconnected blocks, as edge classes
     verts = [{u, v} for u, v, _ in edges]  # the vertices of each, by label
-    index = {}
-    for i, (u, v, _) in enumerate(edges):
-        index[u, v] = index[v, u] = i
-    born = sorted(range(n), key=births.__getitem__)
-    adj: dict[int, set[int]] = {}
-    node: dict[frozenset, int] = {}  # each block of the last level, with its node
+    nodes: list[dict[frozenset, int]] = [{} for _ in edges]  # its blocks, with their nodes
+    adj: list[set[int]] = [set() for _ in range(n)]
     blocks: list[frozenset] = []  # the block of each node
-    host: list[int] = []  # an edge inside it
     node_births: list[float] = []
     merges = []
-    i = e = m = 0
-    for c in criticals:
-        while i < n and births[born[i]] <= c:
-            adj[born[i]] = set()
-            i += 1
+    e = m = 0
+    while e < len(edges):
+        c = edges[e][2]
         entered = e
         while e < len(edges) and edges[e][2] <= c:
             u, v, _ = edges[e]
@@ -391,41 +383,41 @@ def vertex_block_merges(criticals, births, edges, k: int):
             if x != y:
                 keep, gone = bicon.join(x, y)
                 verts[keep] |= verts[gone]
+                nodes[keep] |= nodes[gone]
             m += 1
-        label = bicon.label
-        touched = {label[j] for j in range(entered, e)}
-        prior = {b: a for b, a in node.items() if label[host[a]] in touched}
-        searched = [frozenset(verts[r]) for r in touched if len(verts[r]) >= k]
-        new = len(blocks)
-        for b in _split_vertex_blocks(adj, searched, k, prior):
-            if prior.pop(b, None) is None:  # not found again: a new node
-                x = min(b)
-                node[b] = len(blocks)
-                blocks.append(b)
-                host.append(index[x, min(adj[x] & b)])
-                node_births.append(c)
-        for b, a in prior.items():  # gone, so inside one new block
-            del node[b]
-            merges.append((a, node[next(f for f in blocks[new:] if b <= f)], c))
+        for r in dict.fromkeys(bicon.label[j] for j in range(entered, e)):
+            if len(verts[r]) < k:
+                continue
+            prior, nodes[r] = nodes[r], {}
+            for b in _split_vertex_blocks(adj, frozenset(verts[r]), k, prior):
+                a = prior.pop(b, None)
+                if a is None:  # not found again: a new node
+                    a = len(blocks)
+                    blocks.append(b)
+                    node_births.append(c)
+                nodes[r][b] = a
+            for b, a in prior.items():  # gone, so inside one new block
+                merges.append((a, next(node for f, node in nodes[r].items() if b < f), c))
     return blocks, node_births, merges
 
 
 def block_levels(criticals, births, edges, spec: PropertySpec) -> list[list[frozenset]]:
-    """Maximal components of each level of a filtered graph: vertex i is
-    born at ``births[i]``, an (u, v, w) edge enters at w.  They are clique
-    sets for ``clique:k`` and vertex sets otherwise, read off the forest of
-    ``merge_forest``.
+    """Maximal components of each level of a filtered graph, at each of the
+    given critical values: vertex i is born at ``births[i]``, an (u, v, w)
+    edge enters at w.  They are clique sets for ``clique:k`` and vertex sets
+    otherwise, read off the forest of ``merge_forest``.
     """
-    return _merge_levels(criticals, *merge_forest(criticals, births, edges, spec))
+    return _merge_levels(criticals, *merge_forest(births, edges, spec))
 
 
 def top_components(births, edges, spec: PropertySpec) -> list[tuple[frozenset, frozenset]]:
-    """The maximal components of a whole graph on vertices 0..n-1 (vertex i
-    born at ``births[i]``, an (u, v, w) edge): the single level of
-    ``block_levels`` above every weight, in no fixed order.  Each comes as
-    its vertex set and the set that level lists, which for ``clique:k`` is
-    the set of its k-cliques and otherwise the vertex set again."""
-    (top,) = block_levels((math.inf,), births, edges, spec)
+    """The maximal components of a whole graph on vertices 0..n-1 (``births``
+    and (u, v, w) edges as for ``block_levels``), in no fixed order: the
+    single level of the graph with every vertex and edge at one weight, so
+    each sweep searches once.  Each comes as its vertex set and the set that
+    level lists, which for ``clique:k`` is the set of its k-cliques and
+    otherwise the vertex set again."""
+    (top,) = block_levels((0.0,), [0.0] * len(births), [(u, v, 0.0) for u, v, _ in edges], spec)
     if spec.kind == "clique":
         return [(frozenset(chain.from_iterable(cliques)), cliques) for cliques in top]
     return [(vs, vs) for vs in top]

@@ -20,8 +20,9 @@ Kumpula et al. 2008), merged in weight order.  Blocks at k >= 3 merge
 level by level (``connectivity.edge_block_merges`` and
 ``vertex_block_merges``): a block that absorbs others at c_j ends all of
 them but the eldest there, exactly as in the successor forest of the
-per-level blocks.  They take their levels at the distinct edge weights
-alone, as a value where no edge enters changes no block.  Poset
+per-level blocks.  Like every other sweep they walk the weight-sorted
+edges, so each distinct edge weight is one of their levels, and no other
+value needs one: where no edge enters, no block grows or merges.  Poset
 filtrations feed the same sweep (``posets.poset_persistence``): each
 element is a node born at the first level where it is maximal, and it
 merges into the one maximal element above it wherever that is another.
@@ -199,17 +200,12 @@ def index_diagram(births: Sequence[float], edges, spec) -> Diagram:
     module docstring).
 
     Vertex i is born at ``births[i]``; each (u, v, w) edge enters at w, no
-    earlier than its ends.  Blocks at k >= 3 take their levels at the
-    distinct edge weights: a level where no edge enters changes no block
-    (the locality lemma in the ``connectivity`` docstring), so a critical
-    value that only a vertex reaches would add only zero-length bars, which
-    the elder rule drops.  The other forests merge at the edge weights and
-    read no levels.
+    earlier than its ends.  Every forest merges at the edge weights, so a
+    critical value that only a vertex reaches ends no bar: blocks at k >= 3
+    change only where an edge enters (the locality lemma in the
+    ``connectivity`` docstring).
     """
-    levels = ()
-    if spec.kind in ("vertex_block", "edge_block") and spec.k > 2:
-        levels = sorted({w for _, _, w in edges})
-    return elder_rule(*merge_forest(levels, births, edges, spec)[:2])
+    return elder_rule(*merge_forest(births, edges, spec)[:2])
 
 
 def graph_diagram(filt: Filtration, spec) -> Diagram:

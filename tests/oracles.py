@@ -325,14 +325,14 @@ def vertex_blocks(adj: dict, k: int) -> list[frozenset]:
     """Maximal vertex sets of the graph ``adj`` that stay nonempty and
     connected after deleting any fewer than k of their vertices (induced),
     in no fixed order: the biconnected blocks, split at k >= 3 by the
-    library's cut search with no groups."""
+    library's cut search with no groups, one biconnected block at a time."""
     if k == 1:
         return [frozenset(c) for c in _connected_sets(adj)]
     # a k-vertex-connected subgraph with k >= 2 lies inside one biconnected block
     blocks = [frozenset(b) for b in biconnected_components(adj) if len(b) >= k]
     if k == 2:
         return blocks
-    return _split_vertex_blocks(adj, blocks, k, ())
+    return [s for block in blocks for s in _split_vertex_blocks(adj, block, k, ())]
 
 
 def edge_blocks(adj: dict, k: int) -> list[frozenset]:

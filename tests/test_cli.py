@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import random
 
@@ -29,6 +34,7 @@ from perconn import cli, graphs, persistence, quivers
 from perconn.persistence import GRID_CAP
 
 GRAPH = "e a b 1\ne c d 1\ne b c 2\n"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -215,6 +221,27 @@ def test_outputs_are_byte_identical(tmp_path):
     assert doc["deaths"] == [2.0, "inf"]
     assert doc["property"] == "components"
     assert doc["input_digest"].startswith("sha256:")
+
+
+def test_benchmark_outputs_match_their_digests(tmp_path, monkeypatch):
+    # every job of the benchmark's pools at the digest seed, run in process:
+    # a changed output fails here, not first in a benchmark run
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    checked = 0
+    for name in workloads.WORKLOADS:
+        jobs = workloads.build_pool(name, digests["seed"])
+        for job, argv in zip(jobs, workloads.write_pool(jobs, str(tmp_path / name))):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0, job.id
+            digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+            assert digest == digests["workloads"][name][job.id]["sha256"], (name, job.id)
+            checked += 1
+    assert checked == sum(map(len, digests["workloads"].values()))
 
 
 def test_distance_outputs(tmp_path):
@@ -642,6 +669,21 @@ def test_plot_of_one_value_past_two_to_the_53(tmp_path):
         (halfline,) = [l for l in ET.fromstring(out.read_text()).findall(f"{ns}line") if l.get("class") == "halfline"]
         coords = [float(halfline.get(a)) for a in ("x1", "y1", "x2", "y2")]
         assert all(20 <= x <= 380 for x in coords), (text, coords)
+
+
+def test_plot_of_a_span_a_few_subnormals_wide(tmp_path):
+    # one over such a span overflows to inf, and inf times 0 is nan
+    ns = "{http://www.w3.org/2000/svg}"
+    for text in ("0 2e-323 1\n", "0 4e-323 1\n1e-323 3e-323 2\n"):
+        d = tmp_path / "d.txt"
+        d.write_text(text)
+        out = tmp_path / "plot.svg"
+        res = run_cli("plot", "--output", str(out), str(d))
+        assert (res.returncode, res.stderr) == (0, ""), text
+        circles = ET.fromstring(out.read_text()).findall(f"{ns}circle")
+        coords = [float(c.get(a)) for c in circles for a in ("cx", "cy")]
+        assert len(circles) == text.count("\n") and all(40 <= x <= 380 for x in coords), (text, coords)
+        assert "nan" not in out.read_text() and "inf" not in out.read_text(), text
 
 
 def test_non_utf8_input_is_a_parse_error(tmp_path):

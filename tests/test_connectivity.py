@@ -2,12 +2,13 @@ import math
 import random
 import time
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
 import perconn as pc
 import oracles
-from perconn import connectivity, cuts, graphs
+from perconn import cli, connectivity, cuts, graphs
 from perconn.connectivity import block_levels
 from perconn.cuts import edge_cut_below, vertex_cut_below
 from corpus import (
@@ -478,7 +479,40 @@ def test_block_sweeps_match_the_per_level_oracle(kind):
             assert pc.serialize_diagram(got) == pc.serialize_diagram(expected), (spec, sorted(wg.edge_weights.items()))
             assert pc.persistence_function(filt, spec) == oracles.oracle_table(filt.criticals, levels, lambda d, c: d <= c)
             found += sum(len(s) > 1 for s in levels[-1])
+            # the sweeps take their levels at the edge weights, so the forest
+            # reads any critical values, also lists that skip edge weights;
+            # the oracle searches each level afresh, so a slice of its levels
+            # is its answer at the sliced values
+            for picked in (slice(None), slice(None, None, 2), slice(-1, None)):
+                read = block_levels(filt.criticals[picked], births, edges, spec)
+                assert [sorted(map(sorted, sets)) for sets in read] == [
+                    sorted(map(sorted, sets)) for sets in levels[picked]
+                ], (spec, picked)
     assert found > 100
+
+
+def test_components_search_one_level(tmp_path, monkeypatch, capsys):
+    # a whole graph is one level, so the components command searches as
+    # often on a graph of many weights as on the same graph at one weight;
+    # its diagram, which sweeps every weight, searches more often
+    calls = []
+    for name in ("_split_vertex_blocks", "_split_edge_blocks"):
+        split = getattr(connectivity, name)
+        monkeypatch.setattr(connectivity, name, lambda *args, split=split: calls.append(1) or split(*args))
+    wg = six_clusters(random.Random(5))
+    assert len(set(wg.edge_weights.values())) >= 6
+    weighted, flat = tmp_path / "weighted.txt", tmp_path / "flat.txt"
+    weighted.write_text(pc.serialize_weighted_graph(wg))
+    flat.write_text(pc.serialize_weighted_graph(pc.weighted_graph(dict.fromkeys(wg.edge_weights, 1.0))))
+    for kind in ("vertex-block", "edge-block"):
+        runs = []
+        for argv in (["components", weighted], ["components", flat], ["diagram", weighted]):
+            calls.clear()
+            assert cli.main([argv[0], "--property", kind, "--k", "3", str(argv[1])]) == 0
+            runs.append((len(calls), capsys.readouterr().out))
+        (weighted_calls, weighted_out), (flat_calls, flat_out), (diagram_calls, _) = runs
+        assert weighted_calls == flat_calls > 0 and weighted_out == flat_out, kind
+        assert diagram_calls > weighted_calls, kind
 
 
 def test_fan_probe_cut_leaves_out_its_source(monkeypatch):
@@ -497,8 +531,9 @@ def test_fan_probe_cut_leaves_out_its_source(monkeypatch):
 
 def test_block_levels_carry_an_untouched_biconnected_block(monkeypatch):
     # a K4, and a K4 with a triangle on two of its vertices, joined by a
-    # bridge: at the second level only the second gains an edge, so the
-    # first keeps its block, and its node, and is not searched again
+    # bridge: each biconnected block is searched by itself, and at the
+    # second level only the second gains an edge, so the first keeps its
+    # block, and its node, and is not searched again
     k4 = list(combinations(range(4), 2))
     right = list(combinations(range(4, 8), 2)) + [(6, 8), (7, 8)]
     edges = [(u, v, 1.0) for u, v in k4 + right + [(3, 4)]] + [(5, 8, 2.0)]
@@ -507,13 +542,13 @@ def test_block_levels_carry_an_untouched_biconnected_block(monkeypatch):
     monkeypatch.setattr(
         connectivity,
         "_split_vertex_blocks",
-        lambda adj, blocks, k, prior: searched.append(sorted(map(sorted, blocks))) or split(adj, blocks, k, prior),
+        lambda adj, block, k, prior: searched.append(sorted(block)) or split(adj, block, k, prior),
     )
     first, second = block_levels((1.0, 2.0), [1.0] * 9, edges, pc.PropertySpec("vertex_block", 3))
     assert sorted(map(sorted, first)) == [[0, 1, 2, 3], [4, 5, 6, 7], [6, 7, 8]]
     assert sorted(map(sorted, second)) == [[0, 1, 2, 3], [4, 5, 6, 7, 8]]
-    assert searched == [[[0, 1, 2, 3], [4, 5, 6, 7, 8]], [[4, 5, 6, 7, 8]]]
-    blocks, births, _ = connectivity.vertex_block_merges((1.0, 2.0), [1.0] * 9, edges, 3)
+    assert searched == [[0, 1, 2, 3], [4, 5, 6, 7, 8], [4, 5, 6, 7, 8]]
+    blocks, births, _ = connectivity.vertex_block_merges(9, edges, 3)
     assert [c for b, c in zip(blocks, births) if b == {0, 1, 2, 3}] == [1.0]
 
 
@@ -532,7 +567,7 @@ def test_k33_keeps_its_node_as_two_triangles_merge():
     levels = block_levels(filt.criticals, births, edges, spec)
     expected = oracles.oracle_block_levels(filt.criticals, births, edges, spec)
     assert [sorted(map(sorted, sets)) for sets in levels] == [sorted(map(sorted, sets)) for sets in expected]
-    blocks, node_births, merges = connectivity.vertex_block_merges(filt.criticals, births, edges, 3)
+    blocks, node_births, merges = connectivity.vertex_block_merges(len(births), sorted(edges, key=itemgetter(2)), 3)
     named = [frozenset(names[x] for x in s) for s in blocks]
     k33_block = frozenset(x for e in k33 for x in e)
     assert [c for s, c in zip(named, node_births) if s == k33_block] == [1.0]
