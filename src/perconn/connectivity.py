@@ -3,18 +3,27 @@
 Four property kinds are supported:
 
 * ``components`` — plain connectedness (the empty graph does not count).
-* ``clique`` — the graph is covered by its k-cliques and any two of its
-  k-cliques are linked by a chain of adjacent k-cliques (adjacent means
-  sharing k-1 vertices).  Maximal components are the classical clique
-  percolation communities; they may overlap and are unions of their member
-  cliques rather than induced subgraphs.  A graph's communities come from
-  ``cuts.clique_percolation``, the sweep the diagram engine runs: the
-  classes of its merges group the cliques.  A level of ``block_levels`` is
-  a list of communities, each the set of its k-cliques, so inclusion
-  between levels is inclusion of clique sets.  For k >= 4 the
-  union graph of one community may hold every edge of another (a K4 whose
-  six edges each lie in some K4 of one other class), so subgraph inclusion
-  may give a community two successors where its cliques give one.
+* ``clique`` — a set of k-cliques, any two of them linked by a chain of
+  adjacent k-cliques of the set (adjacent means sharing a (k-1)-facet),
+  ordered by inclusion.  Two such sets that share a clique have a
+  connected union: a clique of either reaches the shared one inside its own
+  set.  So the union property holds, and each set lies in exactly one
+  maximal set, the class of its cliques under chains of adjacent k-cliques
+  of the whole graph: the maximal components are the clique percolation
+  communities (Palla et al., Nature 2005).  They may share vertices, never
+  a clique.  They come from ``cuts.clique_percolation``, the sweep the
+  diagram engine runs: the classes of its merges group the cliques.  A
+  level of ``block_levels`` lists each community as the set of its
+  k-cliques, so inclusion between levels is inclusion of clique sets, and
+  ``property_components`` gives it as the union graph of its cliques.
+  ``is_property_connected`` keeps the literal test on a graph: covered by
+  its k-cliques, all of them chained.  For k <= 3 a community's union graph
+  passes it, since a k-clique whose edges lie in the union shares a facet
+  with a clique of the community.  For k >= 4 it may fail: a K4 whose six
+  edges each lie in some K4 of one other community is a 4-clique of that
+  community's union graph chained to none of its cliques (``covered_k4`` in
+  the test corpus), so subgraph inclusion may give the K4 two successors
+  where its cliques give one.
 * ``vertex_block`` — deleting any fewer than k vertices (induced) leaves a
   nonempty connected graph.  Complete graphs on at least k vertices pass.
   Maximal components may overlap in fewer than k vertices.  For k = 2 they

@@ -8,8 +8,9 @@ they break ties by vertex id, so results are deterministic.
 ``clique_percolation`` is the one clique kernel.  It sweeps edges in order
 and finds each k-clique at its last edge (sequential clique percolation,
 Kumpula et al. 2008); the diagram engine feeds its births and merges to the
-elder rule, ``connectivity.block_levels`` groups its cliques into
-communities, and ``posets.subobject_poset`` chains them.
+elder rule, and ``connectivity.block_levels`` groups its cliques into
+communities.  ``posets.check_clique_poset`` checks those communities
+against the k-cliques that ``cliques_within`` lists, with no sweep.
 
 ``bridge_merges`` and ``block_merges`` sweep the edges of a filtered graph
 once, in weight order, over one rooted Kruskal forest: they merge the

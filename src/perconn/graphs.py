@@ -14,12 +14,12 @@ The text format is line oriented::
 
 One reader, ``read_graph_records``, checks each record in one pass and
 gives the vertex names with the indexed form ``(births, edges)``; the
-``components`` command reads both.  ``parse_indexed_graph`` keeps the
-indexed form, which ``persistence.index_diagram`` sweeps directly with no
-list of critical values and ``metrics.indexed_pseudodistance`` searches as
-is; ``parse_weighted_graph`` builds the WeightedGraph, for commands that
-tabulate every critical value.  ``indexed_graph`` gives a WeightedGraph's
-indexed form.
+``components`` and ``verify`` commands read both.  ``parse_indexed_graph``
+keeps the indexed form, which ``persistence.index_diagram`` sweeps
+directly with no list of critical values and
+``metrics.indexed_pseudodistance`` searches as is.
+``parse_weighted_graph`` builds the WeightedGraph, which no command needs.
+``indexed_graph`` gives a WeightedGraph's indexed form.
 
 Serialization is canonical: explicit vertex lines sorted by vertex id,
 then edge lines sorted by endpoint pair.  Weights are rendered with the
@@ -87,12 +87,6 @@ class SimpleGraph:
         if not keep <= self.vertices:
             raise GraphError("induced subgraph on vertices outside the graph")
         return SimpleGraph(keep, frozenset(e for e in self.edges if e[0] in keep and e[1] in keep))
-
-    def union(self, other: "SimpleGraph") -> "SimpleGraph":
-        return SimpleGraph(self.vertices | other.vertices, self.edges | other.edges)
-
-    def includes(self, other: "SimpleGraph") -> bool:
-        return other.vertices <= self.vertices and other.edges <= self.edges
 
 
 def simple_graph(vertices: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()) -> SimpleGraph:
@@ -208,10 +202,6 @@ class Filtration:
 
     def sublevel_at(self, i: int) -> SimpleGraph:
         return self.sublevel(self.criticals[i])
-
-    def limit(self) -> SimpleGraph:
-        """The stable final graph: every vertex and edge present."""
-        return self.source.graph
 
 
 def build_filtration(wg: WeightedGraph) -> Filtration:

@@ -37,9 +37,9 @@ born by c_i that die after c_j: ``diagram_table`` counts every table,
 Values are tabulated on critical values only, because between
 consecutive criticals the filtration is constant, and the value at
 (u, infinity) equals the value at (u, last critical) because filtrations
-stabilize.  The grid holds about m^2/2 values, so ``persistence_function``
-refuses a filtration with more than ``GRID_CAP`` critical values with
-CapExceeded.
+stabilize.  The grid holds about m^2/2 values, so ``grid_table``, which
+``verify`` and ``persistence_function`` tabulate through, refuses a
+filtration with more than ``GRID_CAP`` critical values with CapExceeded.
 ``extract_diagram`` reads the cornerpoints back by inclusion-exclusion: the
 multiplicity of a proper cornerpoint (c_i, c_j) is
 
@@ -61,7 +61,7 @@ from .connectivity import merge_forest
 from .graphs import CapExceeded, Filtration, FormatError, format_weight, indexed_graph
 
 
-# Most critical values ``persistence_function`` tabulates.  Verify grows as
+# Most critical values ``grid_table`` tabulates.  Verify grows as
 # m^2: at m = 2,000 on a 2-core Xeon (n = 1,000, 2n edges, distinct weights)
 # it takes 0.8-0.9 s of CPU for components, clique:3 and blocks at k = 2,
 # 2.0-2.3 s for blocks at k = 3, and 51-152 MiB.
@@ -152,13 +152,21 @@ class PersistenceFunction:
         return self.value(i, j)
 
 
+def grid_table(births: Sequence[float], edges, spec) -> PersistenceFunction:
+    """The persistence function of a filtered graph on vertices 0..n-1 (as
+    for ``index_diagram``) on the grid of its critical values: the table of
+    its diagram; CapExceeded, before the graph is swept, past GRID_CAP
+    critical values."""
+    criticals = sorted(set(births).union(w for _, _, w in edges))
+    if len(criticals) > GRID_CAP:
+        raise CapExceeded(f"persistence grid limited to {GRID_CAP} critical values, got {len(criticals)}")
+    return diagram_table(criticals, index_diagram(births, edges, spec))
+
+
 def persistence_function(filt: Filtration, spec) -> PersistenceFunction:
     """Tabulate the persistence function of a graph filtration under a
-    property: the table of its diagram (``index_diagram``); CapExceeded,
-    before the graph is swept, past GRID_CAP critical values."""
-    if len(filt.criticals) > GRID_CAP:
-        raise CapExceeded(f"persistence grid limited to {GRID_CAP} critical values, got {len(filt.criticals)}")
-    return diagram_table(filt.criticals, index_diagram(*indexed_graph(filt.source), spec))
+    property: the ``grid_table`` of its weighted graph on vertex indices."""
+    return grid_table(*indexed_graph(filt.source), spec)
 
 
 def elder_rule(births: Sequence[float], merges: Iterable[tuple[int, int, float]]) -> Diagram:

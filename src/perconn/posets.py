@@ -1,8 +1,19 @@
 """Finite posets, cores, and the poset-side persistence constructions.
 
 Posets store one bitmask per element holding its down-set, so order
-queries, maximal elements, and the weak-directedness test are cheap even
-for the subobject posets produced by exhaustive enumeration.
+queries, maximal elements, and the weak-directedness test are cheap.
+
+A finite poset is weakly directed (any two elements with a common lower
+bound have a common upper bound) iff every minimal element lies below
+exactly one maximal element, which is the test ``is_weakly_directed``
+applies:
+
+* (=>) two maximal elements above a minimal x have x as a common lower
+  bound, so they have a common upper bound, and maximality makes them
+  equal;
+* (<=) if a and b lie above c, a minimal element below c lies below the
+  maximal elements above a and above b, so those are one element, a
+  common upper bound.
 
 A poset filtration is a nested family of posets over critical values:
 elements only appear, and relations only grow.  Counting maximal elements
@@ -10,12 +21,16 @@ along such a filtration yields a persistence function, and the
 special shape used here (one top element absorbing the others at their
 death values) realizes any diagram with a single infinite cornerpoint.
 
-``subobject_poset`` orders the property-satisfying subgraphs of a graph by
-inclusion; for clique communities it chains the k-cliques of
-``cuts.clique_percolation``.  Isomorphism of posets (as of their cores) is
-the weighted-graph isomorphism search of ``metrics.indexed_isomorphic_within``
-at h = 0 on comparability graphs over element indices, each element born at
-the size of its down-set; ``metrics`` gives the argument.
+``subobject_poset`` orders the property-satisfying induced subgraphs of a
+graph by inclusion, which are all the subobjects components and blocks
+need.  Clique communities are sets of k-cliques (see ``connectivity``), so
+their poset is not enumerated: its minimal elements are the single
+k-cliques and its maximal elements the communities, and
+``check_clique_poset`` applies the test to them.  Isomorphism of posets
+(as of their cores) is the weighted-graph isomorphism search of
+``metrics.indexed_isomorphic_within`` at h = 0 on comparability graphs over
+element indices, each element born at the size of its down-set;
+``metrics`` gives the argument.
 """
 
 from __future__ import annotations
@@ -25,9 +40,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
-from .connectivity import PropertySpec, is_property_connected
-from .cuts import clique_percolation
-from .graphs import CapExceeded, SimpleGraph, WeightedGraph, simple_graph, weighted_graph
+from .connectivity import PropertySpec, top_components
+from .cuts import Partition, cliques_within
+from .graphs import CapExceeded, GraphError, SimpleGraph, WeightedGraph, weighted_graph
 from .metrics import indexed_isomorphic_within, optimal_matching
 from .persistence import Diagram, PersistenceFunction, diagram_table, elder_rule
 
@@ -176,15 +191,15 @@ def maximal_elements(p: Poset) -> list:
 
 
 def is_weakly_directed(p: Poset) -> bool:
-    """True iff every pair with a common lower bound has a common upper bound."""
-    below = p._below
+    """True iff every pair with a common lower bound has a common upper
+    bound: every minimal element lies below exactly one maximal element
+    (the module docstring has the proof)."""
     above = p._above_masks()
-    n = len(below)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if below[i] & below[j] and not (above[i] & above[j]):
-                return False
-    return True
+    tops = 0
+    for i, mask in enumerate(above):
+        if mask == 1 << i:
+            tops |= mask
+    return all((above[i] & tops).bit_count() == 1 for i, mask in enumerate(p._below) if mask == 1 << i)
 
 
 def _beat_point(p: Poset, i: int, above: list[int]) -> bool:
@@ -238,71 +253,75 @@ def _comparability_graph(p: Poset) -> tuple[list[float], list[tuple[int, int, fl
     return [float(mask.bit_count()) for mask in p._below], edges
 
 
-# Clique subobject posets are enumerated whole and compared pairwise, so the
-# work grows with the square of their size: K5 at clique:2 has 968 states and
-# its poset and weak-directedness test take 0.4 s, K6 minus an edge at
-# clique:3 has 1,933 and takes 1.6 s, K6 at clique:3 has 5,549 and takes
-# 16 s, and K6 at clique:2 does not finish.  Past this many states the
-# enumeration stops with CapExceeded.
-STATE_CAP = 2000
-
-
-def _clique_state_graphs(g: SimpleGraph, k: int) -> list[SimpleGraph]:
-    """All subgraphs that are unions of chains of adjacent k-cliques; raises
-    CapExceeded past ``STATE_CAP`` of them."""
-    cliques, _, _ = clique_percolation([(u, v, 0.0) for u, v in sorted(g.edges)], k)
-    clique_graphs = [simple_graph(c, combinations(c, 2)) for c in sorted(cliques)]
-    adjacent: list[list[int]] = [[] for _ in clique_graphs]
-    for i, j in combinations(range(len(clique_graphs)), 2):
-        if len(clique_graphs[i].vertices & clique_graphs[j].vertices) == k - 1:
-            adjacent[i].append(j)
-            adjacent[j].append(i)
-    states = dict.fromkeys(clique_graphs)
-    frontier = list(states)
-    while frontier:
-        u = frontier.pop()
-        # with k >= 2 a clique's edges cover its vertices
-        for i in [i for i, cg in enumerate(clique_graphs) if cg.edges <= u.edges]:
-            for j in adjacent[i]:
-                nxt = u.union(clique_graphs[j])
-                if nxt not in states:
-                    if len(states) >= STATE_CAP:
-                        raise CapExceeded(f"clique subobject poset limited to {STATE_CAP} elements")
-                    states[nxt] = None
-                    frontier.append(nxt)
-    return sorted(states, key=lambda s: (len(s.vertices), len(s.edges), s.sorted_vertices()))
-
-
 def subobject_poset(g: SimpleGraph, spec: PropertySpec, size_cap: int = 7) -> Poset:
-    """Poset of all property-satisfying subgraphs of g, ordered by inclusion.
+    """Poset of the induced subgraphs of g with the property, ordered by
+    inclusion, listed by size and then by their sorted vertices.
 
-    Exhaustive enumeration, guarded by a vertex cap.  Induced subgraphs
-    suffice for components and blocks (maximal elements agree); clique
-    communities need genuine unions of cliques.
+    Exhaustive over vertex subsets, guarded by a vertex cap.  Induced
+    subgraphs suffice for components and blocks (maximal elements agree);
+    a subset qualifies when it is one of the ``top_components`` of g's
+    vertices with only its own edges, and induced subgraphs are ordered by
+    their vertex sets.  Clique communities are refused: see
+    ``check_clique_poset``.
     """
+    if spec.kind == "clique":
+        raise GraphError("clique subobject posets are not enumerated; check_clique_poset decides them")
     if len(g.vertices) > size_cap:
         raise CapExceeded(
             f"subobject poset limited to {size_cap} vertices, got {len(g.vertices)}"
         )
-    elements: list[SimpleGraph]
-    if spec.kind == "clique":
-        elements = _clique_state_graphs(g, spec.k)
-    else:
-        vs = g.sorted_vertices()
-        elements = []
-        for r in range(1, len(vs) + 1):
-            for subset in combinations(vs, r):
-                h = g.induced(subset)
-                if is_property_connected(h, spec):
-                    elements.append(h)
-    below = []
-    for a in elements:
-        mask = 0
-        for i, b in enumerate(elements):
-            if a.includes(b):
-                mask |= 1 << i
-        below.append(mask)
+    names = g.sorted_vertices()
+    at = {v: i for i, v in enumerate(names)}
+    edges = [(at[u], at[v], 0.0) for u, v in g.edges]
+    elements: list[SimpleGraph] = []
+    masks: list[int] = []
+    for r in range(1, len(names) + 1):
+        for subset in combinations(range(len(names)), r):
+            inside = [e for e in edges if e[0] in subset and e[1] in subset]
+            # the vertices outside the subset are isolated, in no component with it
+            if frozenset(subset) in [vs for vs, _ in top_components([0.0] * len(names), inside, spec)]:
+                elements.append(g.induced(names[v] for v in subset))
+                masks.append(sum(1 << v for v in subset))
+    below = [sum(1 << i for i, b in enumerate(masks) if b & a == b) for a in masks]
     return Poset._from_masks(elements, below)
+
+
+def check_clique_poset(names: Sequence[str], edges, k: int) -> str | None:
+    """Why the poset of clique:k communities of a graph on vertices
+    0..n-1, named by ``names``, with (u, v, w) edges, is not weakly
+    directed, as a message, or None.
+
+    Its minimal elements are the single k-cliques and its maximal elements
+    the communities of ``top_components``, so it is weakly directed iff
+    every k-clique lies in exactly one community.  The communities are
+    checked to be the maximal elements too: the k-cliques are listed by
+    ``cuts.cliques_within`` and joined by shared (k-1)-facets apart from
+    the sweep, and the communities must be exactly these classes, so a
+    sweep that drops a merge fails.
+    """
+    adj: list[set[int]] = [set() for _ in names]
+    for u, v, _ in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    cliques = cliques_within(adj, range(len(names)), k)
+    groups = Partition(len(cliques))
+    owner: dict[tuple, int] = {}
+    for i, clique in enumerate(cliques):
+        for facet in combinations(clique, k - 1):
+            x, y = groups.label[i], groups.label[owner.setdefault(facet, i)]
+            if x != y:
+                groups.join(x, y)
+    classes = [{cliques[i] for i in held} for held in groups.members if held]
+    communities = [members for _, members in top_components([0.0] * len(names), edges, PropertySpec("clique", k))]
+    community = {clique: members for members in communities for clique in members}
+    for chained in classes:
+        first = min(chained)
+        if community.get(first) != chained:
+            return f"the community of k-clique {' '.join(names[v] for v in first)} is not the k-cliques chained to it"
+    # every class is a community, so the counts agree exactly when no other is listed
+    if len(communities) != len(classes):
+        return f"{len(communities)} maximal communities for {len(classes)} classes of k-cliques joined by facets"
+    return None
 
 
 def t_n(p: Poset, n: int) -> SimpleGraph:

@@ -138,6 +138,25 @@ def random_poset(rng: random.Random, max_elements: int = 8) -> pc.Poset:
     return pc.Poset(names, relations)
 
 
+def all_labeled_posets(names):
+    """Every poset on the given element names."""
+    pairs = [(a, b) for a in names for b in names if a != b]
+    for mask in range(1 << len(pairs)):
+        rel = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
+        if any((b, a) in rel for a, b in rel):
+            continue
+        transitive = True
+        for a, b in rel:
+            for c, d in rel:
+                if b == c and (a, d) not in rel:
+                    transitive = False
+                    break
+            if not transitive:
+                break
+        if transitive:
+            yield pc.Poset(names, rel, closed=True)
+
+
 def random_weakly_directed_poset(rng: random.Random, max_elements: int = 8) -> pc.Poset:
     while True:
         p = random_poset(rng, max_elements)

@@ -29,6 +29,9 @@ subquivers, and its persistence is read from their components.  The
 G-quiver reader is the record-by-record loop that builds a Quiver and a
 GroupAction and checks each generator map against the whole domain; its
 orbits come from a union-find, and its weighted orbit graph from those.
+Subobject posets are ordered by a subgraph test of every pair, and a
+clique poset is every union of a chain of adjacent k-cliques; weak
+directedness is tried on every pair of elements.
 """
 
 from __future__ import annotations
@@ -241,6 +244,75 @@ def _cliques_chained(cliques: list[frozenset[str]], k: int) -> bool:
     return len(seen) == n
 
 
+def union(*graphs: pc.SimpleGraph) -> pc.SimpleGraph:
+    """The graph of all the graphs' vertices and edges."""
+    return pc.SimpleGraph(frozenset().union(*(g.vertices for g in graphs)), frozenset().union(*(g.edges for g in graphs)))
+
+
+def includes(g: pc.SimpleGraph, h: pc.SimpleGraph) -> bool:
+    """h is a subgraph of g."""
+    return h.vertices <= g.vertices and h.edges <= g.edges
+
+
+def oracle_clique_classes(g: pc.SimpleGraph, k: int) -> set[frozenset[frozenset[str]]]:
+    """The classes of every k-clique of g, two cliques joined when they
+    share a (k-1)-facet, compared pairwise."""
+    cliques = _all_k_cliques(g, k)
+    links = [(i, j) for i, j in combinations(range(len(cliques)), 2) if len(cliques[i] & cliques[j]) == k - 1]
+    return {frozenset(cliques[i] for i in members) for members in _weak_comps(range(len(cliques)), links)}
+
+
+def clique_state_graphs(g: pc.SimpleGraph, k: int) -> list[pc.SimpleGraph]:
+    """Every subgraph that is a union of a chain of adjacent k-cliques, a
+    state grown through any k-clique whose edges it holds, by size.  For
+    k <= 3 a k-clique whose edges lie in a union of a class's cliques
+    shares a facet with one of them, so these union graphs are those of the
+    clique sets that ``connectivity`` settles on."""
+    clique_graphs = [pc.simple_graph(c, combinations(sorted(c), 2)) for c in _all_k_cliques(g, k)]
+    adjacent: list[list[int]] = [[] for _ in clique_graphs]
+    for i, j in combinations(range(len(clique_graphs)), 2):
+        if len(clique_graphs[i].vertices & clique_graphs[j].vertices) == k - 1:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+    states = dict.fromkeys(clique_graphs)
+    frontier = list(states)
+    while frontier:
+        u = frontier.pop()
+        # with k >= 2 a clique's edges cover its vertices
+        for i in [i for i, cg in enumerate(clique_graphs) if cg.edges <= u.edges]:
+            for j in adjacent[i]:
+                nxt = union(u, clique_graphs[j])
+                if nxt not in states:
+                    states[nxt] = None
+                    frontier.append(nxt)
+    return sorted(states, key=lambda s: (len(s.vertices), len(s.edges), s.sorted_vertices()))
+
+
+def induced_subobjects(g: pc.SimpleGraph, spec: pc.PropertySpec) -> list[pc.SimpleGraph]:
+    """The induced subgraphs of g with the property, by literal deletion
+    enumeration, by size and then by their sorted vertices."""
+    subsets = (g.induced(s) for r in range(1, len(g.vertices) + 1) for s in combinations(g.sorted_vertices(), r))
+    return [h for h in subsets if oracle_is_property(h, spec)]
+
+
+def subobject_poset(g: pc.SimpleGraph, spec: pc.PropertySpec) -> pc.Poset:
+    """The subobjects of g with the property, ordered by inclusion through a
+    subgraph test of every pair: ``clique_state_graphs`` for ``clique:k``
+    and ``induced_subobjects`` otherwise."""
+    elements = clique_state_graphs(g, spec.k) if spec.kind == "clique" else induced_subobjects(g, spec)
+    return pc.Poset(elements, [(b, a) for a in elements for b in elements if includes(a, b)], closed=True)
+
+
+def oracle_is_weakly_directed(p: pc.Poset) -> bool:
+    """Every two elements with a common lower bound have a common upper
+    bound, tried on every pair."""
+    els = p.elements
+    for a, b in combinations(els, 2):
+        if any(p.leq(c, a) and p.leq(c, b) for c in els) and not any(p.leq(a, d) and p.leq(b, d) for d in els):
+            return False
+    return True
+
+
 def oracle_components(g: pc.SimpleGraph, spec: pc.PropertySpec) -> list[pc.SimpleGraph]:
     """Maximal property-satisfying subgraphs by exhaustive enumeration."""
     candidates: set[pc.SimpleGraph] = set()
@@ -275,7 +347,7 @@ def oracle_components(g: pc.SimpleGraph, spec: pc.PropertySpec) -> list[pc.Simpl
     )
     maximal: list[pc.SimpleGraph] = []
     for h in ordered:
-        if not any(m.includes(h) for m in maximal):
+        if not any(includes(m, h) for m in maximal):
             maximal.append(h)
     return sorted(maximal, key=lambda c: tuple(sorted(c.vertices)))
 

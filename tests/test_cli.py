@@ -30,7 +30,7 @@ from corpus import (
     triangle_bridge_chain,
     weigh,
 )
-from perconn import cli, graphs, persistence, quivers
+from perconn import cli, connectivity, graphs, persistence, posets, quivers
 from perconn.persistence import GRID_CAP
 
 GRAPH = "e a b 1\ne c d 1\ne b c 2\n"
@@ -419,28 +419,58 @@ def _complete_graph_text(n):
     return "".join(f"e v{i} v{j} {i + j + 1}\n" for i in range(n) for j in range(i + 1, n))
 
 
-def test_verify_refuses_a_clique_poset_past_its_state_cap(tmp_path):
-    # K6 at clique:2 has far more states than STATE_CAP; its enumeration
-    # ran unbounded before the cap, and the refused check is skipped, not
-    # failed
-    src = tmp_path / "k6.txt"
-    src.write_text(_complete_graph_text(6))
+def test_verify_decides_every_clique_case(tmp_path, capsys):
+    # weak directedness of a clique poset is decided on its k-cliques and
+    # communities, with no state enumeration and no cap: K5 at clique:2 had
+    # 968 states, and K6 and K7 more than any enumeration could take
+    src = tmp_path / "kn.txt"
+    for n, ks in ((5, [2]), (6, [2, 3]), (7, [2, 3, 4])):
+        src.write_text(_complete_graph_text(n))
+        for k in ks:
+            start = time.perf_counter()
+            code = cli.main(["verify", "--property", "clique", "--k", str(k), str(src)])
+            assert time.perf_counter() - start < 1.0, (n, k)
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, ""), (n, k)
+            assert out.count("PASS") == 3 and "PASS weak directedness" in out, (n, k)
+
+
+def test_verify_fails_a_clique_sweep_that_drops_a_merge(tmp_path, capsys, monkeypatch):
+    # two triangles sharing an edge are one community; a sweep that loses
+    # their merge gives two, and only the weak-directedness check sees it
+    real = connectivity.clique_percolation
+
+    def drop_first_merge(edges, k):
+        cliques, births, merges = real(edges, k)
+        return cliques, births, merges[1:]
+
+    src = tmp_path / "g.txt"
+    src.write_text("e a b 1\ne b c 1\ne a c 1\ne b d 2\ne c d 2\n")
+    monkeypatch.setattr(connectivity, "clique_percolation", drop_first_merge)
+    assert cli.main(["verify", "--property", "clique", "--k", "3", str(src)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS axioms: monotonicity and jump superadditivity hold",
+        "PASS reconstruction: diagram reproduces the function off-grid",
+        "FAIL weak directedness: the community of k-clique a b c is not the k-cliques chained to it",
+    ]
+
+
+def test_clique_check_passes_on_the_benchmark_graphs(monkeypatch):
+    # the check runs on every clique:3 graph of the deep-filtration pool at
+    # the digest seed (n = 60-120), read from the pool and changing nothing
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    seed = json.loads((PERFBENCH / "digests.json").read_text())["seed"]
+    jobs = [job for job in workloads.build_pool("deep-filtration", seed) if job.kind == "clique:3"]
+    assert len(jobs) == 24
     start = time.perf_counter()
-    res = run_cli("verify", "--property", "clique", "--k", "2", str(src))
-    assert time.perf_counter() - start < 5.0
-    assert (res.returncode, res.stderr) == (0, "")
-    assert res.stdout.count("PASS") == 2
-    assert "SKIP weak directedness: clique subobject poset limited to 2000 elements\n" in res.stdout
-
-
-def test_verify_k5_clique_poset_under_the_state_cap(tmp_path):
-    # 968 states, under the cap
-    src = tmp_path / "k5.txt"
-    src.write_text(_complete_graph_text(5))
-    res = run_cli("verify", "--property", "clique", "--k", "2", str(src))
-    assert (res.returncode, res.stderr) == (0, "")
-    assert res.stdout.count("PASS") == 3
-    assert "PASS weak directedness" in res.stdout
+    for job in jobs:
+        (text,) = job.files.values()
+        index, _, edges, _ = graphs.read_graph_records(text)
+        assert posets.check_clique_poset(list(index), edges, 3) is None, job.id
+    assert time.perf_counter() - start < 1.0
 
 
 def test_quiver_diagram(tmp_path):

@@ -12,6 +12,7 @@ from perconn import cli, connectivity, cuts, graphs
 from perconn.connectivity import block_levels
 from perconn.cuts import edge_cut_below, vertex_cut_below
 from corpus import (
+    covered_k4,
     k5_chain,
     random_geometric_graph,
     random_weighted_graph,
@@ -108,7 +109,7 @@ def test_bowtie_membership_and_components():
 
 
 def test_clique_communities_of_disjoint_k4_k3():
-    g = complete("wxyz").union(complete("pqr"))
+    g = oracles.union(complete("wxyz"), complete("pqr"))
     comms = pc.property_components(g, pc.PropertySpec("clique", 3))
     assert [sorted(c.vertices) for c in comms] == [["p", "q", "r"], ["w", "x", "y", "z"]]
 
@@ -158,9 +159,65 @@ def test_subobject_poset_examples():
     iso = pc.simple_graph(vertices=["a", "b"])
     po2 = pc.subobject_poset(iso, pc.PropertySpec("components"))
     assert len(po2) == 2 and len(po2.relation_pairs()) == 0
-    po3 = pc.subobject_poset(complete("wxyz"), pc.PropertySpec("clique", 3))
+    po3 = oracles.subobject_poset(complete("wxyz"), pc.PropertySpec("clique", 3))
     maxima = po3.maximal_elements()
     assert len(maxima) == 1 and maxima[0] == complete("wxyz")
+    with pytest.raises(pc.GraphError, match="not enumerated"):
+        pc.subobject_poset(complete("wxyz"), pc.PropertySpec("clique", 3))
+
+
+def _subobject_poset(g, spec):
+    # the library enumerates no clique poset; the oracle's states are its
+    # clique sets at k <= 3
+    return oracles.subobject_poset(g, spec) if spec.kind == "clique" else pc.subobject_poset(g, spec)
+
+
+def test_subobject_poset_matches_the_induced_oracle(seed=31):
+    # the same elements in the same order, tested on vertex indices and
+    # ordered by vertex masks
+    rng = random.Random(seed)
+    for _ in range(30):
+        g = random_weighted_graph(rng, max_vertices=6, max_edges=10).graph
+        for spec in ALL_SPECS:
+            if spec.kind != "clique":
+                got, want = pc.subobject_poset(g, spec), oracles.subobject_poset(g, spec)
+                assert got.elements == want.elements, (spec, sorted(g.edges))
+                assert got == want, (spec, sorted(g.edges))
+
+
+def _graph_key(h):
+    return sorted(h.vertices), sorted(h.edges)
+
+
+def test_clique_classes_match_brute_force(seed=37):
+    # the percolation classes are the classes of all k-cliques joined by
+    # shared facets, and a class's union graph passes the literal property
+    # test exactly when the oracle's does
+    rng = random.Random(seed)
+    graphs = [covered_k4().graph] + [complete("abcdefg"[:n]) for n in range(4, 8)]
+    graphs += [random_weighted_graph(rng, max_vertices=9, edge_prob=(0.4, 0.9)).graph for _ in range(200)]
+    literal_fails = 0
+    for g in graphs:
+        names = sorted(g.vertices)
+        at = {v: i for i, v in enumerate(names)}
+        edges = [(at[u], at[v], 0.0) for u, v in g.edges]
+        for k in range(2, 6):
+            spec = pc.PropertySpec("clique", k)
+            want = oracles.oracle_clique_classes(g, k)
+            top = connectivity.top_components([0.0] * len(names), edges, spec)
+            assert {frozenset(frozenset(names[v] for v in c) for c in cs) for _, cs in top} == want, (k, sorted(g.edges))
+            assert len(top) == len(want)
+            comps = pc.property_components(g, spec)
+            unions = [
+                pc.SimpleGraph(frozenset().union(*cs), frozenset(e for c in cs for e in combinations(sorted(c), 2)))
+                for cs in want
+            ]
+            assert sorted(comps, key=_graph_key) == sorted(unions, key=_graph_key), (k, sorted(g.edges))
+            for h in comps:
+                literal = oracles.oracle_is_property(h, spec)
+                assert pc.is_property_connected(h, spec) == literal, (k, sorted(h.edges))
+                literal_fails += not literal
+    assert literal_fails > 0
 
 
 def test_subobject_poset_cap():
@@ -174,7 +231,7 @@ def test_maximal_elements_agree_with_components(seed=23):
         wg = random_weighted_graph(rng, max_vertices=6, max_edges=9)
         g = wg.graph
         for spec in ALL_SPECS:
-            poset = pc.subobject_poset(g, spec)
+            poset = _subobject_poset(g, spec)
             maxima = sorted(poset.maximal_elements(), key=lambda c: tuple(sorted(c.vertices)))
             comps = pc.property_components(g, spec)
             assert maxima == comps, (spec, sorted(g.edges))
@@ -187,14 +244,14 @@ def test_union_property_brute_force(seed=5):
         wg = random_weighted_graph(rng, max_vertices=6, max_edges=8)
         g = wg.graph
         for spec in ALL_SPECS:
-            elements = list(pc.subobject_poset(g, spec).elements)
+            elements = list(_subobject_poset(g, spec).elements)
             for x1 in elements:
                 for x2 in elements:
                     joined = any(
-                        x1.includes(y) and x2.includes(y) for y in elements
+                        oracles.includes(x1, y) and oracles.includes(x2, y) for y in elements
                     )
                     if joined:
-                        assert pc.is_property_connected(x1.union(x2), spec)
+                        assert pc.is_property_connected(oracles.union(x1, x2), spec)
 
 
 def test_blocks_monotone_under_induced_closure(seed=29):
@@ -307,7 +364,7 @@ def test_edge_block_contraction_stops_below_k():
     # first four by exactly two edges: contracting a4 with b1 at k = 3
     # would merge the two K4s across their 2-edge cut
     a, b = ["a1", "a2", "a3", "a4"], ["b1", "b2", "b3", "b4"]
-    g = complete(a).union(complete(b)).union(pc.simple_graph(edges=[("a1", "b1"), ("a2", "b1")]))
+    g = oracles.union(complete(a), complete(b), pc.simple_graph(edges=[("a1", "b1"), ("a2", "b1")]))
     blocks = pc.property_components(g, pc.PropertySpec("edge_block", 3))
     assert _vertex_sets(blocks) == [a, b]
     weights = {v: dict.fromkeys(nbrs, 1) for v, nbrs in g.adjacency().items()}
@@ -378,7 +435,7 @@ def test_vertex_cut_below_keeps_a_cut_between_two_groups():
     # and e, f each see only two known vertices, as the other K4 holds only
     # two known members; a threshold of k - 1 on either sweep would miss {a, b}
     left, right = complete("abcd"), complete("abef")
-    adj = left.union(right).adjacency()
+    adj = oracles.union(left, right).adjacency()
     groups = [left.vertices, right.vertices]
     assert vertex_cut_below(adj, 3, groups) == {"a", "b"}
     assert vertex_cut_below(adj, 3) == {"a", "b"}
@@ -390,8 +447,8 @@ def test_vertex_cut_below_finds_a_cut_through_v0():
     # to two vertices of each: {v0, z} is the one cut below 3, so only the
     # pairs of v0's neighbours find it, and a1, b1 share no group
     a, b = [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)]
-    g = complete(a + ["z"]).union(complete(b + ["z"]))
-    g = g.union(pc.simple_graph(edges=[("v0", x) for x in ("a0", "a1", "b0", "b1")]))
+    g = oracles.union(complete(a + ["z"]), complete(b + ["z"]))
+    g = oracles.union(g, pc.simple_graph(edges=[("v0", x) for x in ("a0", "a1", "b0", "b1")]))
     for groups in ((), [frozenset(a + ["z"]), frozenset(b + ["z"])]):
         assert vertex_cut_below(g.adjacency(), 3, groups) == {"v0", "z"}
 
@@ -519,7 +576,7 @@ def test_fan_probe_cut_leaves_out_its_source(monkeypatch):
     # two K5s share {a, b}: v0 = c knows a, b, d, e, and f sees only a and
     # b of them, so f is probed by a fan into the five known vertices; its
     # two paths give the cut {a, b}, without f
-    adj = complete("abcde").union(complete("abfgh")).adjacency()
+    adj = oracles.union(complete("abcde"), complete("abfgh")).adjacency()
     probes = []
     reach_below = cuts._reach_below
     monkeypatch.setattr(cuts, "_reach_below", lambda *args: probes.append(args[4].copy()) or reach_below(*args))

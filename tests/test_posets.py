@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import perconn as pc
-from corpus import random_poset, random_universal_diagram_pair, random_weakly_directed_poset
+from corpus import all_labeled_posets, random_poset, random_universal_diagram_pair, random_weakly_directed_poset
 
 
 def test_maximal_elements():
@@ -23,6 +23,21 @@ def test_weak_directedness():
     assert not pc.is_weakly_directed(lam)
     assert pc.is_weakly_directed(pc.free_poset(["a", "b", "c"]))
     assert pc.is_weakly_directed(pc.Poset(["a"], []))
+
+
+def test_weak_directedness_criterion_matches_the_definition(seed=97):
+    # every minimal element below exactly one maximal element, against the
+    # pairwise definition: every poset of at most 4 labelled elements, and
+    # random ones
+    posets = [q for n in range(1, 5) for q in all_labeled_posets([f"x{i}" for i in range(n)])]
+    rng = random.Random(seed)
+    posets += [random_poset(rng) for _ in range(500)]
+    decided = Counter()
+    for q in posets:
+        got = pc.is_weakly_directed(q)
+        assert got == oracles.oracle_is_weakly_directed(q), q.relation_pairs()
+        decided[got] += 1
+    assert min(decided[True], decided[False]) > 100, decided
 
 
 def test_poset_validation():
@@ -144,7 +159,7 @@ def test_t_n_functorial_on_inclusions(seed=97):
         sub = p.restrict(keep)
         g_small = pc.t_n(sub, 2)
         g_big = pc.t_n(p, 2)
-        assert g_big.includes(g_small)
+        assert oracles.includes(g_big, g_small)
 
 
 def test_poset_text_format_round_trip():

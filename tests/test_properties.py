@@ -151,7 +151,7 @@ def test_k2_block_sweeps_match_per_level_successor_diagrams(wg, rng, criticals):
         for kind in ("edge_block", "vertex_block"):
             spec = pc.PropertySpec(kind, 2)
             levels = [oracles.oracle_property_components(filt.sublevel_at(i), spec) for i in range(len(filt.criticals))]
-            expected = oracles.oracle_successor_diagram(filt.criticals, levels, lambda d, c: c.includes(d))
+            expected = oracles.oracle_successor_diagram(filt.criticals, levels, lambda d, c: oracles.includes(c, d))
             assert pc.graph_diagram(filt, spec) == expected, kind
 
 
