@@ -435,6 +435,30 @@ def test_verify_decides_every_clique_case(tmp_path, capsys):
             assert out.count("PASS") == 3 and "PASS weak directedness" in out, (n, k)
 
 
+def test_verify_refuses_a_clique_poset_past_its_state_cap(tmp_path):
+    # K6 at clique:2 has far more states than the old state enumeration
+    # could take and was once skipped; with no state cap left, verify
+    # decides it in full and nothing is skipped
+    src = tmp_path / "k6.txt"
+    src.write_text(_complete_graph_text(6))
+    start = time.perf_counter()
+    res = run_cli("verify", "--property", "clique", "--k", "2", str(src))
+    assert time.perf_counter() - start < 5.0
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.count("PASS") == 3
+    assert "PASS weak directedness" in res.stdout and "SKIP" not in res.stdout
+
+
+def test_verify_k5_clique_poset_under_the_state_cap(tmp_path):
+    # 968 states, under the old cap, and decided on the same k-cliques
+    src = tmp_path / "k5.txt"
+    src.write_text(_complete_graph_text(5))
+    res = run_cli("verify", "--property", "clique", "--k", "2", str(src))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.count("PASS") == 3
+    assert "PASS weak directedness" in res.stdout
+
+
 def test_verify_fails_a_clique_sweep_that_drops_a_merge(tmp_path, capsys, monkeypatch):
     # two triangles sharing an edge are one community; a sweep that loses
     # their merge gives two, and only the weak-directedness check sees it
